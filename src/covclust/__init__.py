@@ -47,9 +47,7 @@ from .matrices import (
     min_eigenvalue,
     operator_norm,
     sym_from_csv,
-    sym_from_json,
     sym_to_csv,
-    sym_to_json,
     uniformity_diagnostics,
 )
 from .panel import (

@@ -13,8 +13,10 @@ Subcommands
 ``cluster``
     Screen and group only (no model fitting).
 
-Options may come from a ``key = value`` config file (``--config``); explicit
-flags override file values, and the ``COVCLUST_SEED`` environment variable
+Every option is declared once, in the ``_OPTIONS`` table, which builds the
+subcommand flags, reads config files and fills ``meta.json``.  Options may
+come from a ``key = value`` config file (``--config``); explicit flags
+override file values, and the ``COVCLUST_SEED`` environment variable
 supplies the seed when neither gives one.  Every numeric report is written
 with shortest round-trip floats (at most 17 significant digits), and
 timestamps live only in ``meta.json`` so repeated runs produce byte-identical
@@ -28,79 +30,114 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .crossval import CvConfig, cv_result_to_json_obj, default_grid, select_threshold
-from .errors import (
-    CovclustError,
-    DataError,
-    DegenerateColumnError,
-    DegenerateResponseError,
-    EmptyScreenError,
-    InfeasibleDependenceError,
-    InsufficientDataError,
-    InternalConsistencyError,
-    NotApplicableError,
-    ParseError,
-)
+from .crossval import CvTemplate, cv_result_to_json_obj, select_threshold
+from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
-from .ingest import TRANSFORM_CODES, ingest, write_panel_csv
+from .ingest import ingest, write_panel_csv
 from .matrices import sym_to_csv
-from .pipeline import build_model_spec, cluster_backward, cluster_forward, screen
-from .simulate import DependenceSpec, Structure, gen_panel, make_sparse_cov
+from .pipeline import (
+    build_model_spec,
+    cluster_backward,
+    cluster_forward,
+    clusters_to_json_obj,
+    clusters_to_text,
+    screen,
+    screen_to_json_obj,
+)
+from .simulate import (
+    DependenceSpec,
+    Structure,
+    gen_panel,
+    make_sparse_cov,
+    model_to_json_obj,
+    random_var1,
+)
 
-__all__ = ["PipelineConfig", "parse_config_file", "main"]
+__all__ = ["parse_config_file", "main"]
 
 _SEED_ENV = "COVCLUST_SEED"
 
-_ERROR_SLUGS = {
-    ParseError: "parse-error",
-    DataError: "data-error",
-    DegenerateColumnError: "degenerate-column",
-    InsufficientDataError: "insufficient-data",
-    EmptyScreenError: "empty-screen",
-    InfeasibleDependenceError: "infeasible-dependence",
-    NotApplicableError: "not-applicable",
-    InternalConsistencyError: "internal-consistency",
-    DegenerateResponseError: "degenerate-response",
-    CovclustError: "error",
-    KeyError: "invalid-argument",
-    ValueError: "invalid-argument",
+
+@dataclass(frozen=True)
+class _Option:
+    """One row of the option table.
+
+    ``name`` is the config-file key; with ``-`` for ``_`` it is the flag.
+    ``cast`` converts flag and config-file text alike.  A dict ``default``
+    gives each subcommand its own value.  A ``required`` option must come
+    from a flag or the config file; ``env`` names the environment variable
+    read when neither gives a value.
+    """
+
+    name: str
+    commands: tuple[str, ...]
+    help: str
+    cast: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    env: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_ON_PANEL = ("run", "threshold", "cluster")
+_SCREENING = ("run", "cluster")
+_SIM = ("simulate",)
+_ALL = _ON_PANEL + _SIM
+_OUT_DIRS = {
+    "run": "covclust_out",
+    "simulate": "covclust_sim",
+    "threshold": "covclust_cv",
+    "cluster": "covclust_clusters",
 }
 
-
-@dataclass
-class PipelineConfig:
-    """Resolved options for an end-to-end ``run``."""
-
-    input: str
-    response: str
-    output_dir: str
-    transforms: dict = field(default_factory=dict)
-    mode: str = "forward"
-    t1: int | None = None
-    t2: int | None = None
-    n_splits: int = 100
-    grid_size: int = 50
-    seed: int = 0
-    tolerance: float = 1e-6
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.mode not in ("forward", "backward"):
-            raise ValueError(f"mode must be forward or backward, got {self.mode!r}")
-        if self.response not in self.transforms:
-            raise ValueError(
-                f"the response {self.response!r} must appear in the transform map"
-            )
+_OPTIONS = (
+    _Option("input", _ON_PANEL, "CSV panel path", required=True),
+    _Option("response", _SCREENING, "response column label", required=True),
+    _Option("transforms", _ON_PANEL, "LABEL=CODE[,LABEL=CODE...]", default=""),
+    _Option("mode", _SCREENING, "grouping scan", default="forward",
+            choices=("forward", "backward")),
+    _Option("matrix_kind", ("threshold",), "matrix to threshold", default="covariance",
+            choices=("covariance", "spearman")),
+    _Option("tolerance", ("run",), "fit convergence tolerance", float, FitConfig.tolerance),
+    _Option("max_iter", ("run",), "fit iteration cap", int, FitConfig.max_iter),
+    _Option("t1", _ON_PANEL, "first-segment length (default 2T//9)", int),
+    _Option("t2", _ON_PANEL, "second-segment length (default 2*t1)", int),
+    _Option("n_splits", _ON_PANEL, "number of CV splits", int, CvTemplate.n_splits),
+    _Option("grid_size", _ON_PANEL, "threshold grid size", int, CvTemplate.grid_size),
+    _Option("j", _SIM, "number of series", int, 20),
+    _Option("t", _SIM, "number of periods", int, 200),
+    _Option("structure", _SIM, "covariance structure", default="random_sparse",
+            choices=("diagonal", "block", "banded", "random_sparse")),
+    _Option("block_sizes", _SIM, "e.g. 3,3,4"),
+    _Option("bandwidth", _SIM, "band width of the banded structure", int, 2),
+    _Option("decay", _SIM, "decay of the banded structure", float, 0.5),
+    _Option("density", _SIM, "density of the random_sparse structure", float, 0.1),
+    _Option("dependence", _SIM, "temporal dependence", default="iid",
+            choices=("iid", "m_dependent", "var1")),
+    _Option("m", _SIM, "dependence order", int, 1),
+    _Option("var_radius", _SIM, "spectral radius of the var1 coefficient", float, 0.5),
+    _Option("seed", _ALL, f"RNG seed (or ${_SEED_ENV})", int, 0, env=_SEED_ENV),
+    _Option("out", _ALL, "output directory", default=_OUT_DIRS),
+)
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; ``#`` starts a comment, blank lines skipped."""
+    """Read ``key = value`` lines; ``#`` starts a comment, blank lines skipped.
+
+    A key must name an option of some subcommand, so one file can serve
+    several subcommands while a misspelled key is an error, not ignored.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -110,12 +147,36 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno} is not 'key = value'", row=lineno)
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if not any(opt.name == key for opt in _OPTIONS):
+                raise ParseError(f"{path}: line {lineno} sets unknown option {key!r}", row=lineno)
+            out[key] = value.strip()
     return out
 
 
+def _resolve(command: str, args, file_cfg: dict) -> dict:
+    """Value of every option ``command`` takes: flag, config file, ``env``, then default."""
+    opts = {}
+    for opt in _OPTIONS:
+        if command not in opt.commands:
+            continue
+        value = getattr(args, opt.name)
+        if value is None and opt.name in file_cfg:
+            value = opt.cast(file_cfg[opt.name])
+        if value is None and opt.env is not None and os.environ.get(opt.env) is not None:
+            value = opt.cast(os.environ[opt.env])
+        if value is None and opt.required:
+            raise ValueError(f"{command} requires {opt.flag}")
+        if value is None:
+            value = opt.default[command] if isinstance(opt.default, dict) else opt.default
+        if opt.choices is not None and value not in opt.choices:
+            raise ValueError(f"{opt.flag} must be one of {opt.choices}, got {value!r}")
+        opts[opt.name] = value
+    return opts
+
+
 def _parse_transforms(text: str) -> dict:
-    """``"A=log_diff1,B=level"`` to a label-to-code dict."""
+    """``"A=log_diff1,B=level"`` to a label-to-code dict; ``ingest`` checks the codes."""
     out = {}
     if not text:
         return out
@@ -126,11 +187,6 @@ def _parse_transforms(text: str) -> dict:
         if "=" not in part:
             raise ValueError(f"transform entry {part!r} is not LABEL=CODE")
         label, code = (p.strip() for p in part.split("=", 1))
-        if code not in TRANSFORM_CODES:
-            raise ValueError(
-                f"unknown transform code {code!r} for {label!r}; "
-                f"expected one of {TRANSFORM_CODES}"
-            )
         out[label] = code
     return out
 
@@ -159,75 +215,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _resolve(flag_value, file_cfg: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
-
-
-def _resolve_seed(flag_value, file_cfg: dict) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _cv_config_for(panel, cfg_t1, cfg_t2, n_splits, grid_size, seed, matrix_kind) -> CvConfig:
-    t = panel.n_periods
-    t1 = cfg_t1 if cfg_t1 is not None else max(2, 2 * t // 9)
-    t2 = cfg_t2 if cfg_t2 is not None else min(2 * t1, t - t1)
-    return CvConfig(
-        t1=t1,
-        t2=t2,
-        grid=default_grid(panel, matrix_kind, grid_size),
-        n_splits=n_splits,
-        seed=seed,
-    )
-
-
-def _screen_json(scr, labels) -> dict:
-    return {
-        "threshold": float(scr.threshold),
-        "response": scr.response_label,
-        "kept_indices": [int(k) for k in scr.kept],
-        "kept_labels": [labels[k] for k in scr.kept],
-        "signs": [int(s) for s in scr.response_signs],
-        "cv": cv_result_to_json_obj(scr.cv),
-    }
-
-
-def _clusters_json(clu, labels) -> dict:
-    return {
-        "mode": "backward" if clu.overlapping else "forward",
-        "sets": [
-            {
-                "indices": [int(v) for v in s],
-                "labels": [labels[v] for v in s],
-                "score": float(score),
-            }
-            for s, score in zip(clu.sets, clu.scores)
-        ],
-        "admissions": [
-            [{"label": labels[v], "score": float(sc)} for v, sc in log]
-            for log in clu.admissions
-        ],
-    }
-
-
-def _clusters_text(clu, labels) -> str:
-    lines = []
-    for i, (s, score) in enumerate(zip(clu.sets, clu.scores), start=1):
-        names = " ".join(labels[v] for v in s)
-        lines.append(f"set {i} (score {score:.4f}): {names}")
-    return "\n".join(lines) + "\n"
-
-
 def _write_meta(outdir: Path, args_echo: dict) -> None:
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -237,43 +224,31 @@ def _write_meta(outdir: Path, args_echo: dict) -> None:
     _write_json(outdir / "meta.json", meta)
 
 
-def _cmd_run(args, file_cfg) -> int:
-    cfg = PipelineConfig(
-        input=_resolve(args.input, file_cfg, "input", None, str),
-        response=_resolve(args.response, file_cfg, "response", None, str),
-        output_dir=_resolve(args.out, file_cfg, "out", "covclust_out", str),
-        transforms=_parse_transforms(
-            _resolve(args.transforms, file_cfg, "transforms", "", str)
-        ),
-        mode=_resolve(args.mode, file_cfg, "mode", "forward", str),
-        t1=_resolve(args.t1, file_cfg, "t1", None, int),
-        t2=_resolve(args.t2, file_cfg, "t2", None, int),
-        n_splits=_resolve(args.n_splits, file_cfg, "n_splits", 100, int),
-        grid_size=_resolve(args.grid_size, file_cfg, "grid_size", 50, int),
-        seed=_resolve_seed(args.seed, file_cfg),
-        tolerance=_resolve(args.tolerance, file_cfg, "tolerance", 1e-6, float),
-        max_iter=_resolve(args.max_iter, file_cfg, "max_iter", 200, int),
-    )
-    if cfg.input is None or cfg.response is None:
-        raise ValueError("run requires --input and --response")
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cv_template(opts: dict) -> CvTemplate:
+    fields = ("n_splits", "grid_size", "seed", "t1", "t2")
+    return CvTemplate(**{name: opts[name] for name in fields})
 
-    panel = ingest(cfg.input, cfg.transforms)
-    labels = panel.labels
-    cv_cfg = _cv_config_for(
-        panel, cfg.t1, cfg.t2, cfg.n_splits, cfg.grid_size, cfg.seed, "spearman"
-    )
-    scr = screen(panel, cfg.response, cv_cfg)
-    clu = cluster_backward(scr) if cfg.mode == "backward" else cluster_forward(scr)
+
+def _screen_and_group(opts: dict, transforms: dict, outdir: Path):
+    """Ingest, screen and group as ``run`` and ``cluster`` share; write their reports."""
+    panel = ingest(opts["input"], transforms)
+    scr = screen(panel, opts["response"], _cv_template(opts).for_panel(panel, "spearman"))
+    clu = cluster_backward(scr) if opts["mode"] == "backward" else cluster_forward(scr)
+    _write_json(outdir / "screen.json", screen_to_json_obj(scr, panel.labels))
+    _write_json(outdir / "clusters.json", clusters_to_json_obj(clu, panel.labels))
+    (outdir / "clusters.txt").write_text(clusters_to_text(clu, panel.labels))
+    return panel, scr, clu
+
+
+def _cmd_run(opts: dict, outdir: Path) -> str:
+    transforms = _parse_transforms(opts["transforms"])
+    if opts["response"] not in transforms:
+        raise ValueError(f"the response {opts['response']!r} must appear in the transform map")
+    panel, scr, clu = _screen_and_group(opts, transforms, outdir)
     spec = build_model_spec(scr, clu)
-    fit_cfg = FitConfig(tolerance=cfg.tolerance, max_iter=cfg.max_iter)
+    fit_cfg = FitConfig(tolerance=opts["tolerance"], max_iter=opts["max_iter"])
     result = fit(panel, spec, fit_cfg)
-
-    _write_json(outdir / "screen.json", _screen_json(scr, labels))
-    _write_json(outdir / "clusters.json", _clusters_json(clu, labels))
-    (outdir / "clusters.txt").write_text(_clusters_text(clu, labels))
-    _write_json(outdir / "fit.json", fit_to_json_obj(result, spec, labels))
+    _write_json(outdir / "fit.json", fit_to_json_obj(result, spec, panel.labels))
     links_to_csv(result, outdir / "links.csv")
     report = {
         "selected_threshold": float(scr.threshold),
@@ -284,184 +259,60 @@ def _cmd_run(args, file_cfg) -> int:
         "iterations": int(result.iterations),
     }
     _write_json(outdir / "report.json", report)
-    _write_meta(
-        outdir,
-        {
-            "command": "run",
-            "input": str(cfg.input),
-            "response": cfg.response,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-        },
-    )
-    print(f"run complete: {outdir}/report.json")
-    return 0
+    return f"run complete: {outdir}/report.json"
 
 
-def _structure_from_args(args, file_cfg) -> Structure:
-    kind = _resolve(args.structure, file_cfg, "structure", "random_sparse", str)
+def _structure(opts: dict) -> Structure:
+    kind = opts["structure"]
     if kind == "diagonal":
         return Structure.diagonal()
     if kind == "block":
-        sizes_text = _resolve(args.block_sizes, file_cfg, "block_sizes", None, str)
-        if not sizes_text:
+        if not opts["block_sizes"]:
             raise ValueError("block structure requires --block-sizes, e.g. 3,3,4")
-        return Structure.block([int(b) for b in sizes_text.split(",") if b.strip()])
+        return Structure.block([int(b) for b in opts["block_sizes"].split(",") if b.strip()])
     if kind == "banded":
-        return Structure.banded(
-            _resolve(args.bandwidth, file_cfg, "bandwidth", 2, int),
-            _resolve(args.decay, file_cfg, "decay", 0.5, float),
-        )
-    if kind == "random_sparse":
-        return Structure.random_sparse(
-            _resolve(args.density, file_cfg, "density", 0.1, float)
-        )
-    raise ValueError(f"unknown structure {kind!r}")
+        return Structure.banded(opts["bandwidth"], opts["decay"])
+    return Structure.random_sparse(opts["density"])
 
 
-def _dependence_from_args(args, file_cfg, j: int, seed: int) -> DependenceSpec:
-    kind = _resolve(args.dependence, file_cfg, "dependence", "iid", str)
-    if kind == "iid":
+def _dependence(opts: dict, model) -> DependenceSpec:
+    if opts["dependence"] == "iid":
         return DependenceSpec.iid()
-    if kind == "m_dependent":
-        return DependenceSpec.m_dependent(_resolve(args.m, file_cfg, "m", 1, int))
-    if kind == "var1":
-        radius = _resolve(args.var_radius, file_cfg, "var_radius", 0.5, float)
-        rng = np.random.default_rng([seed & ((1 << 63) - 1), 0xA151])
-        raw = rng.standard_normal((j, j))
-        top = float(np.max(np.abs(np.linalg.eigvals(raw))))
-        return DependenceSpec.var1(raw * (radius / top))
-    raise ValueError(f"unknown dependence {kind!r}")
+    if opts["dependence"] == "m_dependent":
+        return DependenceSpec.m_dependent(opts["m"])
+    return random_var1(model, opts["var_radius"], opts["seed"])
 
 
-def _cmd_simulate(args, file_cfg) -> int:
-    j = _resolve(args.j, file_cfg, "j", 20, int)
-    t = _resolve(args.t, file_cfg, "t", 200, int)
-    seed = _resolve_seed(args.seed, file_cfg)
-    outdir = Path(_resolve(args.out, file_cfg, "out", "covclust_sim", str))
-    outdir.mkdir(parents=True, exist_ok=True)
-    structure = _structure_from_args(args, file_cfg)
-    dep = _dependence_from_args(args, file_cfg, j, seed)
-    model = make_sparse_cov(j, structure, seed=seed)
-    if dep.kind == "var1":
-        # the random coefficient may be incompatible with this covariance;
-        # re-draw it a few times before giving up
-        last_exc = None
-        for attempt in range(50):
-            try:
-                gen_panel(model, dep, 2, seed=0)
-                last_exc = None
-                break
-            except InfeasibleDependenceError as exc:
-                last_exc = exc
-                dep = _dependence_from_args(args, file_cfg, j, seed + 1000 + attempt)
-        if last_exc is not None:
-            raise last_exc
-    panel = gen_panel(model, dep, t, seed=seed)
-    write_panel_csv(panel, outdir / "panel.csv")
+def _cmd_simulate(opts: dict, outdir: Path) -> str:
+    t, seed = opts["t"], opts["seed"]
+    model = make_sparse_cov(opts["j"], _structure(opts), seed=seed)
+    dep = _dependence(opts, model)
+    write_panel_csv(gen_panel(model, dep, t, seed=seed), outdir / "panel.csv")
     sym_to_csv(model.sigma, outdir / "truth_sigma.csv")
-    dep_obj = {"kind": dep.kind}
-    if dep.kind == "m_dependent":
-        dep_obj["m"] = dep.m
-    if dep.kind == "var1":
-        dep_obj["radius"] = dep.spectral_radius()
-    _write_json(
-        outdir / "model.json",
-        {
-            "j": j,
-            "t": t,
-            "seed": seed,
-            "structure": {
-                "kind": structure.kind,
-                "block_sizes": list(structure.block_sizes),
-                "bandwidth": structure.bandwidth,
-                "decay": structure.decay,
-                "density": structure.density,
-            },
-            "dependence": dep_obj,
-            "uniformity": {
-                "q": model.params.q,
-                "c0": model.params.c0,
-                "M": model.params.M,
-            },
-        },
-    )
-    _write_meta(outdir, {"command": "simulate", "j": j, "t": t, "seed": seed})
-    print(f"simulation written to {outdir}")
-    return 0
+    _write_json(outdir / "model.json", model_to_json_obj(model, dep, t, seed))
+    return f"simulation written to {outdir}"
 
 
-def _cmd_threshold(args, file_cfg) -> int:
-    input_path = _resolve(args.input, file_cfg, "input", None, str)
-    if input_path is None:
-        raise ValueError("threshold requires --input")
-    outdir = Path(_resolve(args.out, file_cfg, "out", "covclust_cv", str))
-    outdir.mkdir(parents=True, exist_ok=True)
-    matrix_kind = _resolve(args.matrix_kind, file_cfg, "matrix_kind", "covariance", str)
-    transforms = _parse_transforms(
-        _resolve(args.transforms, file_cfg, "transforms", "", str)
-    )
-    panel = ingest(input_path, transforms)
-    cv_cfg = _cv_config_for(
-        panel,
-        _resolve(args.t1, file_cfg, "t1", None, int),
-        _resolve(args.t2, file_cfg, "t2", None, int),
-        _resolve(args.n_splits, file_cfg, "n_splits", 100, int),
-        _resolve(args.grid_size, file_cfg, "grid_size", 50, int),
-        _resolve_seed(args.seed, file_cfg),
-        matrix_kind,
-    )
-    res = select_threshold(panel, cv_cfg, matrix_kind)
+def _cmd_threshold(opts: dict, outdir: Path) -> str:
+    panel = ingest(opts["input"], _parse_transforms(opts["transforms"]))
+    matrix_kind = opts["matrix_kind"]
+    res = select_threshold(panel, _cv_template(opts).for_panel(panel, matrix_kind), matrix_kind)
     _write_json(outdir / "cv.json", cv_result_to_json_obj(res))
-    _write_meta(outdir, {"command": "threshold", "input": str(input_path)})
-    print(f"selected threshold {res.selected!r} -> {outdir}/cv.json")
-    return 0
+    return f"selected threshold {res.selected!r} -> {outdir}/cv.json"
 
 
-def _cmd_cluster(args, file_cfg) -> int:
-    input_path = _resolve(args.input, file_cfg, "input", None, str)
-    response = _resolve(args.response, file_cfg, "response", None, str)
-    if input_path is None or response is None:
-        raise ValueError("cluster requires --input and --response")
-    outdir = Path(_resolve(args.out, file_cfg, "out", "covclust_clusters", str))
-    outdir.mkdir(parents=True, exist_ok=True)
-    mode = _resolve(args.mode, file_cfg, "mode", "forward", str)
-    if mode not in ("forward", "backward"):
-        raise ValueError(f"mode must be forward or backward, got {mode!r}")
-    transforms = _parse_transforms(
-        _resolve(args.transforms, file_cfg, "transforms", "", str)
-    )
-    panel = ingest(input_path, transforms)
-    cv_cfg = _cv_config_for(
-        panel,
-        _resolve(args.t1, file_cfg, "t1", None, int),
-        _resolve(args.t2, file_cfg, "t2", None, int),
-        _resolve(args.n_splits, file_cfg, "n_splits", 100, int),
-        _resolve(args.grid_size, file_cfg, "grid_size", 50, int),
-        _resolve_seed(args.seed, file_cfg),
-        "spearman",
-    )
-    scr = screen(panel, response, cv_cfg)
-    clu = cluster_backward(scr) if mode == "backward" else cluster_forward(scr)
-    _write_json(outdir / "screen.json", _screen_json(scr, panel.labels))
-    _write_json(outdir / "clusters.json", _clusters_json(clu, panel.labels))
-    (outdir / "clusters.txt").write_text(_clusters_text(clu, panel.labels))
-    _write_meta(outdir, {"command": "cluster", "input": str(input_path)})
-    print(f"{len(clu.sets)} sets -> {outdir}/clusters.txt")
-    return 0
+def _cmd_cluster(opts: dict, outdir: Path) -> str:
+    _, _, clu = _screen_and_group(opts, _parse_transforms(opts["transforms"]), outdir)
+    return f"{len(clu.sets)} sets -> {outdir}/clusters.txt"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value options file")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (or ${_SEED_ENV})")
-    p.add_argument("--out", default=None, help="output directory")
-
-
-def _add_cv_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t1", type=int, default=None, help="first-segment length (default 2T//9)")
-    p.add_argument("--t2", type=int, default=None, help="second-segment length (default 2*t1)")
-    p.add_argument("--n-splits", type=int, default=None, help="number of CV splits")
-    p.add_argument("--grid-size", type=int, default=None, help="threshold grid size")
+# subcommand -> (help line, handler returning the completion message)
+_COMMANDS = {
+    "run": ("full screen/group/fit pipeline", _cmd_run),
+    "simulate": ("generate a synthetic panel", _cmd_simulate),
+    "threshold": ("cross-validate a threshold only", _cmd_threshold),
+    "cluster": ("screen and group only", _cmd_cluster),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,61 +321,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Thresholded covariance estimation, variable grouping, and groupwise index models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="full screen/group/fit pipeline")
-    p_run.add_argument("--input", default=None, help="CSV panel path")
-    p_run.add_argument("--response", default=None, help="response column label")
-    p_run.add_argument("--transforms", default=None, help="LABEL=CODE[,LABEL=CODE...]")
-    p_run.add_argument("--mode", default=None, choices=["forward", "backward"])
-    p_run.add_argument("--tolerance", type=float, default=None)
-    p_run.add_argument("--max-iter", type=int, default=None)
-    _add_cv_flags(p_run)
-    _add_common(p_run)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic panel")
-    p_sim.add_argument("--j", type=int, default=None, help="number of series")
-    p_sim.add_argument("--t", type=int, default=None, help="number of periods")
-    p_sim.add_argument(
-        "--structure",
-        default=None,
-        choices=["diagonal", "block", "banded", "random_sparse"],
-    )
-    p_sim.add_argument("--block-sizes", default=None, help="e.g. 3,3,4")
-    p_sim.add_argument("--bandwidth", type=int, default=None)
-    p_sim.add_argument("--decay", type=float, default=None)
-    p_sim.add_argument("--density", type=float, default=None)
-    p_sim.add_argument(
-        "--dependence", default=None, choices=["iid", "m_dependent", "var1"]
-    )
-    p_sim.add_argument("--m", type=int, default=None, help="dependence order")
-    p_sim.add_argument("--var-radius", type=float, default=None)
-    _add_common(p_sim)
-
-    p_thr = sub.add_parser("threshold", help="cross-validate a threshold only")
-    p_thr.add_argument("--input", default=None)
-    p_thr.add_argument("--transforms", default=None)
-    p_thr.add_argument(
-        "--matrix-kind", default=None, choices=["covariance", "spearman"]
-    )
-    _add_cv_flags(p_thr)
-    _add_common(p_thr)
-
-    p_clu = sub.add_parser("cluster", help="screen and group only")
-    p_clu.add_argument("--input", default=None)
-    p_clu.add_argument("--response", default=None)
-    p_clu.add_argument("--transforms", default=None)
-    p_clu.add_argument("--mode", default=None, choices=["forward", "backward"])
-    _add_cv_flags(p_clu)
-    _add_common(p_clu)
+    for command, (help_line, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help="key = value options file")
+        for opt in _OPTIONS:
+            if command in opt.commands:
+                p.add_argument(opt.flag, type=opt.cast, choices=opt.choices, help=opt.help)
     return parser
 
 
 def _error_payload(exc: Exception, stage: str) -> dict:
-    slug = "error"
-    for klass, name in _ERROR_SLUGS.items():
-        if isinstance(exc, klass):
-            slug = name
-            break
+    if isinstance(exc, CovclustError):
+        slug = exc.slug
+    elif isinstance(exc, (KeyError, ValueError)):
+        slug = "invalid-argument"
+    else:
+        slug = "error"
     payload = {"error": slug, "stage": stage, "message": str(exc)}
     for attr in ("row", "column", "labels", "threshold", "max_abs_corr"):
         value = getattr(exc, attr, None)
@@ -539,23 +351,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    file_cfg = {}
-    stage = args.command
     try:
-        if args.config:
-            file_cfg = parse_config_file(args.config)
-        if args.command == "run":
-            return _cmd_run(args, file_cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, file_cfg)
-        if args.command == "threshold":
-            return _cmd_threshold(args, file_cfg)
-        if args.command == "cluster":
-            return _cmd_cluster(args, file_cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        file_cfg = parse_config_file(args.config) if args.config else {}
+        opts = _resolve(args.command, args, file_cfg)
+        outdir = Path(opts["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        message = _COMMANDS[args.command][1](opts, outdir)
+        _write_meta(outdir, {"command": args.command, **opts})
     except (CovclustError, ValueError, KeyError, OSError) as exc:
-        print(json.dumps(_error_payload(exc, stage), sort_keys=True))
+        print(json.dumps(_error_payload(exc, args.command), sort_keys=True))
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

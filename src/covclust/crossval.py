@@ -101,17 +101,20 @@ class CvTemplate:
     comparison estimate.  Keeping the segment strictly shorter than the panel
     leaves room for genuinely different split offsets — a segment as long as
     the panel would pin every split to offset 0 and silently collapse the
-    replication.
+    replication.  ``t1`` and ``t2`` override those segment lengths; an
+    unset ``t2`` follows ``t1`` at twice its length, capped by the rows left.
     """
 
     n_splits: int = 100
     grid_size: int = 50
     seed: int = 0
+    t1: int | None = None
+    t2: int | None = None
 
     def for_panel(self, panel: TimeSeriesPanel, matrix_kind: str = "covariance") -> CvConfig:
         t = panel.n_periods
-        t1 = max(2, 2 * t // 9)
-        t2 = min(2 * t1, t - t1)
+        t1 = self.t1 if self.t1 is not None else max(2, 2 * t // 9)
+        t2 = self.t2 if self.t2 is not None else min(2 * t1, t - t1)
         return CvConfig(
             t1=t1,
             t2=t2,

@@ -120,8 +120,11 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
     if unknown:
         raise ValueError(f"transform map names absent columns: {unknown}")
     codes = [transform_map.get(l, "level") for l in labels]
-    for code in codes:
-        transform_lag(code)  # validate early
+    for label, code in zip(labels, codes):
+        if code not in TRANSFORM_CODES:
+            raise ValueError(
+                f"unknown transform code {code!r} for {label!r}; expected one of {TRANSFORM_CODES}"
+            )
     max_lag = max(transform_lag(code) for code in codes)
     t_out = data.shape[0] - max_lag
     if t_out < 2:

@@ -9,7 +9,6 @@ means the largest absolute eigenvalue.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "sym_from_csv",
     "sym_to_json_obj",
     "sym_from_json_obj",
-    "sym_to_json",
-    "sym_from_json",
 ]
 
 
@@ -220,14 +217,3 @@ def sym_to_json_obj(m: SymMatrix) -> dict:
 
 def sym_from_json_obj(obj: dict) -> SymMatrix:
     return SymMatrix(np.array(obj["entries"], dtype=float), tuple(obj["labels"]))
-
-
-def sym_to_json(m: SymMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sym_to_json_obj(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def sym_from_json(path) -> SymMatrix:
-    with open(path) as fh:
-        return sym_from_json_obj(json.load(fh))

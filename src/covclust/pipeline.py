@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossval import CvConfig, CvResult, CvTemplate, select_threshold
+from .crossval import CvConfig, CvResult, CvTemplate, cv_result_to_json_obj, select_threshold
 from .errors import EmptyScreenError, InternalConsistencyError
 from .matrices import SymMatrix, hard_threshold
-from .panel import TimeSeriesPanel, spearman_matrix, standardize
+from .panel import TimeSeriesPanel, spearman_matrix
 
 __all__ = [
     "ScreenResult",
@@ -32,6 +32,9 @@ __all__ = [
     "cluster_forward",
     "cluster_backward",
     "build_model_spec",
+    "screen_to_json_obj",
+    "clusters_to_json_obj",
+    "clusters_to_text",
 ]
 
 
@@ -120,20 +123,19 @@ def screen(
     correlation seen, so callers can tell "nothing is related" from
     "threshold too aggressive".
     """
-    std = standardize(panel)
-    if response_label not in std.labels:
+    if response_label not in panel.labels:
         raise KeyError(f"unknown response label {response_label!r}")
-    r_idx = std.labels.index(response_label)
-    if std.n_series < 2:
+    r_idx = panel.labels.index(response_label)
+    if panel.n_series < 2:
         raise ValueError("screening needs at least one predictor besides the response")
-    cfg = cv_cfg if cv_cfg is not None else CvTemplate().for_panel(std, "spearman")
-    cv = select_threshold(std, cfg, "spearman")
-    corr = spearman_matrix(std)
+    cfg = cv_cfg if cv_cfg is not None else CvTemplate().for_panel(panel, "spearman")
+    cv = select_threshold(panel, cfg, "spearman")
+    corr = spearman_matrix(panel)
     reg = hard_threshold(corr, cv.selected)
     resp_reg = reg.entries[:, r_idx]
-    kept = [k for k in range(std.n_series) if k != r_idx and resp_reg[k] != 0.0]
+    kept = [k for k in range(panel.n_series) if k != r_idx and resp_reg[k] != 0.0]
     if not kept:
-        others = [k for k in range(std.n_series) if k != r_idx]
+        others = [k for k in range(panel.n_series) if k != r_idx]
         max_seen = float(np.max(np.abs(corr.entries[others, r_idx])))
         raise EmptyScreenError(cv.selected, max_seen)
     kept.sort(key=lambda k: (-abs(resp_reg[k]), k))
@@ -294,3 +296,43 @@ def build_model_spec(screen_result: ScreenResult, cluster: ClusterResult) -> Mod
         groups=cluster.sets,
         sign_constraints=signs,
     )
+
+
+def screen_to_json_obj(scr: ScreenResult, labels) -> dict:
+    """JSON-ready summary: threshold, kept columns with their signs, and the CV run."""
+    return {
+        "threshold": float(scr.threshold),
+        "response": scr.response_label,
+        "kept_indices": [int(k) for k in scr.kept],
+        "kept_labels": [labels[k] for k in scr.kept],
+        "signs": [int(s) for s in scr.response_signs],
+        "cv": cv_result_to_json_obj(scr.cv),
+    }
+
+
+def clusters_to_json_obj(clu: ClusterResult, labels) -> dict:
+    """JSON-ready sets with their scores, and the score after every admission."""
+    return {
+        "mode": "backward" if clu.overlapping else "forward",
+        "sets": [
+            {
+                "indices": [int(v) for v in s],
+                "labels": [labels[v] for v in s],
+                "score": float(score),
+            }
+            for s, score in zip(clu.sets, clu.scores)
+        ],
+        "admissions": [
+            [{"label": labels[v], "score": float(sc)} for v, sc in log]
+            for log in clu.admissions
+        ],
+    }
+
+
+def clusters_to_text(clu: ClusterResult, labels) -> str:
+    """One ``set i (score s): label ...`` line per set."""
+    lines = []
+    for i, (s, score) in enumerate(zip(clu.sets, clu.scores), start=1):
+        names = " ".join(labels[v] for v in s)
+        lines.append(f"set {i} (score {score:.4f}): {names}")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ the stationary row covariance equals the requested target.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ __all__ = [
     "SparseCovModel",
     "DependenceSpec",
     "make_sparse_cov",
+    "random_var1",
     "gen_panel",
+    "model_to_json_obj",
     "fractional_cover_size",
     "RateReport",
     "rate_experiment",
@@ -280,6 +282,46 @@ def gen_panel(
     return TimeSeriesPanel(values, model.sigma.labels)
 
 
+def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> DependenceSpec:
+    """VAR(1) dependence with a random coefficient of spectral radius ``radius``.
+
+    The coefficient is a standard normal ``J x J`` draw scaled to ``radius``.
+    A draw can leave no valid innovation covariance for ``model.sigma``; it is
+    then redrawn, 50 draws in all, before the last
+    :class:`InfeasibleDependenceError` is raised.  Identical
+    ``(model, radius, seed)`` always yields an identical coefficient.
+    """
+    j = model.sigma.dim
+    for draw_seed in [seed] + [seed + 1000 + k for k in range(49)]:
+        rng = np.random.default_rng([draw_seed & _SEED_MASK, 0xA151])
+        raw = rng.standard_normal((j, j))
+        top = float(np.max(np.abs(np.linalg.eigvals(raw))))
+        dep = DependenceSpec.var1(raw * (radius / top))
+        try:
+            gen_panel(model, dep, 2, seed=0)
+            return dep
+        except InfeasibleDependenceError as exc:
+            last_exc = exc
+    raise last_exc
+
+
+def model_to_json_obj(model: SparseCovModel, dep: DependenceSpec, t: int, seed: int) -> dict:
+    """JSON-ready description of a simulated panel: size, seed, structure, dependence, class."""
+    dependence = {"kind": dep.kind}
+    if dep.kind == "m_dependent":
+        dependence["m"] = dep.m
+    if dep.kind == "var1":
+        dependence["radius"] = dep.spectral_radius()
+    return {
+        "j": model.sigma.dim,
+        "t": t,
+        "seed": seed,
+        "structure": asdict(model.structure),
+        "dependence": dependence,
+        "uniformity": asdict(model.params),
+    }
+
+
 def fractional_cover_size(dep: DependenceSpec, t: int) -> int:
     """Effective dependence multiplier of a length-``t`` sample.
 
@@ -355,11 +397,7 @@ def rate_experiment(
                 np.random.default_rng([seed & _SEED_MASK, ti, rep]).integers(_SEED_MASK)
             )
             panel = gen_panel(model, dep, t, seed=panel_seed)
-            cfg = CvTemplate(
-                n_splits=cv_template.n_splits,
-                grid_size=cv_template.grid_size,
-                seed=panel_seed,
-            ).for_panel(panel, "covariance")
+            cfg = replace(cv_template, seed=panel_seed).for_panel(panel, "covariance")
             s_hat = select_threshold(panel, cfg, "covariance").selected
             est = hard_threshold(sample_covariance(panel), s_hat)
             diff = SymMatrix(est.entries - model.sigma.entries, est.labels)
