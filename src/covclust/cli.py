@@ -136,7 +136,8 @@ def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; ``#`` starts a comment, blank lines skipped.
 
     A key must name an option of some subcommand, so one file can serve
-    several subcommands while a misspelled key is an error, not ignored.
+    several subcommands while a misspelled key is an error, not ignored.  A
+    key set twice is an error too, reported at the repeat's line.
     """
     out = {}
     with open(path) as fh:
@@ -150,6 +151,8 @@ def parse_config_file(path) -> dict:
             key = key.strip().replace("-", "_")
             if not any(opt.name == key for opt in _OPTIONS):
                 raise ParseError(f"{path}: line {lineno} sets unknown option {key!r}", row=lineno)
+            if key in out:
+                raise ParseError(f"{path}: line {lineno} sets {key!r} again", row=lineno)
             out[key] = value.strip()
     return out
 

@@ -7,6 +7,10 @@ Frobenius distance between the thresholded first estimate and the raw second
 estimate.  The same splits score every grid point, so the loss curves differ
 only through ``s``; the selected threshold minimizes the mean loss, with ties
 broken toward the larger (sparser) value.
+
+Splits are streamed: each pair of segment estimates is scored against the
+whole grid and dropped before the next split is estimated, so memory stays
+O(J^2) whatever the number of splits.
 """
 
 from __future__ import annotations
@@ -141,10 +145,8 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
     return (offset, offset + cfg.t1), (offset + cfg.t1, offset + cfg.t1 + cfg.t2)
 
 
-def _segment_estimates(
-    panel: TimeSeriesPanel, splits, matrix_kind: str
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    pairs = []
+def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
+    """Yield ``(e1, e2)`` entry arrays one split at a time."""
     for i, (r1, r2) in enumerate(splits):
         try:
             e1 = _estimate(panel.rows(*r1), matrix_kind)
@@ -153,8 +155,7 @@ def _segment_estimates(
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"
             ) from None
-        pairs.append((e1.entries, e2.entries))
-    return pairs
+        yield e1.entries, e2.entries
 
 
 def _loss_at(e1: np.ndarray, e2: np.ndarray, s: float) -> float:
@@ -170,7 +171,7 @@ def empirical_loss(
     s = float(s)
     if not np.isfinite(s) or s < 0:
         raise ValueError(f"threshold must be finite and >= 0, got {s}")
-    pairs = _segment_estimates(panel, list(splits), matrix_kind)
+    pairs = _segment_estimates(panel, splits, matrix_kind)
     return float(np.mean([_loss_at(e1, e2, s) for e1, e2 in pairs]))
 
 
@@ -198,15 +199,14 @@ def select_threshold(
 ) -> CvResult:
     """Score every grid point on a common set of splits and pick the minimizer.
 
-    All ``cfg.n_splits`` splits are drawn up front and reused across the whole
-    grid, so the comparison between thresholds sees identical sampling noise.
-    Exact ties in the mean loss are resolved toward the larger threshold.
+    Every grid point is scored on the same ``cfg.n_splits`` splits, so the
+    comparison between thresholds sees identical sampling noise.  Each split
+    is estimated once, scored on the whole grid and dropped.  Exact ties in the mean loss are resolved toward the larger threshold.
     """
     t = panel.n_periods
-    splits = [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
-    pairs = _segment_estimates(panel, splits, matrix_kind)
+    splits = (draw_split(t, cfg, i) for i in range(cfg.n_splits))
     per_split = np.empty((cfg.n_splits, len(cfg.grid)))
-    for v, (e1, e2) in enumerate(pairs):
+    for v, (e1, e2) in enumerate(_segment_estimates(panel, splits, matrix_kind)):
         for gi, s in enumerate(cfg.grid):
             per_split[v, gi] = _loss_at(e1, e2, s)
     losses = per_split.mean(axis=0)

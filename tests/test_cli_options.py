@@ -159,6 +159,28 @@ class TestConfigFileChecks:
         assert err.value.row == 3
         assert "n_split" in str(err.value)
 
+    def test_repeated_key_reports_row(self, tmp_path):
+        cfg = tmp_path / "opts.txt"
+        cfg.write_text("seed = 1\n# comment\nn_splits = 4\nseed = 2\n")
+        with pytest.raises(ParseError) as err:
+            parse_config_file(cfg)
+        assert err.value.row == 4
+        assert "'seed'" in str(err.value)
+
+    def test_repeat_spelled_with_dash_is_a_repeat(self, tmp_path, capsys):
+        cfg = tmp_path / "opts.txt"
+        cfg.write_text("n_splits = 4\nn-splits = 5\n")
+        out = tmp_path / "o"
+        code = run_cli(
+            "cluster", "--config", cfg, "--input", PANEL_CSV, "--response", "y", "--out", out
+        )
+        assert code == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "parse-error"
+        assert payload["row"] == 2
+        assert "n_splits" in payload["message"]
+        assert not out.exists()
+
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         cfg = tmp_path / "opts.txt"
         cfg.write_text("n-split = 5\n")

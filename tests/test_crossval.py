@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from covclust.crossval import (
     draw_split,
     empirical_loss,
     select_threshold,
+    _loss_at,
 )
 from covclust.errors import DegenerateColumnError
 from covclust.matrices import SymMatrix, hard_threshold
-from covclust.panel import TimeSeriesPanel, sample_covariance
+from covclust.panel import TimeSeriesPanel, sample_covariance, spearman_matrix
 
 
 def gaussian_panel(seed, t, j, sigma=None):
@@ -171,6 +174,35 @@ class TestSelectThreshold:
             select_threshold(p, cfg, "spearman")
         assert "split" in str(exc.value)
         assert "const" in exc.value.labels
+
+    @pytest.mark.parametrize(
+        "kind, estimator", [("covariance", sample_covariance), ("spearman", spearman_matrix)]
+    )
+    def test_per_split_losses_match_independent_estimates_bitwise(self, kind, estimator):
+        p = gaussian_panel(26, 150, 7)
+        cfg = CvConfig(t1=33, t2=66, grid=tuple(np.linspace(0.0, 0.6, 13)), n_splits=9, seed=4)
+        res = select_threshold(p, cfg, kind)
+        for v in range(cfg.n_splits):
+            r1, r2 = draw_split(150, cfg, v)
+            e1 = estimator(p.rows(*r1)).entries
+            e2 = estimator(p.rows(*r2)).entries
+            want = [_loss_at(e1, e2, s) for s in cfg.grid]
+            np.testing.assert_array_equal(res.per_split_losses[v], want)
+
+    @pytest.mark.parametrize("kind", ["covariance", "spearman"])
+    def test_memory_does_not_grow_with_splits(self, kind):
+        # 2 * 40 split estimates of 150 x 150 would hold 14 MB at once; a
+        # streamed loop keeps a few matrices alive at a time.
+        p = gaussian_panel(27, 120, 150)
+        cfg = CvConfig(t1=30, t2=60, grid=(0.0, 0.2), n_splits=40, seed=1)
+        matrix_bytes = 150 * 150 * 8
+        tracemalloc.start()
+        try:
+            select_threshold(p, cfg, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * matrix_bytes
 
     def test_spearman_kind_runs(self):
         p = gaussian_panel(25, 90, 4)

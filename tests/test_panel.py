@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from covclust import panel as panel_mod
 from covclust.errors import DegenerateColumnError
 from covclust.panel import (
     TimeSeriesPanel,
@@ -9,7 +13,7 @@ from covclust.panel import (
     spearman_matrix,
     standardize,
 )
-from oracles import naive_covariance, naive_spearman, textbook_pearson
+from oracles import midranks, naive_covariance, naive_spearman, textbook_pearson
 
 
 def make_panel(values, labels=None):
@@ -212,3 +216,98 @@ class TestSpearman:
         rng = np.random.default_rng(29)
         e = spearman_matrix(random_panel(rng, 25, 7)).entries
         np.testing.assert_array_equal(e, e.T)
+
+
+def per_pair_spearman(values):
+    """Rank correlation with one ``np.dot`` per column pair on oracle midranks."""
+    ranks = np.column_stack([midranks(values[:, a]) for a in range(values.shape[1])])
+    c = ranks - ranks.mean(axis=0)
+    j = c.shape[1]
+    gram = np.empty((j, j))
+    for a in range(j):
+        for b in range(a, j):
+            gram[a, b] = gram[b, a] = float(np.dot(c[:, a], c[:, b]))
+    d = np.sqrt(np.diag(gram))
+    out = np.clip(gram / (d[:, None] * d[None, :]), -1.0, 1.0)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+class TestWholeMatrixSpearman:
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3, 7])
+    def test_midranks_match_oracle_bitwise(self, levels):
+        rng = np.random.default_rng(31 + levels)
+        if levels:
+            vals = rng.integers(0, levels + 1, size=(57, 6)).astype(float)
+            vals[:, 0] = 0.0  # one column entirely tied
+        else:
+            vals = rng.normal(size=(57, 6))
+        want = np.column_stack([midranks(vals[:, a]) for a in range(6)])
+        np.testing.assert_array_equal(panel_mod._midranks(vals), want)
+
+    @pytest.mark.parametrize(
+        "t, j, tied", [(3, 2, False), (40, 9, True), (333, 17, False), (1000, 12, True), (1999, 8, False)]
+    )
+    def test_matches_per_pair_reference_bitwise(self, t, j, tied):
+        rng = np.random.default_rng(t * 100 + j)
+        vals = rng.integers(0, 5, size=(t, j)).astype(float) if tied else rng.normal(size=(t, j))
+        got = spearman_matrix(make_panel(vals)).entries
+        np.testing.assert_array_equal(got, per_pair_spearman(vals))
+
+    def test_exactness_bound(self):
+        bound = panel_mod._EXACT_RANK_GRAM_MAX_T
+        assert bound**3 <= 2**53 < (bound + 1) ** 3
+
+    def test_long_panel_falls_back_to_row_order_gram(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        vals = rng.integers(0, 6, size=(50, 5)).astype(float)
+        want = spearman_matrix(make_panel(vals)).entries
+        calls = []
+        row_order = panel_mod._pairwise_gram
+
+        def spy(z, scale):
+            calls.append(z.shape)
+            return row_order(z, scale)
+
+        monkeypatch.setattr(panel_mod, "_pairwise_gram", spy)
+        spearman_matrix(make_panel(vals[:20]))
+        assert calls == []
+        monkeypatch.setattr(panel_mod, "_EXACT_RANK_GRAM_MAX_T", 49)
+        got = spearman_matrix(make_panel(vals)).entries
+        assert calls == [(50, 5)]
+        np.testing.assert_array_equal(got, want)
+
+
+ESTIMATORS = (sample_covariance, pearson_matrix, spearman_matrix)
+
+
+@st.composite
+def panels_and_permutations(draw):
+    # Shape, seed and tie level are drawn and the cells generated from the
+    # seed, so a failure shrinks over four integers, not over every cell.
+    # BLAS z.T @ z already loses bitwise equivariance at 40 x 8.
+    t = draw(st.integers(2, 60))
+    j = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(0, 4))
+    if levels:
+        vals = rng.integers(0, levels + 1, size=(t, j)).astype(float)
+    else:
+        vals = rng.normal(size=(t, j)) * 10.0 ** rng.uniform(-6, 6, size=j)
+    perm = draw(st.permutations(range(j)))
+    return vals, np.array(perm, dtype=int)
+
+
+class TestEstimatorProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(panels_and_permutations(), st.sampled_from(ESTIMATORS))
+    def test_symmetric_and_permutation_equivariant_bitwise(self, case, estimator):
+        vals, perm = case
+        p = make_panel(vals)
+        try:
+            e = estimator(p).entries
+        except DegenerateColumnError:
+            return
+        np.testing.assert_array_equal(e, e.T)
+        q = TimeSeriesPanel(vals[:, perm], tuple(p.labels[i] for i in perm))
+        np.testing.assert_array_equal(estimator(q).entries, e[np.ix_(perm, perm)])
