@@ -201,7 +201,8 @@ def select_threshold(
 
     Every grid point is scored on the same ``cfg.n_splits`` splits, so the
     comparison between thresholds sees identical sampling noise.  Each split
-    is estimated once, scored on the whole grid and dropped.  Exact ties in the mean loss are resolved toward the larger threshold.
+    is estimated once, scored on the whole grid and dropped.  Exact ties in
+    the mean loss are resolved toward the larger threshold.
     """
     t = panel.n_periods
     splits = (draw_split(t, cfg, i) for i in range(cfg.n_splits))

@@ -128,22 +128,42 @@ def standardize(p: TimeSeriesPanel) -> TimeSeriesPanel:
     return TimeSeriesPanel((p.values - mean) / sd, p.labels, p.time_index)
 
 
+# Cells in one block of row outer products in _pairwise_gram (512 KB).
+_GRAM_BLOCK_CELLS = 1 << 16
+
+
 def _pairwise_gram(z: np.ndarray, scale: float) -> np.ndarray:
     """Symmetric matrix of ``sum_t z[t, a] * z[t, b] * scale``, summed in row order.
 
-    Each row adds its outer product to the running total, so entry
-    ``(a, b)`` is the left-to-right sum of ``z[t, a] * z[t, b]`` over
+    Entry ``(a, b)`` is the left-to-right sum of ``z[t, a] * z[t, b]`` over
     ``t = 0, 1, ...`` whatever the other columns hold.  Since
     ``x * y == y * x`` in floating point, the result is exactly symmetric and
     bitwise permutation-equivariant.  A BLAS ``z.T @ z`` is neither: its
     blocking, and so its summation order, depends on the column positions.
+
+    Narrow panels form the outer products of a block of rows in one call and
+    add them with a reduction along the row axis, the running total in front;
+    numpy reduces an outer axis one slice at a time, so the order is the
+    same.  When fewer than four rows fit in a block, each row adds its outer
+    product in turn.  Both give the same bits.
     """
-    j = z.shape[1]
+    t, j = z.shape
+    rows = min(t, _GRAM_BLOCK_CELLS // (j * j))
     out = np.zeros((j, j))
-    term = np.empty((j, j))
-    for row in z:
-        np.multiply(row[:, None], row[None, :], out=term)
-        out += term
+    # A lone column's reduction would be numpy's pairwise sum, not row order.
+    if rows < 4 or j == 1:
+        term = np.empty((j, j))
+        for row in z:
+            np.multiply(row[:, None], row[None, :], out=term)
+            out += term
+    else:
+        buf = np.empty((rows + 1, j, j))
+        for lo in range(0, t, rows):
+            block = z[lo:lo + rows]
+            n = len(block)
+            buf[0] = out
+            np.multiply(block[:, :, None], block[:, None, :], out=buf[1:n + 1])
+            np.add.reduce(buf[:n + 1], axis=0, out=out)
     out *= scale
     return out
 

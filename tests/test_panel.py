@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from covclust import panel as panel_mod
 from covclust.errors import DegenerateColumnError
@@ -278,36 +275,25 @@ class TestWholeMatrixSpearman:
         np.testing.assert_array_equal(got, want)
 
 
-ESTIMATORS = (sample_covariance, pearson_matrix, spearman_matrix)
+
+def row_by_row_gram(z):
+    """``sum_t z[t, a] * z[t, b]`` added one row at a time, in row order."""
+    j = z.shape[1]
+    out = np.zeros((j, j))
+    for row in z:
+        out = out + np.multiply.outer(row, row)
+    return out
 
 
-@st.composite
-def panels_and_permutations(draw):
-    # Shape, seed and tie level are drawn and the cells generated from the
-    # seed, so a failure shrinks over four integers, not over every cell.
-    # BLAS z.T @ z already loses bitwise equivariance at 40 x 8.
-    t = draw(st.integers(2, 60))
-    j = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.integers(0, 4))
-    if levels:
-        vals = rng.integers(0, levels + 1, size=(t, j)).astype(float)
-    else:
-        vals = rng.normal(size=(t, j)) * 10.0 ** rng.uniform(-6, 6, size=j)
-    perm = draw(st.permutations(range(j)))
-    return vals, np.array(perm, dtype=int)
-
-
-class TestEstimatorProperties:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(panels_and_permutations(), st.sampled_from(ESTIMATORS))
-    def test_symmetric_and_permutation_equivariant_bitwise(self, case, estimator):
-        vals, perm = case
-        p = make_panel(vals)
-        try:
-            e = estimator(p).entries
-        except DegenerateColumnError:
-            return
-        np.testing.assert_array_equal(e, e.T)
-        q = TimeSeriesPanel(vals[:, perm], tuple(p.labels[i] for i in perm))
-        np.testing.assert_array_equal(estimator(q).entries, e[np.ix_(perm, perm)])
+class TestRowOrderGram:
+    @pytest.mark.parametrize("block_cells", [panel_mod._GRAM_BLOCK_CELLS, 200])
+    @pytest.mark.parametrize("t, j", [(2, 1), (700, 1), (120, 2), (333, 3), (91, 7), (1200, 16), (40, 130)])
+    def test_matches_row_by_row_sum_bitwise(self, monkeypatch, block_cells, t, j):
+        # A 200-cell block holds 50, 22 and 4 rows at j = 2, 3 and 7, so the
+        # blocked reduction crosses many block edges (a partial last block
+        # included); j = 16 and 130 take the row loop.
+        monkeypatch.setattr(panel_mod, "_GRAM_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(t + 7 * j)
+        z = rng.normal(size=(t, j)) * 10.0 ** rng.uniform(-4, 4, size=j)
+        z -= z.mean(axis=0)
+        np.testing.assert_array_equal(panel_mod._pairwise_gram(z, 1.0), row_by_row_gram(z))
