@@ -334,7 +334,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _error_payload(exc: Exception, stage: str) -> dict:
-    if isinstance(exc, CovclustError):
+    # LinAlgError subclasses ValueError, so it is tested first
+    if isinstance(exc, (np.linalg.LinAlgError, MemoryError)):
+        slug = "numeric-failure"
+    elif isinstance(exc, CovclustError):
         slug = exc.slug
     elif isinstance(exc, (KeyError, ValueError)):
         slug = "invalid-argument"
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         message = _COMMANDS[args.command][1](opts, outdir)
         _write_meta(outdir, {"command": args.command, **opts})
-    except (CovclustError, ValueError, KeyError, OSError) as exc:
+    except (CovclustError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(json.dumps(_error_payload(exc, args.command), sort_keys=True))
         return 1
     print(message)

@@ -11,6 +11,23 @@ of its screening correlation (a coefficient that would cross zero is pinned
 exactly to zero instead).  Group coefficient vectors are renormalized after
 every update: multi-variable groups to unit Euclidean norm, single-variable
 groups to exactly 1 (their link absorbs scale and direction).
+
+Every per-anchor kernel sum is taken in moment form.  For T×T weights ``W``
+and columns ``X``,
+
+    sum_j w_ij (x_j - x_i)(x_j - x_i)' = M2_i - x_i M1_i' - M1_i x_i' + M0_i x_i x_i'
+
+with ``M0 = W 1``, ``M1 = W X`` and ``M2 = W (X ⊗ X)`` (Fan & Gijbels, *Local
+Polynomial Modelling*, 1996).  The local-linear surface and the pooled normal
+equations therefore need one T×T weight matrix applied to a few T-long
+columns, never a T×T×K displacement tensor, and the fit's memory is O(S·T² +
+T·K²) for S groups and K coefficients.  Columns are centred before their
+moments are formed: the fit is invariant to such shifts, while the moment
+form's rounding error grows with the square of a column's offset.  No sum
+over observations goes to BLAS, whose blocking and summation order depend
+on its thread count: such sums are ``np.einsum`` calls without ``optimize``,
+which run numpy's own loops, so results are the same bytes at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +54,14 @@ __all__ = [
 ]
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+# Caps on the inner iterations.  Reaching one is reported on the fit
+# (``backfit_converged``, ``constraint_solver_capped``), not raised.
+_BACKFIT_MAX_SWEEPS = 50
+# the active-set solver takes at most this many steps per coefficient ...
+_ACTIVE_SET_STEPS_PER_COEF = 3
+# ... plus this many
+_ACTIVE_SET_EXTRA_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -102,6 +127,9 @@ class GroupwiseFit:
     index range.  ``lam`` is the final signed multiplier diagonal (multiplier
     times constraint sign).  ``final_g``/``final_c`` are the last pooled
     normal-equation pieces, kept so the constrained step can be audited.
+    ``backfit_converged`` is false when the link backfit stopped at its sweep
+    cap; ``constraint_solver_capped`` is true when any sign-constrained step
+    stopped at its step cap and returned its last iterate.
     """
 
     beta: tuple[np.ndarray, ...]
@@ -115,6 +143,8 @@ class GroupwiseFit:
     bandwidths: tuple[float, ...]
     final_g: np.ndarray
     final_c: np.ndarray
+    backfit_converged: bool = True
+    constraint_solver_capped: bool = False
 
 
 def kernel_weight(u, h) -> np.ndarray:
@@ -130,9 +160,61 @@ def kernel_weight(u, h) -> np.ndarray:
         raise ValueError(f"bandwidth shape {h.shape} does not match u shape {u.shape}")
     if np.any(h <= 0) or not np.all(np.isfinite(h)):
         raise ValueError("bandwidths must be positive and finite")
-    z = u / h
-    dens = np.exp(-0.5 * np.sum(z * z, axis=-1))
-    return dens / (np.prod(h) * _SQRT_2PI ** h.shape[0])
+    return _product_gaussian((u[..., s] for s in range(h.shape[0])), h)
+
+
+def _product_gaussian(displacements, h: np.ndarray):
+    """``kernel_weight`` from one displacement array per index dimension.
+
+    The squared scaled displacements are added one dimension at a time, in
+    order, so no array with an index-dimension axis is built.
+    """
+    sq = None
+    for disp, hs in zip(displacements, h):
+        z = disp / hs
+        z *= z
+        if sq is None:
+            sq = z
+        else:
+            sq += z
+        del disp, z  # before the next displacement is built
+    return np.exp(-0.5 * sq) / (np.prod(h) * _SQRT_2PI ** h.shape[0])
+
+
+def _kernel_matrix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """T×T weights ``kernel_weight(v[j] - v[i], h)``, one T×T slice per dimension."""
+    return _product_gaussian((v[None, :, s] - v[:, None, s] for s in range(v.shape[1])), h)
+
+
+def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[i, k] = sum_j w[i, j] rows[k, j]`` in numpy's own loop, not BLAS."""
+    return np.einsum("ij,kj->ik", w, rows)
+
+
+def _kernel_moments(w: np.ndarray, cols: np.ndarray):
+    """Kernel moments ``M0 = W 1``, ``M1 = W X`` and ``M2 = W (X ⊗ X)``.
+
+    ``cols`` is T×d.  Returns ``M0`` (T), ``M1`` (T×d) and ``M2`` (T×d×d,
+    exactly symmetric: each product pair is summed once and mirrored).
+    """
+    t, d = cols.shape
+    upper = np.triu_indices(d)
+    rows = np.empty((1 + d + len(upper[0]), t))
+    rows[0] = 1.0
+    rows[1 : d + 1] = cols.T
+    rows[d + 1 :] = cols.T[upper[0]] * cols.T[upper[1]]
+    m = _weighted_sums(w, rows)
+    m2 = np.empty((t, d, d))
+    m2[:, upper[0], upper[1]] = m[:, d + 1 :]
+    m2[:, upper[1], upper[0]] = m[:, d + 1 :]
+    return m[:, 0], m[:, 1 : d + 1], m2
+
+
+def _spread_about_anchors(m0, m1, m2, x):
+    """``sum_j w_ij (x_j - x_i)(x_j - x_i)'`` from the moments (the moment identity)."""
+    cross = x[:, :, None] * m1[:, None, :]
+    outer = x[:, :, None] * x[:, None, :]
+    return m2 - (cross + cross.transpose(0, 2, 1)) + m0[:, None, None] * outer
 
 
 def _initial_direction(xg: np.ndarray, y: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -191,8 +273,9 @@ def _sign_constrained_solve(
     multipliers satisfy ``G b - c = diag(lam * d)`` with ``lam >= 0`` and
     ``lam_k b_k = 0`` exactly.
 
-    Returns ``(beta, lam, zeta, used_ridge)`` where ``zeta`` is the
-    unconstrained solution.
+    Returns ``(beta, lam, zeta, used_ridge, capped)`` where ``zeta`` is the
+    unconstrained solution and ``capped`` says that the step cap was reached
+    and ``beta``/``lam`` are the last iterate, not a verified solution.
     """
     k = len(c)
     used_ridge = False
@@ -213,7 +296,7 @@ def _sign_constrained_solve(
     active: set = set()
     beta = zeta
     lam = np.zeros(k)
-    for _ in range(3 * k + 10):
+    for _ in range(_ACTIVE_SET_STEPS_PER_COEF * k + _ACTIVE_SET_EXTRA_STEPS):
         beta = solve_free(active)
         signed = d * beta
         violators = [
@@ -231,8 +314,8 @@ def _sign_constrained_solve(
             active.remove(min(negative, key=lambda i: lam[i]))
             continue
         lam[lam < 0.0] = 0.0
-        return beta, lam, zeta, used_ridge
-    return beta, lam, zeta, used_ridge  # pragma: no cover - bounded fallback
+        return beta, lam, zeta, used_ridge, False
+    return beta, lam, zeta, used_ridge, True
 
 
 def _bandwidths(v: np.ndarray, cfg: FitConfig, n_groups: int) -> np.ndarray:
@@ -257,14 +340,62 @@ def _local_linear_surface(v: np.ndarray, y: np.ndarray, w: np.ndarray):
     intercepts (current fitted values) and the slope matrix.
     """
     t, s = v.shape
-    d = v[None, :, :] - v[:, None, :]
-    z = np.concatenate([np.ones((t, t, 1)), d], axis=2)
-    a = np.einsum("ijk,ijl,ij->ikl", z, z, w, optimize=True)
-    rhs = np.einsum("ijk,ij->ik", z, w * y[None, :], optimize=True)
+    vc = v - v.mean(axis=0)
+    ybar = float(y.mean())
+    m0, m1, m2 = _kernel_moments(w, np.column_stack([vc, y - ybar]))
+    wy = m1[:, s]
+    a = np.empty((t, s + 1, s + 1))
+    a[:, 0, 0] = m0
+    a[:, 0, 1:] = a[:, 1:, 0] = m1[:, :s] - m0[:, None] * vc
+    a[:, 1:, 1:] = _spread_about_anchors(m0, m1[:, :s], m2[:, :s, :s], vc)
+    rhs = np.column_stack([wy, m2[:, :s, s] - vc * wy[:, None]])
     jitter = 1e-12 * np.einsum("ikk->i", a)
     a = a + jitter[:, None, None] * np.eye(s + 1)[None, :, :]
     coef = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-    return coef[:, 0], coef[:, 1:]
+    return coef[:, 0] + ybar, coef[:, 1:]
+
+
+def _pooled_normal_equations(w, x, slices, slope, y, level):
+    """``G`` and ``c`` of the pooled step, from kernel moments.
+
+    The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``, where ``a_ik``
+    is anchor ``i``'s slope for the group holding coefficient ``k``, with
+    weights ``w_ij`` and targets ``y_j - level_i``.  ``G = sum_i (a_i a_i')
+    ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c`` follows
+    from the same moments.
+    """
+    k = x.shape[1]
+    xc = x - x.mean(axis=0)
+    ybar = float(y.mean())
+    lc = level - ybar
+    a = slope[:, np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices])]
+    m0, m1, m2 = _kernel_moments(w, np.column_stack([xc, y - ybar]))
+    spread = _spread_about_anchors(m0, m1[:, :k], m2[:, :k, :k], xc)
+    g = np.einsum("ik,il,ikl->kl", a, a, spread)
+    g = (g + g.T) / 2.0
+    first = m1[:, :k] - m0[:, None] * xc
+    wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
+    c = np.einsum("ik,ik->k", a, wxy - lc[:, None] * first)
+    return g, c
+
+
+def _pooled_objective(w, x, slices, slope, beta, y, level) -> float:
+    """Weighted mean square of ``y_j - level_i - sum_s slope_is (u_js - u_is)``.
+
+    ``u`` holds the group indices under ``beta``; the residual is built as
+    one T×T array, a group at a time.
+    """
+    xc = x - x.mean(axis=0)
+    resid = y[None, :] - level[:, None]
+    change = np.empty_like(resid)
+    for s, sl in enumerate(slices):
+        u = xc[:, sl] @ beta[sl]
+        np.subtract(u[None, :], u[:, None], out=change)
+        change *= slope[:, s, None]
+        resid -= change
+    resid *= resid
+    resid *= w
+    return float(np.sum(resid)) / float(np.sum(w))
 
 
 def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndarray):
@@ -314,6 +445,10 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         raise InsufficientDataError(
             f"need more periods than coefficients: T={t}, coefficients={k_total}"
         )
+    # the centred response would be exactly zero, and so would every slope
+    # and the pooled system
+    if float(np.sum((y - y.mean()) ** 2)) == 0.0:
+        raise DegenerateResponseError("response has zero variation")
     for g in groups:
         if np.any(g < 0) or np.any(g >= panel.n_series):
             raise ValueError(f"group column index out of range: {g.tolist()}")
@@ -338,11 +473,13 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
             beta_cat[slices[s]] = _initial_direction(x[:, g], y, d[slices[s]])
 
     group_cols = [x[:, g] for g in groups]
+    x_cat = np.column_stack(group_cols)
     trace = []
     converged = False
     iterations = 0
     prev_objective = None
     ridge_flagged = False
+    solver_capped = False
     h = np.ones(n_groups)
     g_mat = np.zeros((k_total, k_total))
     c_vec = np.zeros(k_total)
@@ -350,28 +487,19 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     for it in range(cfg.max_iter):
         v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
         h = _bandwidths(v, cfg, n_groups)
-        disp = v[None, :, :] - v[:, None, :]
-        w = kernel_weight(disp, h)
+        w = _kernel_matrix(v, h)
         level, slope = _local_linear_surface(v, y, w)
-
-        r = np.empty((t, t, k_total))
-        for s in range(n_groups):
-            dx = group_cols[s][None, :, :] - group_cols[s][:, None, :]
-            r[:, :, slices[s]] = slope[:, s][:, None, None] * dx
-        g_mat = np.einsum("ijk,ijl,ij->kl", r, r, w, optimize=True)
-        g_mat = (g_mat + g_mat.T) / 2.0
-        resid0 = y[None, :] - level[:, None]
-        c_vec = np.einsum("ijk,ij->k", r, w * resid0, optimize=True)
+        g_mat, c_vec = _pooled_normal_equations(w, x_cat, slices, slope, y, level)
 
         ridge = cfg.ridge_scale * float(np.trace(g_mat))
-        beta_raw, lam, zeta, used_ridge = _sign_constrained_solve(
+        beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
             g_mat, c_vec, d, mask, ridge
         )
         ridge_flagged = ridge_flagged or used_ridge
+        solver_capped = solver_capped or capped
 
-        fitted = np.einsum("ijk,k->ij", r, beta_raw, optimize=True)
-        w_total = float(np.sum(w))
-        objective = float(np.sum(w * (resid0 - fitted) ** 2)) / w_total
+        objective = _pooled_objective(w, x_cat, slices, slope, beta_raw, y, level)
+        del w  # free it before the next iteration's kernel is built
         increased = (
             prev_objective is not None
             and objective > prev_objective + 1e-10 * max(1.0, abs(prev_objective))
@@ -400,7 +528,7 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     final_lam = trace[-1].lam if trace else np.zeros(k_total)
     v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
     h = _bandwidths(v, cfg, n_groups)
-    links = _backfit_links(v, y, h, cfg.link_grid_size)
+    links, backfit_converged = _backfit_links(v, y, h, cfg.link_grid_size)
 
     betas = tuple(beta_cat[slices[s]].copy() for s in range(n_groups))
     provisional = GroupwiseFit(
@@ -415,25 +543,43 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         bandwidths=tuple(float(b) for b in h),
         final_g=g_mat,
         final_c=c_vec,
+        backfit_converged=backfit_converged,
+        constraint_solver_capped=solver_capped,
     )
     r2 = explained_variation(provisional, panel, spec)
     object.__setattr__(provisional, "r_squared", float(r2))
     return provisional
 
 
-def _smooth1d(v_train: np.ndarray, target: np.ndarray, h: float, v_eval: np.ndarray):
-    """Local-linear smoother values at ``v_eval`` (Gaussian weights, bandwidth ``h``)."""
+def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray) -> np.ndarray:
+    """Local-linear smoother (Gaussian weights, bandwidth ``h``) as a matrix.
+
+    Row ``i`` holds the weights that give the fitted value at ``v_eval[i]``
+    from targets observed at ``v_train``: ``sum_m (s2 - s1 d_im) w_im / det``
+    with ``d_im = v_train[m] - v_eval[i]``, or the local-constant weights
+    ``w_im / s0`` where the local-linear system is near-singular.
+    """
     dcol = v_train[None, :] - v_eval[:, None]
-    w = np.exp(-0.5 * (dcol / h) ** 2)
+    w = dcol / h
+    w *= w
+    w *= -0.5
+    np.exp(w, out=w)
     s0 = w.sum(axis=1)
-    s1 = (w * dcol).sum(axis=1)
-    s2 = (w * dcol * dcol).sum(axis=1)
-    t0 = (w * target[None, :]).sum(axis=1)
-    t1 = (w * dcol * target[None, :]).sum(axis=1)
+    s1 = np.einsum("ij,ij->i", w, dcol)
+    s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
     det = s0 * s2 - s1 * s1
     safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
-    out = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, det, 1.0), t0 / np.maximum(s0, 1e-300))
-    return out
+    dcol *= -s1[:, None]
+    dcol += s2[:, None]
+    dcol /= np.where(safe, det, 1.0)[:, None]
+    dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
+    w *= dcol
+    return w
+
+
+def _smooth(smoother: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``smoother @ target``, summed by ``_weighted_sums``."""
+    return _weighted_sums(smoother, target[None, :])[:, 0]
 
 
 def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
@@ -441,42 +587,52 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
 
     Component functions are centered over the training sample; the response
     mean is spread evenly across groups so the tabulated links sum to the
-    fitted value without a separate intercept.
+    fitted value without a separate intercept.  Each group's smoother matrix
+    is built once, so a sweep is one matrix-vector product per group.
+    Returns the links and whether the sweeps converged before the cap.
     """
     t, s = v.shape
     ybar = float(y.mean())
     resid = y - ybar
     m = np.zeros((t, s))
-    for _ in range(50):
+    smoothers = [_smoother_matrix(v[:, j], float(h[j]), v[:, j]) for j in range(s)]
+    converged = False
+    for _ in range(_BACKFIT_MAX_SWEEPS):
         delta = 0.0
         for j in range(s):
             partial = resid - m.sum(axis=1) + m[:, j]
-            new = _smooth1d(v[:, j], partial, float(h[j]), v[:, j])
+            new = _smooth(smoothers[j], partial)
             new = new - new.mean()
             delta = max(delta, float(np.max(np.abs(new - m[:, j]))))
             m[:, j] = new
         if delta < 1e-9 * (1.0 + float(np.std(y))):
+            converged = True
             break
     links = []
     for j in range(s):
         partial = resid - m.sum(axis=1) + m[:, j]
-        mu = float(_smooth1d(v[:, j], partial, float(h[j]), v[:, j]).mean())
+        mu = float(_smooth(smoothers[j], partial).mean())
         grid = np.linspace(float(v[:, j].min()), float(v[:, j].max()), grid_size)
-        vals = _smooth1d(v[:, j], partial, float(h[j]), grid) - mu + ybar / s
+        vals = _smooth(_smoother_matrix(v[:, j], float(h[j]), grid), partial) - mu + ybar / s
         grid.setflags(write=False)
         vals.setflags(write=False)
         links.append((grid, vals))
-    return tuple(links)
+    return tuple(links), converged
 
 
-def _eval_link(grid: np.ndarray, vals: np.ndarray, v: float) -> tuple[float, bool]:
-    if v < grid[0]:
-        slope = (vals[1] - vals[0]) / (grid[1] - grid[0])
-        return float(vals[0] + slope * (v - grid[0])), True
-    if v > grid[-1]:
-        slope = (vals[-1] - vals[-2]) / (grid[-1] - grid[-2])
-        return float(vals[-1] + slope * (v - grid[-1])), True
-    return float(np.interp(v, grid, vals)), False
+def _eval_link(grid: np.ndarray, vals: np.ndarray, v: np.ndarray):
+    """Link values at indices ``v`` and which of them lie beyond the grid.
+
+    Beyond the tabulated range the link is extended with its boundary slope.
+    """
+    below = v < grid[0]
+    above = v > grid[-1]
+    out = np.interp(v, grid, vals)
+    low_slope = (vals[1] - vals[0]) / (grid[1] - grid[0])
+    high_slope = (vals[-1] - vals[-2]) / (grid[-1] - grid[-2])
+    out = np.where(below, vals[0] + low_slope * (v - grid[0]), out)
+    out = np.where(above, vals[-1] + high_slope * (v - grid[-1]), out)
+    return out, below | above
 
 
 def predict(
@@ -488,28 +644,37 @@ def predict(
 ):
     """Sum of tabulated links evaluated at the observation's group indices.
 
-    ``x`` is one observation in panel column order.  Indices beyond a link's
-    tabulated range are extended with the boundary slope; pass
-    ``return_extrapolated=True`` to receive ``(value, extrapolated)`` and
-    learn whether that happened.  Unconverged fits are refused unless
-    ``allow_unconverged=True``.
+    ``x`` is one observation in panel column order, giving one value, or a
+    2-D array with one observation per row, giving one value per row.
+    Indices beyond a link's tabulated range are extended with the boundary
+    slope; pass ``return_extrapolated=True`` to receive ``(value,
+    extrapolated)`` and learn whether that happened (one flag per row for a
+    2-D ``x``).  Each row's value is the same bytes as a 1-D call on that row.
+    Unconverged fits are refused unless ``allow_unconverged=True``.
     """
     if not fit_result.converged and not allow_unconverged:
         raise ValueError("fit did not converge; pass allow_unconverged=True to override")
     x = np.asarray(x, dtype=float)
     needed = max(c for g in spec.groups for c in g)
-    if x.ndim != 1 or x.shape[0] <= needed:
+    if x.ndim not in (1, 2) or x.shape[-1] <= needed:
         raise ValueError(
-            f"observation must be a vector covering column {needed}, got shape {x.shape}"
+            f"observation must be a vector or rows covering column {needed}, got shape {x.shape}"
         )
-    total = 0.0
-    extrapolated = False
+    rows = x.reshape(-1, x.shape[-1])
+    total = np.zeros(rows.shape[0])
+    extrapolated = np.zeros(rows.shape[0], dtype=bool)
     for s, g in enumerate(spec.groups):
-        v = float(np.dot(x[list(g)], fit_result.beta[s]))
-        grid, vals = fit_result.links[s]
-        val, ex = _eval_link(grid, vals, v)
+        beta = fit_result.beta[s]
+        # coefficient by coefficient, so a row's index does not depend on
+        # how many rows come with it
+        v = rows[:, g[0]] * beta[0]
+        for col, b in zip(g[1:], beta[1:]):
+            v = v + rows[:, col] * b
+        val, ex = _eval_link(*fit_result.links[s], v)
         total += val
-        extrapolated = extrapolated or ex
+        extrapolated |= ex
+    if x.ndim == 1:
+        total, extrapolated = float(total[0]), bool(extrapolated[0])
     if return_extrapolated:
         return total, extrapolated
     return total
@@ -523,12 +688,7 @@ def explained_variation(
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
         raise DegenerateResponseError("response has zero variation")
-    preds = np.array(
-        [
-            predict(fit_result, spec, row, allow_unconverged=True)
-            for row in panel.values
-        ]
-    )
+    preds = predict(fit_result, spec, panel.values, allow_unconverged=True)
     sse = float(np.sum((y - preds) ** 2))
     return 1.0 - sse / sst
 
@@ -550,6 +710,8 @@ def fit_to_json_obj(fit_result: GroupwiseFit, spec: ModelSpec, labels) -> dict:
         "converged": bool(fit_result.converged),
         "r_squared": float(fit_result.r_squared),
         "ridge_flagged": bool(fit_result.ridge_flagged),
+        "backfit_converged": bool(fit_result.backfit_converged),
+        "constraint_solver_capped": bool(fit_result.constraint_solver_capped),
     }
 
 

@@ -5,6 +5,8 @@ loops, textbook formulas, exhaustive enumeration) and avoids the code paths
 under test: the eigenvalue oracle uses Jacobi rotations instead of LAPACK,
 the rank-correlation oracle builds midranks by hand instead of calling
 scipy, and the constrained least-squares oracle enumerates active sets.
+The groupwise-fit oracles build the explicit T×T×d displacement tensors that
+the library's moment form avoids.
 """
 
 from __future__ import annotations
@@ -173,3 +175,86 @@ def count_nonzero_score(indices, entries):
             if entries[a, b] != 0.0:
                 hits += 1
     return hits / len(idx) ** 2
+
+
+def tensor_local_linear_surface(v, y, w):
+    """Local-linear level and slopes at every anchor from the T×T×(S+1) design tensor."""
+    t, s = v.shape
+    d = v[None, :, :] - v[:, None, :]
+    z = np.concatenate([np.ones((t, t, 1)), d], axis=2)
+    a = np.einsum("ijk,ijl,ij->ikl", z, z, w, optimize=True)
+    rhs = np.einsum("ijk,ij->ik", z, w * y[None, :], optimize=True)
+    jitter = 1e-12 * np.einsum("ikk->i", a)
+    a = a + jitter[:, None, None] * np.eye(s + 1)[None, :, :]
+    coef = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    return coef[:, 0], coef[:, 1:]
+
+
+def _pooled_regressors(x, slices, slope):
+    """``r[i, j, k] = slope[i, group of k] * (x[j, k] - x[i, k])`` as a T×T×K tensor."""
+    t, k = x.shape
+    r = np.empty((t, t, k))
+    for s, sl in enumerate(slices):
+        r[:, :, sl] = slope[:, s][:, None, None] * (x[None, :, sl] - x[:, None, sl])
+    return r
+
+
+def tensor_pooled_normal_equations(w, x, slices, slope, y, level):
+    """Pooled ``G`` and ``c`` from the T×T×K regressor tensor."""
+    r = _pooled_regressors(x, slices, slope)
+    g = np.einsum("ijk,ijl,ij->kl", r, r, w, optimize=True)
+    g = (g + g.T) / 2.0
+    c = np.einsum("ijk,ij->k", r, w * (y[None, :] - level[:, None]), optimize=True)
+    return g, c
+
+
+def tensor_pooled_objective(w, x, slices, slope, beta, y, level):
+    """Weighted mean squared pooled residual from the T×T×K regressor tensor."""
+    r = _pooled_regressors(x, slices, slope)
+    fitted = np.einsum("ijk,k->ij", r, beta, optimize=True)
+    resid = y[None, :] - level[:, None] - fitted
+    return float(np.sum(w * resid**2)) / float(np.sum(w))
+
+
+def direct_smooth1d(v_train, target, h, v_eval):
+    """Local-linear smoother values from the five weighted sums at each point."""
+    dcol = v_train[None, :] - v_eval[:, None]
+    w = np.exp(-0.5 * (dcol / h) ** 2)
+    s0 = w.sum(axis=1)
+    s1 = (w * dcol).sum(axis=1)
+    s2 = (w * dcol * dcol).sum(axis=1)
+    t0 = (w * target[None, :]).sum(axis=1)
+    t1 = (w * dcol * target[None, :]).sum(axis=1)
+    det = s0 * s2 - s1 * s1
+    safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
+    return np.where(
+        safe, (s2 * t0 - s1 * t1) / np.where(safe, det, 1.0), t0 / np.maximum(s0, 1e-300)
+    )
+
+
+def direct_backfit_links(v, y, h, grid_size):
+    """Backfitted links, every sweep re-smoothing with ``direct_smooth1d``."""
+    t, s = v.shape
+    ybar = float(y.mean())
+    resid = y - ybar
+    m = np.zeros((t, s))
+    converged = False
+    for _ in range(50):
+        delta = 0.0
+        for j in range(s):
+            partial = resid - m.sum(axis=1) + m[:, j]
+            new = direct_smooth1d(v[:, j], partial, float(h[j]), v[:, j])
+            new = new - new.mean()
+            delta = max(delta, float(np.max(np.abs(new - m[:, j]))))
+            m[:, j] = new
+        if delta < 1e-9 * (1.0 + float(np.std(y))):
+            converged = True
+            break
+    links = []
+    for j in range(s):
+        partial = resid - m.sum(axis=1) + m[:, j]
+        mu = float(direct_smooth1d(v[:, j], partial, float(h[j]), v[:, j]).mean())
+        grid = np.linspace(float(v[:, j].min()), float(v[:, j].max()), grid_size)
+        vals = direct_smooth1d(v[:, j], partial, float(h[j]), grid) - mu + ybar / s
+        links.append((grid, vals))
+    return tuple(links), converged

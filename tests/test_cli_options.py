@@ -1,5 +1,6 @@
 """The command line's option table: echoed arguments, precedence, config-file
-checks, required options, and byte-identical reports at any BLAS thread count."""
+checks, required options, the numeric-failure slug, and byte-identical reports at
+any BLAS thread count."""
 
 import json
 import os
@@ -7,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covclust
+import covclust.cli
 from covclust.cli import main, parse_config_file
 from covclust.errors import ParseError
 
@@ -234,6 +237,24 @@ class TestRequiredOptions:
         payload = error_payload(capsys)
         assert payload["error"] == "invalid-argument"
         assert "transform map" in payload["message"]
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize(
+        "error", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate")]
+    )
+    def test_fit_failure_reports_numeric_failure(self, error, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(covclust.cli, "fit", failing_fit)
+        code = run_cli("run", "--config", RUN_CONFIG, "--input", PANEL_CSV,
+                       "--out", tmp_path / "o")
+        assert code == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "numeric-failure"
+        assert payload["stage"] == "run"
+        assert payload["message"] == str(error)
 
 
 class TestBlasThreadCount:

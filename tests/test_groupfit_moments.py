@@ -1,0 +1,317 @@
+"""Moment-form groupwise fit: parity with the tensor form, robustness, caps, predict.
+
+The tensor-form references live in ``oracles.py``; they build the T×T×d
+displacement tensors that ``covclust.groupfit`` avoids.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import covclust
+from covclust import groupfit
+from covclust.groupfit import FitConfig, fit, fit_to_json_obj, kernel_weight, predict
+from covclust.ingest import ingest
+from covclust.panel import TimeSeriesPanel
+from covclust.pipeline import ModelSpec
+from oracles import (
+    direct_backfit_links,
+    direct_smooth1d,
+    tensor_local_linear_surface,
+    tensor_pooled_normal_equations,
+    tensor_pooled_objective,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def assert_close_to_scale(got, want, rtol=1e-9):
+    """Every entry within ``rtol`` of the reference's largest magnitude."""
+    want = np.asarray(want, dtype=float)
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * scale)
+
+
+def random_case(seed):
+    """Random panel pieces for one pooled step: groups, indices, weights, slopes."""
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(30, 160))
+    sizes = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
+    k = sum(sizes)
+    offsets = np.cumsum([0] + sizes)
+    slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
+    x = rng.normal(size=(t, k)) * rng.uniform(0.5, 3.0, size=k) + rng.normal(size=k)
+    beta = rng.normal(size=k)
+    v = np.column_stack([x[:, sl] @ beta[sl] for sl in slices])
+    y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t) + rng.normal()
+    h = 1.06 * v.std(axis=0, ddof=1) * t ** (-1.0 / (4.0 + len(sizes)))
+    h *= rng.uniform(0.5, 2.0, size=len(sizes))
+    w = groupfit._kernel_matrix(v, h)
+    return x, slices, v, y, w, beta
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_surface_and_pooled_step_match_tensor_form(seed):
+    x, slices, v, y, w, beta = random_case(seed)
+    level, slope = groupfit._local_linear_surface(v, y, w)
+    want_level, want_slope = tensor_local_linear_surface(v, y, w)
+    assert_close_to_scale(level, want_level)
+    assert_close_to_scale(slope, want_slope)
+
+    g, c = groupfit._pooled_normal_equations(w, x, slices, slope, y, level)
+    want_g, want_c = tensor_pooled_normal_equations(w, x, slices, slope, y, level)
+    assert_close_to_scale(g, want_g)
+    assert_close_to_scale(c, want_c)
+    np.testing.assert_array_equal(g, g.T)
+
+    obj = groupfit._pooled_objective(w, x, slices, slope, beta, y, level)
+    assert obj == pytest.approx(tensor_pooled_objective(w, x, slices, slope, beta, y, level),
+                                rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    v = rng.normal(size=(50, 1 + seed)) * rng.uniform(0.1, 10.0)
+    h = rng.uniform(0.2, 2.0, size=v.shape[1])
+    want = kernel_weight(v[None, :, :] - v[:, None, :], h)
+    np.testing.assert_array_equal(groupfit._kernel_matrix(v, h), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smoother_matrix_matches_direct_smoother(seed):
+    rng = np.random.default_rng(200 + seed)
+    v = rng.normal(size=80) * 3.0
+    target = np.cos(v) + 0.2 * rng.normal(size=80)
+    grid = np.linspace(v.min(), v.max(), 37)
+    # at h = 0.02 some training points are alone in their window and take the
+    # local-constant branch; between training points that bandwidth leaves
+    # the local-linear system near-singular, where any two orderings of the
+    # arithmetic differ by its conditioning, so the grid is left out there
+    for h, v_eval in ((0.02, v), (0.4, v), (1.0, grid), (5.0, v), (5.0, grid)):
+        got = groupfit._smooth(groupfit._smoother_matrix(v, h, v_eval), target)
+        assert_close_to_scale(got, direct_smooth1d(v, target, h, v_eval))
+
+
+def _tensor_form(monkeypatch):
+    monkeypatch.setattr(groupfit, "_local_linear_surface", tensor_local_linear_surface)
+    monkeypatch.setattr(groupfit, "_pooled_normal_equations", tensor_pooled_normal_equations)
+    monkeypatch.setattr(groupfit, "_pooled_objective", tensor_pooled_objective)
+    monkeypatch.setattr(groupfit, "_backfit_links", direct_backfit_links)
+
+
+def _panel_linear():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 3))
+    y = x @ np.array([0.6, 0.5, 0.4])
+    spec = ModelSpec(response=0, response_label="y", groups=((1, 2, 3),))
+    return TimeSeriesPanel(np.column_stack([y, x]), ("y", "a", "b", "c")), spec
+
+
+def _panel_sign():
+    rng = np.random.default_rng(42)
+    x1 = rng.normal(size=300)
+    x2 = 0.9 * x1 + np.sqrt(1.0 - 0.81) * rng.normal(size=300)
+    y = x1 - 0.1 * x2 + 0.05 * rng.normal(size=300)
+    spec = ModelSpec(response=0, response_label="y", groups=((1, 2),),
+                     sign_constraints={1: 1, 2: 1})
+    return TimeSeriesPanel(np.column_stack([y, x1, x2]), ("y", "x1", "x2")), spec
+
+
+def _panel_singletons():
+    rng = np.random.default_rng(7)
+    x1 = rng.uniform(-2, 2, size=400)
+    x2 = rng.uniform(-2, 2, size=400)
+    y = x1**2 + np.sin(2.0 * x2) + 0.05 * rng.normal(size=400)
+    spec = ModelSpec(response=0, response_label="y", groups=((1,), (2,)))
+    return TimeSeriesPanel(np.column_stack([y, x1, x2]), ("y", "x1", "x2")), spec
+
+
+def _panel_two_groups():
+    rng = np.random.default_rng(11)
+    b1 = np.array([2.0, 1.0, 1.0]) / np.linalg.norm([2.0, 1.0, 1.0])
+    b2 = np.array([1.0, 2.0]) / np.linalg.norm([1.0, 2.0])
+    x = rng.normal(size=(500, 5))
+    y = (x[:, :3] @ b1) ** 2 + np.sin(x[:, 3:] @ b2) + 0.1 * rng.normal(size=500)
+    spec = ModelSpec(response=0, response_label="y", groups=((1, 2, 3), (4, 5)))
+    return TimeSeriesPanel(np.column_stack([y, x]), ("y", "a1", "a2", "a3", "b1", "b2")), spec
+
+
+def _panel_fixture():
+    truth = json.loads((FIXTURES / "truth.json").read_text())
+    panel = ingest(FIXTURES / "fixture_panel.csv", {"y": "level"})
+    index = {label: i for i, label in enumerate(panel.labels)}
+    groups = tuple(tuple(index[label] for label in g) for g in truth["groups"])
+    spec = ModelSpec(response=index["y"], response_label="y", groups=groups)
+    return panel, spec
+
+
+@pytest.mark.parametrize(
+    "make", [_panel_linear, _panel_sign, _panel_singletons, _panel_two_groups, _panel_fixture],
+    ids=["linear", "sign", "singletons", "two_groups", "fixture"],
+)
+def test_fit_matches_tensor_form(make, monkeypatch):
+    panel, spec = make()
+    got = fit(panel, spec)
+    with monkeypatch.context() as m:
+        _tensor_form(m)
+        want = fit(panel, spec)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    for b_got, b_want in zip(got.beta, want.beta):
+        np.testing.assert_allclose(b_got, b_want, rtol=0.0, atol=1e-9)
+    assert_close_to_scale(got.final_g, want.final_g)
+    assert_close_to_scale(got.final_c, want.final_c)
+    for (g_got, v_got), (g_want, v_want) in zip(got.links, want.links):
+        assert_close_to_scale(g_got, g_want)
+        assert_close_to_scale(v_got, v_want)
+    assert got.r_squared == pytest.approx(want.r_squared, rel=1e-9)
+
+
+def test_fit_is_invariant_to_shifting_group_columns():
+    panel, spec = _panel_two_groups()
+    shifted = panel.values.copy()
+    shifted[:, 1:] += 1e4
+    base = fit(panel, spec)
+    moved = fit(TimeSeriesPanel(shifted, panel.labels), spec)
+    assert moved.iterations == base.iterations
+    for b_moved, b_base in zip(moved.beta, base.beta):
+        np.testing.assert_allclose(b_moved, b_base, rtol=0.0, atol=1e-9)
+
+
+def test_peak_memory_does_not_grow_with_coefficients():
+    # K = 10 coefficients: a T×T×K tensor alone would take 10 T² doubles
+    rng = np.random.default_rng(5)
+    t = 300
+    x = rng.normal(size=(t, 10))
+    y = np.tanh(x[:, :5].sum(axis=1) / 2.0) + np.sin(x[:, 5:].sum(axis=1) / 2.0)
+    y = y + 0.1 * rng.normal(size=t)
+    panel = TimeSeriesPanel(np.column_stack([y, x]), tuple("y" + "abcdefghij"))
+    spec = ModelSpec(response=0, response_label="y",
+                     groups=((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)))
+    tracemalloc.start()
+    try:
+        fit(panel, spec, FitConfig(max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about three T×T arrays at once (weights plus two temporaries) and the
+    # T·K² moments; the tensor form peaked near 30 T² doubles here
+    assert peak < 5 * t * t * 8
+
+
+class TestPredictRows:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        panel, spec = _panel_two_groups()
+        return panel, spec, fit(panel, spec)
+
+    def test_rows_match_single_calls_bit_for_bit(self, fitted):
+        panel, spec, res = fitted
+        rng = np.random.default_rng(3)
+        far = rng.normal(size=(40, panel.n_series)) * 50.0
+        rows = np.vstack([panel.values, far])
+        values, flags = predict(res, spec, rows, return_extrapolated=True)
+        assert values.shape == flags.shape == (rows.shape[0],)
+        assert not flags[: panel.n_periods].any()
+        assert flags[panel.n_periods:].any()
+        for i, row in enumerate(rows):
+            value, flag = predict(res, spec, row, return_extrapolated=True)
+            assert value == values[i] and flag == flags[i], i
+        np.testing.assert_array_equal(predict(res, spec, rows), values)
+
+    def test_single_row_returns_scalars(self, fitted):
+        panel, spec, res = fitted
+        value, flag = predict(res, spec, panel.values[0], return_extrapolated=True)
+        assert isinstance(value, float) and isinstance(flag, bool)
+
+    def test_bad_shapes_rejected(self, fitted):
+        _, spec, res = fitted
+        with pytest.raises(ValueError, match="covering"):
+            predict(res, spec, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="covering"):
+            predict(res, spec, np.zeros((2, 3, 6)))
+
+    def test_explained_variation_calls_predict_once(self, fitted, monkeypatch):
+        panel, spec, res = fitted
+        calls = []
+        original = groupfit.predict
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groupfit, "predict", counting)
+        assert groupfit.explained_variation(res, panel, spec) == res.r_squared
+        assert len(calls) == 1
+
+
+class TestCapsAreReported:
+    def test_defaults_report_no_cap(self):
+        panel, spec = _panel_sign()
+        res = fit(panel, spec)
+        assert res.backfit_converged and not res.constraint_solver_capped
+        obj = fit_to_json_obj(res, spec, panel.labels)
+        assert obj["backfit_converged"] is True
+        assert obj["constraint_solver_capped"] is False
+
+    def test_backfit_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(groupfit, "_BACKFIT_MAX_SWEEPS", 1)
+        panel, spec = _panel_singletons()
+        res = fit(panel, spec)
+        assert not res.backfit_converged
+        assert fit_to_json_obj(res, spec, panel.labels)["backfit_converged"] is False
+
+    def test_active_set_step_cap(self, monkeypatch):
+        # the unconstrained solution violates a sign, so one step cannot finish
+        monkeypatch.setattr(groupfit, "_ACTIVE_SET_STEPS_PER_COEF", 0)
+        monkeypatch.setattr(groupfit, "_ACTIVE_SET_EXTRA_STEPS", 1)
+        g = np.array([[2.0, 1.8], [1.8, 2.0]])
+        c = np.array([1.0, -0.5])
+        *_, capped = groupfit._sign_constrained_solve(
+            g, c, np.array([1.0, 1.0]), np.array([True, True]), 0.0
+        )
+        assert capped
+        panel, spec = _panel_sign()
+        res = fit(panel, spec)
+        assert res.constraint_solver_capped
+        assert fit_to_json_obj(res, spec, panel.labels)["constraint_solver_capped"] is True
+
+
+_THREAD_SCRIPT = """
+import numpy as np
+from covclust.groupfit import fit
+from covclust.panel import TimeSeriesPanel
+from covclust.pipeline import ModelSpec
+rng = np.random.default_rng(2024)
+t = 1200
+f = rng.normal(size=(t, 2))
+x = np.column_stack([f[:, :1] + 0.6 * rng.normal(size=(t, 3)),
+                     f[:, 1:] + 0.6 * rng.normal(size=(t, 2))])
+y = x[:, :3] @ [2.0, 1.0, 1.0] / 3.0 + np.sin(x[:, 3:] @ [1.0, 2.0] / 2.0)
+y = y + 0.3 * rng.normal(size=t)
+panel = TimeSeriesPanel(np.column_stack([y, x]), ("y", "a", "b", "c", "d", "e"))
+res = fit(panel, ModelSpec(response=0, response_label="y", groups=((1, 2, 3), (4, 5))))
+parts = [*res.beta, res.final_g, res.final_c, *(v for _, v in res.links),
+         np.array([res.r_squared])]
+print(res.iterations, " ".join(np.ascontiguousarray(p).tobytes().hex() for p in parts))
+"""
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(covclust.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
