@@ -6,7 +6,17 @@ remaining ``t2`` rows, and scores a candidate threshold ``s`` by the squared
 Frobenius distance between the thresholded first estimate and the raw second
 estimate.  The same splits score every grid point, so the loss curves differ
 only through ``s``; the selected threshold minimizes the mean loss, with ties
-broken toward the larger (sparser) value.
+broken toward the larger (sparser) value.  This is the split-sample scheme of
+Bickel & Levina, "Covariance regularization by thresholding", Ann. Statist.
+36 (2008).
+
+One sort scores a split on the whole grid.  With the entries ordered by
+``|e1|``, the loss at ``s`` is ``sum e2**2`` over the entries below ``s``
+plus ``sum (e1 - e2)**2`` over the rest.  The grid points cut the sorted
+entries into buckets, each bucket is summed once, and cumulative sums of the
+bucket totals give every grid point's loss.  Grid points that keep the same
+entries are separated only by empty buckets, which add exact zeros, so they
+get the same float and an exact tie still goes to the larger threshold.
 
 Splits are streamed: each pair of segment estimates is scored against the
 whole grid and dropped before the next split is estimated, so memory stays
@@ -158,10 +168,32 @@ def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
         yield e1.entries, e2.entries
 
 
-def _loss_at(e1: np.ndarray, e2: np.ndarray, s: float) -> float:
-    kept = np.where(np.abs(e1) >= s, e1, 0.0)
-    d = kept - e2
-    return float(np.sum(d * d))
+def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
+    """Squared Frobenius loss of every threshold in the ascending ``grid``.
+
+    Entry ``i`` is ``sum((where(|e1| >= grid[i], e1, 0) - e2) ** 2)``, read
+    off one sort of ``|e1|``: bucket ``k`` holds the sorted entries in
+    ``[grid[k - 1], grid[k])``, grid point ``i`` zeroes buckets ``0..i`` and
+    keeps the rest.  Each bucket is one contiguous reduction; the running
+    totals over buckets are sequential, so an empty bucket adds an exact
+    zero and grid points with the same kept set get the same float.
+    """
+    mag = np.abs(e1).ravel()
+    order = np.argsort(mag)
+    cuts = np.searchsorted(mag[order], grid, "left")
+    edges = np.concatenate(([0], cuts, [mag.size]))
+    full = edges[:-1] < edges[1:]
+    starts = edges[:-1][full]
+    zeroed = e2.ravel()[order]
+    kept = e1.ravel()[order]
+    kept -= zeroed
+    kept *= kept
+    zeroed *= zeroed
+    zeroed_sums = np.zeros(len(edges) - 1)
+    kept_sums = np.zeros(len(edges) - 1)
+    zeroed_sums[full] = np.add.reduceat(zeroed, starts)
+    kept_sums[full] = np.add.reduceat(kept, starts)
+    return np.cumsum(zeroed_sums)[:-1] + np.cumsum(kept_sums[::-1])[::-1][1:]
 
 
 def empirical_loss(
@@ -172,7 +204,7 @@ def empirical_loss(
     if not np.isfinite(s) or s < 0:
         raise ValueError(f"threshold must be finite and >= 0, got {s}")
     pairs = _segment_estimates(panel, splits, matrix_kind)
-    return float(np.mean([_loss_at(e1, e2, s) for e1, e2 in pairs]))
+    return float(np.mean([_grid_losses(e1, e2, (s,))[0] for e1, e2 in pairs]))
 
 
 @dataclass(frozen=True)
@@ -201,15 +233,18 @@ def select_threshold(
 
     Every grid point is scored on the same ``cfg.n_splits`` splits, so the
     comparison between thresholds sees identical sampling noise.  Each split
-    is estimated once, scored on the whole grid and dropped.  Exact ties in
-    the mean loss are resolved toward the larger threshold.
+    is estimated once, scored on the whole grid from one sort of its first
+    estimate's magnitudes (bucket sums and their running totals, see the
+    module notes) and dropped.  Grid points that keep the same entries of a
+    split get the same loss float, so exact ties in the mean loss happen
+    wherever the kept sets agree, and they are resolved toward the larger
+    threshold.
     """
     t = panel.n_periods
     splits = (draw_split(t, cfg, i) for i in range(cfg.n_splits))
     per_split = np.empty((cfg.n_splits, len(cfg.grid)))
     for v, (e1, e2) in enumerate(_segment_estimates(panel, splits, matrix_kind)):
-        for gi, s in enumerate(cfg.grid):
-            per_split[v, gi] = _loss_at(e1, e2, s)
+        per_split[v] = _grid_losses(e1, e2, cfg.grid)
     losses = per_split.mean(axis=0)
     best = np.flatnonzero(losses == losses.min())[-1]
     per_split.setflags(write=False)

@@ -77,33 +77,76 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a labeled numeric CSV; parse failures carry 1-based row/column."""
+    """Read a labeled numeric CSV of finite values.
+
+    Blank lines are skipped.  Every failure carries the 1-based line of the
+    file as ``row`` (blank lines counted) and, where one cell is at fault,
+    its 1-based ``column``: a blank or repeated header label, a row of the
+    wrong width or a non-numeric cell is a :class:`ParseError`, and a
+    ``nan``, ``inf`` or overflowing cell is a :class:`DataError`.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore blank lines
+        reader = csv.reader(fh)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ParseError(f"{path}: file is empty")
     labels = tuple(cell.strip() for cell in rows[0])
-    if any(not l for l in labels):
-        raise ParseError(f"{path}: blank column label in header", row=1)
+    first_seen = {}
+    for j, label in enumerate(labels, start=1):
+        if not label:
+            raise ParseError(
+                f"{path}: blank column label in header", row=lines[0], column=j
+            )
+        if label in first_seen:
+            raise ParseError(
+                f"{path}: column {j} repeats the label {label!r} of column "
+                f"{first_seen[label]}",
+                row=lines[0],
+                column=j,
+            )
+        first_seen[label] = j
     width = len(labels)
-    data = np.empty((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=2):
+    body, lines = rows[1:], lines[1:]
+    for row, line in zip(body, lines):
         if len(row) != width:
             raise ParseError(
-                f"{path}: row {i} has {len(row)} cells, expected {width}", row=i
+                f"{path}: row {line} has {len(row)} cells, expected {width}", row=line
             )
+    try:
+        data = np.array(body, dtype=float).reshape(len(body), width)
+    except ValueError:
+        data = _parse_cells(path, labels, body, lines)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise DataError(
+            f"{path}: non-finite cell {body[i][j]!r} at row {lines[i]}, column {j + 1} "
+            f"({labels[j]!r})",
+            row=lines[i],
+            column=j + 1,
+        )
+    return labels, data
+
+
+def _parse_cells(path, labels, body, lines) -> np.ndarray:
+    """Cell-by-cell ``float()``, to name the first cell the block parse rejected."""
+    data = np.empty((len(body), len(labels)))
+    for i, (row, line) in enumerate(zip(body, lines)):
         for j, cell in enumerate(row):
             try:
-                data[i - 2, j] = float(cell)
+                data[i, j] = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {i}, column {j + 1} "
+                    f"{path}: non-numeric cell {cell!r} at row {line}, column {j + 1} "
                     f"({labels[j]!r})",
-                    row=i,
+                    row=line,
                     column=j + 1,
                 ) from None
-    return labels, data
+    return data
 
 
 def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:

@@ -166,6 +166,13 @@ def spreadsheet_transform(columns, codes):
     return out
 
 
+def direct_threshold_loss(e1, e2, s):
+    """Squared Frobenius distance between ``e1`` hard-thresholded at ``s`` and ``e2``."""
+    kept = np.where(np.abs(e1) >= s, e1, 0.0)
+    d = kept - e2
+    return float(np.sum(d * d))
+
+
 def count_nonzero_score(indices, entries):
     """Direct double-loop averaged non-zero score."""
     idx = list(indices)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests against the bundled two-group panel."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covclust
 from covclust.cli import main, parse_config_file
 from covclust.crossval import CvConfig, cv_result_to_json_obj, default_grid, select_threshold
 from covclust.errors import ParseError
@@ -130,6 +132,32 @@ class TestErrorPaths:
         assert payload["stage"] == "run"
         assert payload["row"] == 3
         assert payload["column"] == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_cell_reports_data_error_location(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n1,2\n\n3,{cell}\n5,6\n")
+        code = run_cli(
+            "run", "--input", bad, "--response", "a", "--transforms", "a=level", "--out", tmp_path / "o"
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "data-error"
+        assert payload["stage"] == "run"
+        assert payload["row"] == 4
+        assert payload["column"] == 2
+
+    def test_duplicate_label_reports_parse_error_location(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,a\n1,2,3\n4,5,6\n7,8,9\n")
+        code = run_cli("cluster", "--input", bad, "--response", "a", "--out", tmp_path / "o")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "parse-error"
+        assert payload["stage"] == "cluster"
+        assert payload["row"] == 1
+        assert payload["column"] == 3
+        assert "'a'" in payload["message"]
 
     def test_all_noise_panel_reports_empty_screen(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -392,10 +420,14 @@ class TestConfigPrecedence:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
+        src = str(Path(covclust.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "covclust", "--help"],
             capture_output=True,
             text=True,
+            env=env,
             timeout=60,
         )
         assert proc.returncode == 0

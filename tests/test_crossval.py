@@ -11,7 +11,7 @@ from covclust.crossval import (
     draw_split,
     empirical_loss,
     select_threshold,
-    _loss_at,
+    _grid_losses,
 )
 from covclust.errors import DegenerateColumnError
 from covclust.matrices import SymMatrix, hard_threshold
@@ -186,7 +186,7 @@ class TestSelectThreshold:
             r1, r2 = draw_split(150, cfg, v)
             e1 = estimator(p.rows(*r1)).entries
             e2 = estimator(p.rows(*r2)).entries
-            want = [_loss_at(e1, e2, s) for s in cfg.grid]
+            want = _grid_losses(e1, e2, cfg.grid)
             np.testing.assert_array_equal(res.per_split_losses[v], want)
 
     @pytest.mark.parametrize("kind", ["covariance", "spearman"])

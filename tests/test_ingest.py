@@ -115,8 +115,65 @@ class TestReadCsvMatrix:
 
     def test_blank_label_rejected(self, tmp_path):
         path = write(tmp_path, "a,,c\n1,2,3\n4,5,6\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (1, 2)
+
+    def test_rows_are_file_lines_with_blank_lines_counted(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,2\n\n3,x\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (4, 2)
+        assert "row 4" in str(exc.value)
+
+    def test_ragged_row_after_blank_lines_reports_file_line(self, tmp_path):
+        path = write(tmp_path, "\na,b\n\n1,2\n3\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv_matrix(path)
+        assert exc.value.row == 5
+
+    def test_duplicate_label_names_the_repeat(self, tmp_path):
+        path = write(tmp_path, "a,b,a\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (1, 3)
+        assert "'a'" in str(exc.value)
+
+    def test_duplicate_label_row_is_the_header_line(self, tmp_path):
+        path = write(tmp_path, "\n\na, a\n1,2\n4,5\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_cell_is_a_data_error_with_location(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,c\n1,2,3\n\n4,5,{cell}\n7,8,9\n")
+        with pytest.raises(DataError) as exc:
+            read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (4, 3)
+        assert cell in str(exc.value)
+
+    def test_first_non_finite_cell_in_file_order_is_reported(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,inf\nnan,2\n")
+        with pytest.raises(DataError) as exc:
+            read_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (2, 2)
+
+    def test_block_parse_matches_float_bitwise(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vals = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6))
+        cells = [[repr(float(v)) for v in row] for row in vals]
+        cells[0] = [" 1.5", "1.5 ", "1_000", "+1.", ".5", "-0"]
+        cells[1] = ["1e-400", "0.1e+0_1", "\t2", "4E2", "-.25e-3", "7"]
+        text = "a,b,c,d,e,f\n" + "".join(",".join(r) + "\n" for r in cells)
+        _, data = read_csv_matrix(write(tmp_path, text))
+        want = np.array([[float(c) for c in r] for r in cells])
+        assert data.tobytes() == want.tobytes()
+
+    def test_header_only_file_gives_empty_block(self, tmp_path):
+        labels, data = read_csv_matrix(write(tmp_path, "a,b\n"))
+        assert labels == ("a", "b")
+        assert data.shape == (0, 2)
 
 
 class TestIngest:
