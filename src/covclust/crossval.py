@@ -20,7 +20,9 @@ get the same float and an exact tie still goes to the larger threshold.
 
 Splits are streamed: each pair of segment estimates is scored against the
 whole grid and dropped before the next split is estimated, so memory stays
-O(J^2) whatever the number of splits.
+O(J^2) whatever the number of splits.  A segment is a row view of the
+panel's already validated block, handed straight to the array estimators of
+:mod:`covclust.panel`: a split copies no rows and checks no cells again.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateColumnError
-from .matrices import SymMatrix
-from .panel import TimeSeriesPanel, sample_covariance, spearman_matrix
+from .panel import TimeSeriesPanel, _covariance, _spearman
 
 __all__ = [
     "MatrixKind",
@@ -51,11 +52,12 @@ MatrixKind = Literal["covariance", "spearman"]
 _SEED_MASK = (1 << 63) - 1
 
 
-def _estimate(panel: TimeSeriesPanel, matrix_kind: str) -> SymMatrix:
+def _estimate(values: np.ndarray, labels, matrix_kind: str) -> np.ndarray:
+    """Entries of the ``matrix_kind`` estimate of the ``T x J`` block ``values``."""
     if matrix_kind == "covariance":
-        return sample_covariance(panel)
+        return _covariance(values)
     if matrix_kind == "spearman":
-        return spearman_matrix(panel)
+        return _spearman(values, labels)
     raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
 
 
@@ -98,7 +100,7 @@ def default_grid(
     """Equally spaced thresholds from 0 to the largest full-sample off-diagonal magnitude."""
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
-    est = _estimate(panel, matrix_kind).entries
+    est = _estimate(panel.values, panel.labels, matrix_kind)
     off = np.abs(est - np.diag(np.diag(est)))
     top = float(off.max())
     if top == 0.0 or size == 1:
@@ -156,16 +158,17 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
 
 
 def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
-    """Yield ``(e1, e2)`` entry arrays one split at a time."""
+    """Yield ``(e1, e2)`` entry arrays one split at a time, from row views."""
+    values, labels = panel.values, panel.labels
     for i, (r1, r2) in enumerate(splits):
         try:
-            e1 = _estimate(panel.rows(*r1), matrix_kind)
-            e2 = _estimate(panel.rows(*r2), matrix_kind)
+            e1 = _estimate(values[r1[0]:r1[1]], labels, matrix_kind)
+            e2 = _estimate(values[r2[0]:r2[1]], labels, matrix_kind)
         except DegenerateColumnError as exc:
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"
             ) from None
-        yield e1.entries, e2.entries
+        yield e1, e2
 
 
 def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
@@ -199,10 +202,22 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
 def empirical_loss(
     panel: TimeSeriesPanel, s: float, splits, matrix_kind: str = "covariance"
 ) -> float:
-    """Mean squared-Frobenius validation loss of threshold ``s`` over ``splits``."""
+    """Mean squared-Frobenius validation loss of threshold ``s`` over ``splits``.
+
+    ``splits`` holds ``((start, stop), (start, stop))`` row ranges; each
+    range must cover at least 2 rows of the panel.
+    """
     s = float(s)
     if not np.isfinite(s) or s < 0:
         raise ValueError(f"threshold must be finite and >= 0, got {s}")
+    splits = list(splits)
+    t = panel.n_periods
+    for start, stop in (r for pair in splits for r in pair):
+        if start < 0 or stop > t or stop - start < 2:
+            raise ValueError(
+                f"invalid row range [{start}, {stop}) for {t} periods; "
+                "a segment needs at least 2 rows"
+            )
     pairs = _segment_estimates(panel, splits, matrix_kind)
     return float(np.mean([_grid_losses(e1, e2, (s,))[0] for e1, e2 in pairs]))
 

@@ -23,7 +23,10 @@ equations therefore need one T×T weight matrix applied to a few T-long
 columns, never a T×T×K displacement tensor, and the fit's memory is O(S·T² +
 T·K²) for S groups and K coefficients.  Columns are centred before their
 moments are formed: the fit is invariant to such shifts, while the moment
-form's rounding error grows with the square of a column's offset.  No sum
+form's rounding error grows with the square of a column's offset.  The same
+moments give the pooled step's weighted sum of squared targets, so each
+iteration's objective is read off the normal equations as
+``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  No sum
 over observations goes to BLAS, whose blocking and summation order depend
 on its thread count: such sums are ``np.einsum`` calls without ``optimize``,
 which run numpy's own loops, so results are the same bytes at any BLAS
@@ -105,7 +108,10 @@ class IterationRecord:
     ``zeta`` is the unconstrained pooled solution, ``beta_raw`` the
     sign-constrained one, ``beta`` the renormalized state carried to the next
     iteration.  ``lam`` holds the nonnegative multipliers (zero wherever the
-    unconstrained solution already had the right sign).
+    unconstrained solution already had the right sign).  ``objective`` is
+    the pooled kernel-weighted mean squared residual at ``beta_raw``,
+    ``(b'Gb - 2c'b + e0) / sum(w)`` from the step's normal equations ``G``,
+    ``c`` and weighted sum of squared targets ``e0``.
     """
 
     beta: np.ndarray
@@ -356,13 +362,14 @@ def _local_linear_surface(v: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 
 def _pooled_normal_equations(w, x, slices, slope, y, level):
-    """``G`` and ``c`` of the pooled step, from kernel moments.
+    """``G``, ``c``, ``e0`` and ``sum(w)`` of the pooled step, from kernel moments.
 
     The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``, where ``a_ik``
     is anchor ``i``'s slope for the group holding coefficient ``k``, with
     weights ``w_ij`` and targets ``y_j - level_i``.  ``G = sum_i (a_i a_i')
-    ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c`` follows
-    from the same moments.
+    ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c`` and the
+    weighted sum of squared targets ``e0`` follow from the same moments, so
+    the pooled criterion at any ``b`` is ``(b'Gb - 2c'b + e0) / sum(w)``.
     """
     k = x.shape[1]
     xc = x - x.mean(axis=0)
@@ -376,26 +383,8 @@ def _pooled_normal_equations(w, x, slices, slope, y, level):
     first = m1[:, :k] - m0[:, None] * xc
     wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
     c = np.einsum("ik,ik->k", a, wxy - lc[:, None] * first)
-    return g, c
-
-
-def _pooled_objective(w, x, slices, slope, beta, y, level) -> float:
-    """Weighted mean square of ``y_j - level_i - sum_s slope_is (u_js - u_is)``.
-
-    ``u`` holds the group indices under ``beta``; the residual is built as
-    one T×T array, a group at a time.
-    """
-    xc = x - x.mean(axis=0)
-    resid = y[None, :] - level[:, None]
-    change = np.empty_like(resid)
-    for s, sl in enumerate(slices):
-        u = xc[:, sl] @ beta[sl]
-        np.subtract(u[None, :], u[:, None], out=change)
-        change *= slope[:, s, None]
-        resid -= change
-    resid *= resid
-    resid *= w
-    return float(np.sum(resid)) / float(np.sum(w))
+    e0 = float(np.sum(m2[:, k, k] - 2.0 * lc * m1[:, k] + lc * lc * m0))
+    return g, c, e0, float(np.sum(m0))
 
 
 def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndarray):
@@ -489,7 +478,10 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         h = _bandwidths(v, cfg, n_groups)
         w = _kernel_matrix(v, h)
         level, slope = _local_linear_surface(v, y, w)
-        g_mat, c_vec = _pooled_normal_equations(w, x_cat, slices, slope, y, level)
+        g_mat, c_vec, e0, weight_sum = _pooled_normal_equations(
+            w, x_cat, slices, slope, y, level
+        )
+        del w  # free it before the next iteration's kernel is built
 
         ridge = cfg.ridge_scale * float(np.trace(g_mat))
         beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
@@ -498,8 +490,8 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         ridge_flagged = ridge_flagged or used_ridge
         solver_capped = solver_capped or capped
 
-        objective = _pooled_objective(w, x_cat, slices, slope, beta_raw, y, level)
-        del w  # free it before the next iteration's kernel is built
+        quad = np.einsum("k,kl,l->", beta_raw, g_mat, beta_raw)
+        objective = float(quad - 2.0 * np.einsum("k,k->", c_vec, beta_raw) + e0) / weight_sum
         increased = (
             prev_objective is not None
             and objective > prev_objective + 1e-10 * max(1.0, abs(prev_objective))

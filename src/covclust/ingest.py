@@ -52,7 +52,8 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
     """Apply one transform to one column; length shrinks by :func:`transform_lag`.
 
     Logarithmic codes require strictly positive input and report the first
-    offending row (0-based within the column) on failure.
+    offending row (0-based within the column) on failure; :func:`ingest`
+    turns that into the cell's file coordinates.
     """
     lag = transform_lag(code)
     v = np.asarray(values, dtype=float)
@@ -63,7 +64,7 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
         if bad.size:
             raise DataError(
                 f"log transform of column {label!r} hit a non-positive value "
-                f"{v[bad[0]]!r} at row {int(bad[0])}",
+                f"{float(v[bad[0]])!r} at row {int(bad[0])}",
                 row=int(bad[0]),
                 column=label,
             )
@@ -76,14 +77,16 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
     return v
 
 
-def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
     """Read a labeled numeric CSV of finite values.
 
-    Blank lines are skipped.  Every failure carries the 1-based line of the
-    file as ``row`` (blank lines counted) and, where one cell is at fault,
-    its 1-based ``column``: a blank or repeated header label, a row of the
-    wrong width or a non-numeric cell is a :class:`ParseError`, and a
-    ``nan``, ``inf`` or overflowing cell is a :class:`DataError`.
+    Returns the labels, the ``T x J`` data block and the 1-based file line
+    of each data row.  Blank lines are skipped.  Every failure carries the
+    1-based line of the file as ``row`` (blank lines counted) and, where one
+    cell is at fault, its 1-based ``column``: a blank or repeated header
+    label, a row of the wrong width or a non-numeric cell is a
+    :class:`ParseError`, and a ``nan``, ``inf`` or overflowing cell is a
+    :class:`DataError`.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -129,7 +132,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
             row=lines[i],
             column=j + 1,
         )
-    return labels, data
+    return labels, data, tuple(lines)
 
 
 def _parse_cells(path, labels, body, lines) -> np.ndarray:
@@ -155,10 +158,12 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
     ``transform_map`` maps column labels to transform codes; unlisted columns
     stay at ``level``.  Every column is trimmed from the front to the longest
     requested lag so rows stay aligned, then the panel is standardized.
-    Fewer than two surviving rows is an error.
+    Fewer than two surviving rows is an error, and a non-positive cell under
+    a log transform is a :class:`DataError` at its file line and 1-based
+    column.
     """
     transform_map = dict(transform_map or {})
-    labels, data = read_csv_matrix(path)
+    labels, data, lines = read_csv_matrix(path)
     unknown = [l for l in transform_map if l not in labels]
     if unknown:
         raise ValueError(f"transform map names absent columns: {unknown}")
@@ -177,7 +182,15 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
         )
     out = np.empty((t_out, len(labels)))
     for j, (label, code) in enumerate(zip(labels, codes)):
-        col = apply_transform(data[:, j], code, label)
+        try:
+            col = apply_transform(data[:, j], code, label)
+        except DataError as exc:
+            raise DataError(
+                f"{path}: {code} transform of column {label!r} hit the non-positive "
+                f"cell {float(data[exc.row, j])!r} at row {lines[exc.row]}, column {j + 1}",
+                row=lines[exc.row],
+                column=j + 1,
+            ) from None
         out[:, j] = col[len(col) - t_out :]
     return standardize(TimeSeriesPanel(out, labels))
 
@@ -193,5 +206,5 @@ def write_panel_csv(panel: TimeSeriesPanel, path) -> None:
 
 def read_panel_csv(path) -> TimeSeriesPanel:
     """Read a panel written by :func:`write_panel_csv` (no transforms applied)."""
-    labels, data = read_csv_matrix(path)
+    labels, data, _ = read_csv_matrix(path)
     return TimeSeriesPanel(data, labels)

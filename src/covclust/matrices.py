@@ -23,8 +23,6 @@ __all__ = [
     "uniformity_diagnostics",
     "sym_to_csv",
     "sym_from_csv",
-    "sym_to_json_obj",
-    "sym_from_json_obj",
 ]
 
 
@@ -206,14 +204,3 @@ def sym_from_csv(path) -> SymMatrix:
         raise ValueError(f"{path}: non-numeric matrix cell ({exc})") from None
     return SymMatrix(np.array(entries), labels)
 
-
-def sym_to_json_obj(m: SymMatrix) -> dict:
-    """JSON-ready dict: ``{"labels": [...], "entries": [[...], ...]}``."""
-    return {
-        "labels": list(m.labels),
-        "entries": [[float(v) for v in row] for row in m.entries],
-    }
-
-
-def sym_from_json_obj(obj: dict) -> SymMatrix:
-    return SymMatrix(np.array(obj["entries"], dtype=float), tuple(obj["labels"]))

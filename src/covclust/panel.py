@@ -7,10 +7,18 @@ thread count.  Two rules deliver that:
 
 * Covariance and Pearson Gram entries are sums over rows taken in row
   order (:func:`_pairwise_gram`), so each entry depends only on its two
-  columns and never on BLAS blocking.
+  columns and never on BLAS blocking.  One ``np.einsum`` (numpy's own loop,
+  not BLAS) over a C-ordered block adds the rows in order for two or more
+  columns; a lone column would be reduced pairwise, so it takes a
+  sequential running sum instead.
 * Spearman Gram entries are computed in exact arithmetic: centered midranks
   are multiples of 1/2, so one BLAS product returns the same bits in any
   summation order (:func:`_rank_gram`).
+
+The array kernels :func:`_covariance` and :func:`_spearman` take a ``T x J``
+block and return the ``J x J`` entries; the public estimators wrap them in a
+:class:`SymMatrix`.  Cross-validation feeds them row slices of an already
+validated panel, so a split neither copies nor re-validates its cells.
 """
 
 from __future__ import annotations
@@ -42,14 +50,10 @@ class TimeSeriesPanel:
         are rejected here, not imputed).
     labels : sequence of str
         Unique column names.
-    time_index : sequence, optional
-        Strictly increasing per-row stamps.  Purely descriptive; row order is
-        authoritative for every estimator.
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
-    time_index: tuple | None = None
 
     def __post_init__(self):
         # order="C" so downstream reductions see one memory layout no matter
@@ -73,13 +77,6 @@ class TimeSeriesPanel:
             raise ValueError(f"{len(labels)} labels for {j} columns")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
-        if self.time_index is not None:
-            ti = tuple(self.time_index)
-            if len(ti) != t:
-                raise ValueError(f"time_index length {len(ti)} != {t} rows")
-            if any(b <= a for a, b in zip(ti, ti[1:])):
-                raise ValueError("time_index must be strictly increasing")
-            object.__setattr__(self, "time_index", ti)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)
@@ -99,15 +96,6 @@ class TimeSeriesPanel:
             raise KeyError(f"unknown label {label!r}") from None
         return self.values[:, j]
 
-    def rows(self, start: int, stop: int) -> "TimeSeriesPanel":
-        """Consecutive sub-panel ``[start, stop)`` with the time index sliced along."""
-        if not 0 <= start < stop <= self.n_periods:
-            raise ValueError(
-                f"invalid row range [{start}, {stop}) for {self.n_periods} periods"
-            )
-        ti = self.time_index[start:stop] if self.time_index is not None else None
-        return TimeSeriesPanel(self.values[start:stop], self.labels, ti)
-
 
 def _find_degenerate(arr: np.ndarray, labels) -> list:
     constant = np.all(arr == arr[0], axis=0)
@@ -125,11 +113,7 @@ def standardize(p: TimeSeriesPanel) -> TimeSeriesPanel:
         raise DegenerateColumnError(bad, context="standardize")
     mean = p.values.mean(axis=0)
     sd = p.values.std(axis=0, ddof=1)
-    return TimeSeriesPanel((p.values - mean) / sd, p.labels, p.time_index)
-
-
-# Cells in one block of row outer products in _pairwise_gram (512 KB).
-_GRAM_BLOCK_CELLS = 1 << 16
+    return TimeSeriesPanel((p.values - mean) / sd, p.labels)
 
 
 def _pairwise_gram(z: np.ndarray, scale: float) -> np.ndarray:
@@ -141,29 +125,19 @@ def _pairwise_gram(z: np.ndarray, scale: float) -> np.ndarray:
     bitwise permutation-equivariant.  A BLAS ``z.T @ z`` is neither: its
     blocking, and so its summation order, depends on the column positions.
 
-    Narrow panels form the outer products of a block of rows in one call and
-    add them with a reduction along the row axis, the running total in front;
-    numpy reduces an outer axis one slice at a time, so the order is the
-    same.  When fewer than four rows fit in a block, each row adds its outer
-    product in turn.  Both give the same bits.
+    On a C-ordered block with two or more columns, ``einsum`` keeps the row
+    axis outermost and adds each row's products to the running total in
+    turn.  On a Fortran-ordered block it would not, hence the copy to C
+    order (a no-op for the row slices cross-validation passes).  With one
+    column the row axis is the only axis and ``einsum`` would sum it
+    pairwise, so a lone column takes the last entry of a running sum, which
+    adds the rows one by one.  ``TestRowOrderGram`` pins this loop order.
     """
-    t, j = z.shape
-    rows = min(t, _GRAM_BLOCK_CELLS // (j * j))
-    out = np.zeros((j, j))
-    # A lone column's reduction would be numpy's pairwise sum, not row order.
-    if rows < 4 or j == 1:
-        term = np.empty((j, j))
-        for row in z:
-            np.multiply(row[:, None], row[None, :], out=term)
-            out += term
+    z = np.ascontiguousarray(z)
+    if z.shape[1] == 1:
+        out = np.add.accumulate(z * z, axis=0)[-1:]
     else:
-        buf = np.empty((rows + 1, j, j))
-        for lo in range(0, t, rows):
-            block = z[lo:lo + rows]
-            n = len(block)
-            buf[0] = out
-            np.multiply(block[:, :, None], block[:, None, :], out=buf[1:n + 1])
-            np.add.reduce(buf[:n + 1], axis=0, out=out)
+        out = np.einsum("ti,tj->ij", z, z)
     out *= scale
     return out
 
@@ -223,22 +197,15 @@ def _rank_gram(centered: np.ndarray) -> np.ndarray:
     return centered.T @ centered
 
 
-def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
-    """Averaged outer products of demeaned rows, normalized by ``T`` (not ``T - 1``).
-
-    Returns
-    -------
-    SymMatrix
-        Positive semidefinite up to roundoff.
-    """
-    t = p.n_periods
+def _covariance(values: np.ndarray) -> np.ndarray:
+    """Entries of :func:`sample_covariance` for a ``T x J`` block."""
+    t = values.shape[0]
     if t < 2:
         raise InsufficientDataError(f"sample covariance needs T >= 2, got {t}")
-    centered = p.values - p.values.mean(axis=0)
-    return SymMatrix(_pairwise_gram(centered, 1.0 / t), p.labels)
+    return _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
 
 
-def _correlation_from_gram(gram: np.ndarray, labels) -> SymMatrix:
+def _correlation_from_gram(gram: np.ndarray, labels) -> np.ndarray:
     diag = np.diag(gram)
     bad = [labels[k] for k in np.flatnonzero(diag == 0.0)]
     if bad:
@@ -249,13 +216,34 @@ def _correlation_from_gram(gram: np.ndarray, labels) -> SymMatrix:
     corr = gram / (denom[:, None] * denom[None, :])
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return SymMatrix(corr, tuple(labels))
+    return corr
+
+
+def _spearman(values: np.ndarray, labels) -> np.ndarray:
+    """Entries of :func:`spearman_matrix` for a ``T x J`` block labeled ``labels``."""
+    bad = _find_degenerate(values, labels)
+    if bad:
+        raise DegenerateColumnError(bad, context="spearman")
+    # Midranks of every column sum to T(T+1)/2, ties or not.
+    centered = _midranks(values) - (values.shape[0] + 1) / 2.0
+    return _correlation_from_gram(_rank_gram(centered), labels)
+
+
+def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
+    """Averaged outer products of demeaned rows, normalized by ``T`` (not ``T - 1``).
+
+    Returns
+    -------
+    SymMatrix
+        Positive semidefinite up to roundoff.
+    """
+    return SymMatrix(_covariance(p.values), p.labels)
 
 
 def pearson_matrix(p: TimeSeriesPanel) -> SymMatrix:
     """Pearson correlation matrix: unit diagonal, entries clipped to ``[-1, 1]``."""
     centered = p.values - p.values.mean(axis=0)
-    return _correlation_from_gram(_pairwise_gram(centered, 1.0), p.labels)
+    return SymMatrix(_correlation_from_gram(_pairwise_gram(centered, 1.0), p.labels), p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:
@@ -266,9 +254,4 @@ def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:
     column.  A column whose values are all tied carries no rank information
     and raises :class:`DegenerateColumnError`.
     """
-    bad = _find_degenerate(p.values, p.labels)
-    if bad:
-        raise DegenerateColumnError(bad, context="spearman")
-    # Midranks of every column sum to T(T+1)/2, ties or not.
-    centered = _midranks(p.values) - (p.n_periods + 1) / 2.0
-    return _correlation_from_gram(_rank_gram(centered), p.labels)
+    return SymMatrix(_spearman(p.values, p.labels), p.labels)

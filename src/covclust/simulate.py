@@ -10,7 +10,6 @@ the stationary row covariance equals the requested target.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "fractional_cover_size",
     "RateReport",
     "rate_experiment",
-    "rate_report_to_csv",
     "rate_report_to_json_obj",
 ]
 
@@ -424,15 +422,6 @@ def rate_experiment(
         q=model.params.q,
         c0=model.params.c0,
     )
-
-
-def rate_report_to_csv(report: RateReport, path) -> None:
-    """One row per repetition: ``t, m_or_radius, rep, op_error, frob_error``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m_or_radius", "rep", "op_error", "frob_error"])
-        for t, level, rep, op, frob in report.rows:
-            writer.writerow([t, repr(float(level)), rep, repr(float(op)), repr(float(frob))])
 
 
 def rate_report_to_json_obj(report: RateReport) -> dict:

@@ -207,12 +207,17 @@ def _pooled_regressors(x, slices, slope):
 
 
 def tensor_pooled_normal_equations(w, x, slices, slope, y, level):
-    """Pooled ``G`` and ``c`` from the T×T×K regressor tensor."""
+    """Pooled ``G``, ``c``, ``e0`` and ``sum(w)`` from the T×T×K regressor tensor.
+
+    ``e0`` is the weighted sum of squared targets ``y_j - level_i``.
+    """
     r = _pooled_regressors(x, slices, slope)
     g = np.einsum("ijk,ijl,ij->kl", r, r, w, optimize=True)
     g = (g + g.T) / 2.0
-    c = np.einsum("ijk,ij->k", r, w * (y[None, :] - level[:, None]), optimize=True)
-    return g, c
+    target = y[None, :] - level[:, None]
+    c = np.einsum("ijk,ij->k", r, w * target, optimize=True)
+    e0 = float(np.sum(w * target**2))
+    return g, c, e0, float(np.sum(w))
 
 
 def tensor_pooled_objective(w, x, slices, slope, beta, y, level):

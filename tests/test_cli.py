@@ -147,6 +147,20 @@ class TestErrorPaths:
         assert payload["row"] == 4
         assert payload["column"] == 2
 
+    def test_log_of_non_positive_cell_reports_file_location(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,a\n1,2\n\n2,-1\n3,4\n4,5\n")
+        code = run_cli("cluster", "--input", bad, "--response", "y", "--transforms", "a=log",
+                       "--out", tmp_path / "o")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "data-error"
+        assert payload["stage"] == "cluster"
+        assert payload["row"] == 4
+        assert payload["column"] == 2
+        assert "-1.0 at row 4, column 2" in payload["message"]
+        assert "np.float64" not in payload["message"]
+
     def test_duplicate_label_reports_parse_error_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,a\n1,2,3\n4,5,6\n7,8,9\n")

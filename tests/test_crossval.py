@@ -103,8 +103,8 @@ class TestEmpiricalLoss:
         s = 0.15
         direct = []
         for r1, r2 in splits:
-            e1 = sample_covariance(p.rows(*r1))
-            e2 = sample_covariance(p.rows(*r2))
+            e1 = sample_covariance(TimeSeriesPanel(p.values[r1[0]:r1[1]], p.labels))
+            e2 = sample_covariance(TimeSeriesPanel(p.values[r2[0]:r2[1]], p.labels))
             d = hard_threshold(e1, s).entries - e2.entries
             direct.append(float(np.sum(d * d)))
         want = float(np.mean(direct))
@@ -115,6 +115,14 @@ class TestEmpiricalLoss:
         p = gaussian_panel(12, 30, 3)
         with pytest.raises(ValueError):
             empirical_loss(p, -0.5, [((0, 10), (10, 30))])
+
+    @pytest.mark.parametrize(
+        "split", [((0, 10), (10, 31)), ((-1, 10), (10, 30)), ((0, 10), (10, 11)), ((5, 5), (5, 30))]
+    )
+    def test_rejects_row_ranges_outside_the_panel_or_too_short(self, split):
+        p = gaussian_panel(12, 30, 3)
+        with pytest.raises(ValueError, match="row range"):
+            empirical_loss(p, 0.1, [split])
 
     def test_thresholding_beats_no_thresholding_under_independence(self):
         # Columns are independent, so zeroing small spurious cross terms
@@ -184,8 +192,8 @@ class TestSelectThreshold:
         res = select_threshold(p, cfg, kind)
         for v in range(cfg.n_splits):
             r1, r2 = draw_split(150, cfg, v)
-            e1 = estimator(p.rows(*r1)).entries
-            e2 = estimator(p.rows(*r2)).entries
+            e1 = estimator(TimeSeriesPanel(p.values[r1[0]:r1[1]], p.labels)).entries
+            e2 = estimator(TimeSeriesPanel(p.values[r2[0]:r2[1]], p.labels)).entries
             want = _grid_losses(e1, e2, cfg.grid)
             np.testing.assert_array_equal(res.per_split_losses[v], want)
 

@@ -64,13 +64,18 @@ def test_surface_and_pooled_step_match_tensor_form(seed):
     assert_close_to_scale(level, want_level)
     assert_close_to_scale(slope, want_slope)
 
-    g, c = groupfit._pooled_normal_equations(w, x, slices, slope, y, level)
-    want_g, want_c = tensor_pooled_normal_equations(w, x, slices, slope, y, level)
+    g, c, e0, weight_sum = groupfit._pooled_normal_equations(w, x, slices, slope, y, level)
+    want_g, want_c, want_e0, want_sum = tensor_pooled_normal_equations(
+        w, x, slices, slope, y, level
+    )
     assert_close_to_scale(g, want_g)
     assert_close_to_scale(c, want_c)
+    assert e0 == pytest.approx(want_e0, rel=1e-9)
+    assert weight_sum == pytest.approx(want_sum, rel=1e-12)
     np.testing.assert_array_equal(g, g.T)
 
-    obj = groupfit._pooled_objective(w, x, slices, slope, beta, y, level)
+    # the objective that fit records, read off the normal equations
+    obj = (beta @ g @ beta - 2.0 * c @ beta + e0) / weight_sum
     assert obj == pytest.approx(tensor_pooled_objective(w, x, slices, slope, beta, y, level),
                                 rel=1e-9)
 
@@ -102,7 +107,6 @@ def test_smoother_matrix_matches_direct_smoother(seed):
 def _tensor_form(monkeypatch):
     monkeypatch.setattr(groupfit, "_local_linear_surface", tensor_local_linear_surface)
     monkeypatch.setattr(groupfit, "_pooled_normal_equations", tensor_pooled_normal_equations)
-    monkeypatch.setattr(groupfit, "_pooled_objective", tensor_pooled_objective)
     monkeypatch.setattr(groupfit, "_backfit_links", direct_backfit_links)
 
 
@@ -172,6 +176,27 @@ def test_fit_matches_tensor_form(make, monkeypatch):
         assert_close_to_scale(g_got, g_want)
         assert_close_to_scale(v_got, v_want)
     assert got.r_squared == pytest.approx(want.r_squared, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make", [_panel_linear, _panel_sign, _panel_two_groups, _panel_fixture],
+    ids=["linear", "sign", "two_groups", "fixture"],
+)
+def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
+    panel, spec = make()
+    steps = []
+    moment_form = groupfit._pooled_normal_equations
+
+    def spy(w, x, slices, slope, y, level):
+        steps.append((w, x, slices, slope, y, level))
+        return moment_form(w, x, slices, slope, y, level)
+
+    monkeypatch.setattr(groupfit, "_pooled_normal_equations", spy)
+    res = fit(panel, spec, FitConfig(max_iter=4))
+    assert len(steps) == len(res.trace)
+    for (w, x, slices, slope, y, level), rec in zip(steps, res.trace):
+        want = tensor_pooled_objective(w, x, slices, slope, rec.beta_raw, y, level)
+        assert rec.objective == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_fit_is_invariant_to_shifting_group_columns():

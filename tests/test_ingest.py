@@ -85,14 +85,16 @@ class TestApplyTransform:
 class TestReadCsvMatrix:
     def test_reads_labels_and_data(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n")
-        labels, data = read_csv_matrix(path)
+        labels, data, lines = read_csv_matrix(path)
         assert labels == ("a", "b")
+        assert lines == (2, 3)
         np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_blank_lines_ignored(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n\n3,4\n\n")
-        _, data = read_csv_matrix(path)
+        _, data, lines = read_csv_matrix(path)
         assert data.shape == (2, 2)
+        assert lines == (2, 4)
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,oops\n")
@@ -166,12 +168,12 @@ class TestReadCsvMatrix:
         cells[0] = [" 1.5", "1.5 ", "1_000", "+1.", ".5", "-0"]
         cells[1] = ["1e-400", "0.1e+0_1", "\t2", "4E2", "-.25e-3", "7"]
         text = "a,b,c,d,e,f\n" + "".join(",".join(r) + "\n" for r in cells)
-        _, data = read_csv_matrix(write(tmp_path, text))
+        _, data, _ = read_csv_matrix(write(tmp_path, text))
         want = np.array([[float(c) for c in r] for r in cells])
         assert data.tobytes() == want.tobytes()
 
     def test_header_only_file_gives_empty_block(self, tmp_path):
-        labels, data = read_csv_matrix(write(tmp_path, "a,b\n"))
+        labels, data, _ = read_csv_matrix(write(tmp_path, "a,b\n"))
         assert labels == ("a", "b")
         assert data.shape == (0, 2)
 
@@ -236,11 +238,13 @@ class TestIngest:
             ingest(path, {"a": "sqrt"})
 
     def test_log_error_carries_column_label(self, tmp_path):
-        path = write(tmp_path, "a,b\n1,2\n-3,4\n5,6\n")
+        path = write(tmp_path, "b,a\n1,2\n4,-3\n5,6\n")
         with pytest.raises(DataError) as exc:
             ingest(path, {"a": "log"})
-        assert exc.value.column == "a"
-        assert exc.value.row == 1
+        assert exc.value.row == 3
+        assert exc.value.column == 2
+        assert "'a'" in str(exc.value)
+        assert "-3.0 at row 3, column 2" in str(exc.value)
 
 
 class TestPanelCsvRoundTrip:

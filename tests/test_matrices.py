@@ -9,9 +9,7 @@ from covclust.matrices import (
     min_eigenvalue,
     operator_norm,
     sym_from_csv,
-    sym_from_json_obj,
     sym_to_csv,
-    sym_to_json_obj,
     uniformity_diagnostics,
 )
 from oracles import jacobi_eigenvalues
@@ -208,13 +206,6 @@ class TestSerialization:
         path = tmp_path / "m.csv"
         sym_to_csv(m, path)
         back = sym_from_csv(path)
-        assert back.labels == m.labels
-        np.testing.assert_array_equal(back.entries, m.entries)
-
-    def test_json_round_trip_is_lossless(self):
-        rng = np.random.default_rng(43)
-        m = random_sym(rng, 4)
-        back = sym_from_json_obj(sym_to_json_obj(m))
         assert back.labels == m.labels
         np.testing.assert_array_equal(back.entries, m.entries)
 

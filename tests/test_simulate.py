@@ -17,7 +17,6 @@ from covclust.simulate import (
     gen_panel,
     make_sparse_cov,
     rate_experiment,
-    rate_report_to_csv,
     rate_report_to_json_obj,
 )
 
@@ -227,14 +226,9 @@ class TestRateExperiment:
         b = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=7)
         assert a.rows == b.rows
 
-    def test_csv_and_json_outputs(self, tmp_path):
+    def test_json_output(self):
         model = make_sparse_cov(5, Structure.diagonal(), seed=34)
         report = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=8)
-        path = tmp_path / "rates.csv"
-        rate_report_to_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,m_or_radius,rep,op_error,frob_error"
-        assert len(lines) == 3
         obj = rate_report_to_json_obj(report)
         assert set(obj) == {"j", "q", "c0", "medians", "theory"}
         assert obj["medians"]["60"]["op_error"] == report.medians[60][0]
