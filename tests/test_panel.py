@@ -289,9 +289,20 @@ class TestRowOrderGram:
         "t, j",
         [(2, 1), (3, 1), (700, 1), (1677, 1), (120, 2), (333, 3), (91, 7), (1200, 16), (40, 130)],
     )
-    def test_matches_row_by_row_sum_bitwise(self, layout, t, j):
+    def test_matches_row_by_row_sum_bitwise_in_each_layout(self, layout, t, j):
         rng = np.random.default_rng(t + 7 * j + 5)
         z = rng.normal(size=(t, j)) * 10.0 ** rng.uniform(-4, 4, size=j)
         z -= z.mean(axis=0)
         got = panel_mod._pairwise_gram(laid_out(z, layout), 1.0)
         np.testing.assert_array_equal(got, row_by_row_gram(z))
+
+    # The scale multiplies the finished row-order sum once, not each term:
+    # 2**16 scales exactly, 200 rounds, and either way the bits must match.
+    @pytest.mark.parametrize("scale", [1 << 16, 200])
+    @pytest.mark.parametrize("t, j", [(2, 1), (700, 1), (120, 2), (333, 3), (91, 7), (1200, 16), (40, 130)])
+    def test_matches_row_by_row_sum_bitwise(self, scale, t, j):
+        rng = np.random.default_rng(t + 7 * j + 5)
+        z = rng.normal(size=(t, j)) * 10.0 ** rng.uniform(-4, 4, size=j)
+        z -= z.mean(axis=0)
+        got = panel_mod._pairwise_gram(z, float(scale))
+        np.testing.assert_array_equal(got, row_by_row_gram(z) * float(scale))
