@@ -42,6 +42,7 @@ from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
 from .ingest import ingest, write_panel_csv
 from .matrices import sym_to_csv
+from .panel import sample_covariance, spearman_matrix
 from .pipeline import (
     build_model_spec,
     cluster_backward,
@@ -111,8 +112,8 @@ _OPTIONS = (
             choices=("covariance", "spearman")),
     _Option("tolerance", ("run",), "fit convergence tolerance", float, FitConfig.tolerance),
     _Option("max_iter", ("run",), "fit iteration cap", int, FitConfig.max_iter),
-    _Option("t1", _ON_PANEL, "first-segment length (default 2T//9)", int),
-    _Option("t2", _ON_PANEL, "second-segment length (default 2*t1)", int),
+    _Option("t1", _ON_PANEL, "first-segment length (default max(2, 2T//9))", int),
+    _Option("t2", _ON_PANEL, "second-segment length (default min(2*t1, T - t1))", int),
     _Option("n_splits", _ON_PANEL, "number of CV splits", int, CvTemplate.n_splits),
     _Option("grid_size", _ON_PANEL, "threshold grid size", int, CvTemplate.grid_size),
     _Option("j", _SIM, "number of series", int, 20),
@@ -235,7 +236,7 @@ def _cv_template(opts: dict) -> CvTemplate:
 def _screen_and_group(opts: dict, transforms: dict, outdir: Path):
     """Ingest, screen and group as ``run`` and ``cluster`` share; write their reports."""
     panel = ingest(opts["input"], transforms)
-    scr = screen(panel, opts["response"], _cv_template(opts).for_panel(panel, "spearman"))
+    scr = screen(panel, opts["response"], _cv_template(opts))
     clu = cluster_backward(scr) if opts["mode"] == "backward" else cluster_forward(scr)
     _write_json(outdir / "screen.json", screen_to_json_obj(scr, panel.labels))
     _write_json(outdir / "clusters.json", clusters_to_json_obj(clu, panel.labels))
@@ -299,7 +300,8 @@ def _cmd_simulate(opts: dict, outdir: Path) -> str:
 def _cmd_threshold(opts: dict, outdir: Path) -> str:
     panel = ingest(opts["input"], _parse_transforms(opts["transforms"]))
     matrix_kind = opts["matrix_kind"]
-    res = select_threshold(panel, _cv_template(opts).for_panel(panel, matrix_kind), matrix_kind)
+    estimate = sample_covariance(panel) if matrix_kind == "covariance" else spearman_matrix(panel)
+    res = select_threshold(panel, _cv_template(opts).for_panel(panel, estimate), matrix_kind)
     _write_json(outdir / "cv.json", cv_result_to_json_obj(res))
     return f"selected threshold {res.selected!r} -> {outdir}/cv.json"
 

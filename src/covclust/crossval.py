@@ -33,6 +33,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateColumnError
+from .matrices import SymMatrix
 from .panel import TimeSeriesPanel, _covariance, _spearman
 
 __all__ = [
@@ -94,13 +95,11 @@ class CvConfig:
         object.__setattr__(self, "grid", grid)
 
 
-def default_grid(
-    panel: TimeSeriesPanel, matrix_kind: str = "covariance", size: int = 50
-) -> tuple[float, ...]:
-    """Equally spaced thresholds from 0 to the largest full-sample off-diagonal magnitude."""
+def default_grid(estimate: SymMatrix, size: int = 50) -> tuple[float, ...]:
+    """Equally spaced thresholds from 0 to the largest off-diagonal magnitude of ``estimate``."""
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
-    est = _estimate(panel.values, panel.labels, matrix_kind)
+    est = estimate.entries
     off = np.abs(est - np.diag(np.diag(est)))
     top = float(off.max())
     if top == 0.0 or size == 1:
@@ -110,7 +109,7 @@ def default_grid(
 
 @dataclass(frozen=True)
 class CvTemplate:
-    """Recipe that turns a panel into a concrete :class:`CvConfig`.
+    """Recipe that turns a panel and its full-sample estimate into a :class:`CvConfig`.
 
     Each drawn segment covers about two thirds of the panel; its first third
     feeds the thresholded estimate and the remaining two thirds the
@@ -127,14 +126,14 @@ class CvTemplate:
     t1: int | None = None
     t2: int | None = None
 
-    def for_panel(self, panel: TimeSeriesPanel, matrix_kind: str = "covariance") -> CvConfig:
+    def for_panel(self, panel: TimeSeriesPanel, estimate: SymMatrix) -> CvConfig:
         t = panel.n_periods
         t1 = self.t1 if self.t1 is not None else max(2, 2 * t // 9)
         t2 = self.t2 if self.t2 is not None else min(2 * t1, t - t1)
         return CvConfig(
             t1=t1,
             t2=t2,
-            grid=default_grid(panel, matrix_kind, self.grid_size),
+            grid=default_grid(estimate, self.grid_size),
             n_splits=self.n_splits,
             seed=self.seed,
         )

@@ -25,9 +25,6 @@ __all__ = [
     "read_panel_csv",
 ]
 
-#: recognized transform codes and the rows each one consumes
-TRANSFORM_CODES = ("level", "log", "diff1", "diff2", "log_diff1", "log_diff2")
-
 _LAGS = {
     "level": 0,
     "log": 0,
@@ -36,6 +33,9 @@ _LAGS = {
     "log_diff1": 1,
     "log_diff2": 2,
 }
+
+#: recognized transform codes, in the order error messages list them
+TRANSFORM_CODES = tuple(_LAGS)
 
 
 def transform_lag(code: str) -> int:

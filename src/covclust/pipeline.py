@@ -113,24 +113,25 @@ class ModelSpec:
 def screen(
     panel: TimeSeriesPanel,
     response_label: str,
-    cv_cfg: CvConfig | None = None,
+    cv_cfg: CvConfig | CvTemplate = CvTemplate(),
 ) -> ScreenResult:
     """Threshold the panel's rank-correlation matrix and keep the response's neighbors.
 
-    The threshold is selected by cross-validation on the full matrix (the
-    response takes part like any other column).  Keeping no variable is an
-    error carrying the selected threshold and the largest response
-    correlation seen, so callers can tell "nothing is related" from
-    "threshold too aggressive".
+    The full matrix is estimated once (the response is a column like any
+    other); a :class:`CvTemplate` spans its grid over it, a :class:`CvConfig`
+    is used as given, and the cross-validated threshold cuts that matrix.
+    Keeping no variable is an error carrying the selected threshold and the
+    largest response correlation seen, so callers can tell "nothing is
+    related" from "threshold too aggressive".
     """
     if response_label not in panel.labels:
         raise KeyError(f"unknown response label {response_label!r}")
     r_idx = panel.labels.index(response_label)
     if panel.n_series < 2:
         raise ValueError("screening needs at least one predictor besides the response")
-    cfg = cv_cfg if cv_cfg is not None else CvTemplate().for_panel(panel, "spearman")
-    cv = select_threshold(panel, cfg, "spearman")
     corr = spearman_matrix(panel)
+    cfg = cv_cfg.for_panel(panel, corr) if isinstance(cv_cfg, CvTemplate) else cv_cfg
+    cv = select_threshold(panel, cfg, "spearman")
     reg = hard_threshold(corr, cv.selected)
     resp_reg = reg.entries[:, r_idx]
     kept = [k for k in range(panel.n_series) if k != r_idx and resp_reg[k] != 0.0]

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .crossval import CvTemplate, select_threshold
+from .crossval import _SEED_MASK, CvTemplate, select_threshold
 from .errors import InfeasibleDependenceError, NotApplicableError
 from .matrices import (
     SymMatrix,
@@ -40,8 +40,6 @@ __all__ = [
     "rate_experiment",
     "rate_report_to_json_obj",
 ]
-
-_SEED_MASK = (1 << 63) - 1
 
 #: smallest eigenvalue every generated covariance is pushed up to
 _MIN_EIG_TARGET = 0.1
@@ -395,17 +393,16 @@ def rate_experiment(
                 np.random.default_rng([seed & _SEED_MASK, ti, rep]).integers(_SEED_MASK)
             )
             panel = gen_panel(model, dep, t, seed=panel_seed)
-            cfg = replace(cv_template, seed=panel_seed).for_panel(panel, "covariance")
+            cov = sample_covariance(panel)
+            cfg = replace(cv_template, seed=panel_seed).for_panel(panel, cov)
             s_hat = select_threshold(panel, cfg, "covariance").selected
-            est = hard_threshold(sample_covariance(panel), s_hat)
+            est = hard_threshold(cov, s_hat)
             diff = SymMatrix(est.entries - model.sigma.entries, est.labels)
             op = operator_norm(diff)
             frob = frobenius_norm(diff) / np.sqrt(j)
             rows.append((t, dep_level, rep, op, frob))
             op_errors.append((op, frob))
-        ops = sorted(e[0] for e in op_errors)
-        frobs = sorted(e[1] for e in op_errors)
-        medians[t] = (float(np.median(ops)), float(np.median(frobs)))
+        medians[t] = tuple(float(np.median(errors)) for errors in zip(*op_errors))
         if dep.kind == "var1":
             cover = 1
         else:

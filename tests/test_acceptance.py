@@ -184,7 +184,7 @@ def test_c4_cv_threshold_near_best_grid_point():
         cfg = CvConfig(
             t1=240,
             t2=48,
-            grid=default_grid(panel, "covariance", 50),
+            grid=default_grid(sample_covariance(panel), 50),
             n_splits=30,
             seed=seed,
         )
@@ -257,7 +257,7 @@ def test_c6_screening_recovers_known_support():
             np.column_stack([cols[i] for i in order]),
             tuple(labels[i] for i in order),
         )
-        scr = screen(panel, "y", CvTemplate(seed=seed).for_panel(panel, "spearman"))
+        scr = screen(panel, "y", CvTemplate(seed=seed))
         if {panel.labels[k] for k in scr.kept} == {"s1", "s2"}:
             hits += 1
     elapsed = time.perf_counter() - start

@@ -258,25 +258,35 @@ class TestNumericFailure:
 
 
 class TestBlasThreadCount:
+    # threshold's covariance estimate is made in the CLI, run's and cluster's
+    # Spearman estimate in screen; each job lists every report it writes
+    JOBS = (
+        (("run",), ("clusters.json", "clusters.txt", "fit.json", "links.csv",
+                    "report.json", "screen.json")),
+        (("cluster",), ("clusters.json", "clusters.txt", "screen.json")),
+        (("threshold", "--matrix-kind", "covariance"), ("cv.json",)),
+    )
+
     def test_reports_identical_with_one_and_two_threads(self, tmp_path):
         src = str(Path(covclust.__file__).resolve().parent.parent)
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "covclust", "run", "--config", str(RUN_CONFIG),
-                 "--input", str(PANEL_CSV), "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir() if p.name != "meta.json")
-        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "meta.json")
-        assert len(names) == 6
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for command, reports in self.JOBS:
+            outs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                out = tmp_path / f"{command[0]}-threads{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "covclust", *command, "--config", str(RUN_CONFIG),
+                     "--input", str(PANEL_CSV), "--out", str(out)],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                    timeout=300,
+                )
+                assert proc.returncode == 0, proc.stdout + proc.stderr
+                outs.append(out)
+            for out in outs:
+                names = sorted(p.name for p in out.iterdir() if p.name != "meta.json")
+                assert names == sorted(reports), command
+            for name in reports:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, name)

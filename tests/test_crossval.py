@@ -50,9 +50,9 @@ class TestCvConfig:
 class TestDefaultGrid:
     def test_spans_zero_to_max_off_diagonal(self):
         p = gaussian_panel(1, 100, 5)
-        grid = default_grid(p, "covariance", size=50)
-        est = sample_covariance(p).entries
-        off = np.abs(est - np.diag(np.diag(est)))
+        est = sample_covariance(p)
+        grid = default_grid(est, size=50)
+        off = np.abs(est.entries - np.diag(np.diag(est.entries)))
         assert len(grid) == 50
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(float(off.max()), rel=1e-15)
@@ -60,7 +60,7 @@ class TestDefaultGrid:
 
     def test_degenerate_grid_for_diagonal_estimate(self):
         p = TimeSeriesPanel([[1.0], [2.0], [0.0]], ("a",))
-        assert default_grid(p, "covariance") == (0.0,)
+        assert default_grid(sample_covariance(p)) == (0.0,)
 
 
 class TestDrawSplit:
@@ -169,7 +169,7 @@ class TestSelectThreshold:
 
     def test_selected_is_last_argmin(self):
         p = gaussian_panel(24, 100, 4)
-        cfg = CvTemplate(n_splits=12, grid_size=20, seed=1).for_panel(p)
+        cfg = CvTemplate(n_splits=12, grid_size=20, seed=1).for_panel(p, sample_covariance(p))
         res = select_threshold(p, cfg)
         losses = np.array(res.losses)
         assert res.selected == res.grid[np.flatnonzero(losses == losses.min())[-1]]
@@ -214,7 +214,7 @@ class TestSelectThreshold:
 
     def test_spearman_kind_runs(self):
         p = gaussian_panel(25, 90, 4)
-        cfg = CvTemplate(n_splits=5, grid_size=10, seed=2).for_panel(p, "spearman")
+        cfg = CvTemplate(n_splits=5, grid_size=10, seed=2).for_panel(p, spearman_matrix(p))
         res = select_threshold(p, cfg, "spearman")
         assert 0.0 <= res.selected <= res.grid[-1]
 
@@ -243,7 +243,7 @@ class TestIdentityCovarianceSelection:
 class TestCvTemplate:
     def test_segment_is_a_third_and_two_thirds(self):
         p = gaussian_panel(31, 540, 4)
-        cfg = CvTemplate(n_splits=7, grid_size=11, seed=8).for_panel(p)
+        cfg = CvTemplate(n_splits=7, grid_size=11, seed=8).for_panel(p, sample_covariance(p))
         assert cfg.t1 == 120
         assert cfg.t2 == 240
         assert cfg.n_splits == 7
@@ -251,12 +251,12 @@ class TestCvTemplate:
 
     def test_segment_leaves_room_for_offsets(self):
         p = gaussian_panel(33, 300, 4)
-        cfg = CvTemplate().for_panel(p)
+        cfg = CvTemplate().for_panel(p, sample_covariance(p))
         assert cfg.t1 + cfg.t2 < 300  # several admissible offsets exist
 
     def test_short_panel_still_valid(self):
         p = gaussian_panel(32, 8, 3)
-        cfg = CvTemplate().for_panel(p)
+        cfg = CvTemplate().for_panel(p, sample_covariance(p))
         assert cfg.t1 >= 2 and cfg.t2 >= 2
         assert cfg.t1 + cfg.t2 <= 8
 
@@ -264,7 +264,7 @@ class TestCvTemplate:
 class TestJson:
     def test_round_trip_keys_and_values(self):
         p = gaussian_panel(41, 90, 3)
-        cfg = CvTemplate(n_splits=4, grid_size=6, seed=7).for_panel(p)
+        cfg = CvTemplate(n_splits=4, grid_size=6, seed=7).for_panel(p, sample_covariance(p))
         res = select_threshold(p, cfg)
         obj = cv_result_to_json_obj(res)
         assert set(obj) == {"grid", "losses", "selected", "seed", "t1", "t2", "n_splits"}

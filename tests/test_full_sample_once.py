@@ -1,0 +1,74 @@
+"""Each job estimates the full-sample matrix once: the CV grid and the
+screen (or the error measurement) share it."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import covclust.panel
+from covclust.cli import main
+from covclust.ingest import ingest
+from covclust.panel import TimeSeriesPanel
+from covclust.pipeline import screen
+from covclust.simulate import DependenceSpec, Structure, make_sparse_cov, rate_experiment
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PANEL_CSV = FIXTURES / "fixture_panel.csv"
+RUN_CONFIG = FIXTURES / "run_config.txt"
+
+
+@pytest.fixture
+def estimated_rows(monkeypatch):
+    """Row counts of every block handed to the array estimators.
+
+    The kernels are replaced wherever a covclust module binds them, so calls
+    through the public estimators and through cross-validation both count.
+    """
+    rows = []
+    for name in ("_covariance", "_spearman"):
+        original = getattr(covclust.panel, name)
+
+        def spy(values, *args, _original=original):
+            rows.append(values.shape[0])
+            return _original(values, *args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("covclust") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run",),
+        ("cluster",),
+        ("threshold", "--matrix-kind", "covariance"),
+        ("threshold", "--matrix-kind", "spearman"),
+    ],
+)
+def test_one_full_sample_estimate_per_cli_job(command, estimated_rows, tmp_path, capsys):
+    t = ingest(PANEL_CSV, {"y": "level"}).n_periods
+    argv = [*command, "--config", RUN_CONFIG, "--input", PANEL_CSV,
+            "--n-splits", 3, "--out", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    assert estimated_rows.count(t) == 1
+    assert len(estimated_rows) == 1 + 2 * 3
+
+
+def test_one_full_sample_estimate_per_rate_repetition(estimated_rows):
+    model = make_sparse_cov(6, Structure.banded(1, 0.4), seed=3)
+    rate_experiment(model, DependenceSpec.iid(), [60, 90], n_reps=2, seed=4)
+    assert estimated_rows.count(60) == 2
+    assert estimated_rows.count(90) == 2
+
+
+def test_unknown_response_fails_before_any_estimate(estimated_rows):
+    rng = np.random.default_rng(11)
+    panel = TimeSeriesPanel(rng.normal(size=(50, 3)), ("a", "b", "c"))
+    with pytest.raises(KeyError):
+        screen(panel, "nope")
+    assert estimated_rows == []
