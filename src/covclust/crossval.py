@@ -95,7 +95,7 @@ class CvConfig:
         object.__setattr__(self, "grid", grid)
 
 
-def default_grid(estimate: SymMatrix, size: int = 50) -> tuple[float, ...]:
+def default_grid(estimate: SymMatrix, size: int) -> tuple[float, ...]:
     """Equally spaced thresholds from 0 to the largest off-diagonal magnitude of ``estimate``."""
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")

@@ -74,23 +74,22 @@ class DegenerateResponseError(CovclustError):
     slug = "degenerate-response"
 
 
-class DataError(CovclustError):
+class _FileLocatedError(CovclustError):
+    """A failure that carries its ``row`` and ``column`` location, where known."""
+
+    def __init__(self, message, row=None, column=None):
+        self.row = row
+        self.column = column
+        super().__init__(message)
+
+
+class DataError(_FileLocatedError):
     """A cell value is unusable for the requested transform or computation."""
 
     slug = "data-error"
 
-    def __init__(self, message, row=None, column=None):
-        self.row = row
-        self.column = column
-        super().__init__(message)
 
-
-class ParseError(CovclustError):
+class ParseError(_FileLocatedError):
     """The input file could not be parsed into a numeric panel."""
 
     slug = "parse-error"
-
-    def __init__(self, message, row=None, column=None):
-        self.row = row
-        self.column = column
-        super().__init__(message)

@@ -66,39 +66,30 @@ _ACTIVE_SET_STEPS_PER_COEF = 3
 # ... plus this many
 _ACTIVE_SET_EXTRA_STEPS = 10
 
+# points on which each link is tabulated
+_LINK_GRID_SIZE = 100
+# the pooled step's ridge fallback adds this times trace(G) to the diagonal
+_RIDGE_SCALE = 1e-8
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimator knobs.
+    """Convergence controls of the coefficient iteration.
 
-    ``bandwidth_rule`` is ``"rule_of_thumb"`` (1.06 times the index standard
-    deviation times ``T**(-1/(4+S))``, recomputed every iteration) or
-    ``"fixed"`` with one positive bandwidth per group in
-    ``fixed_bandwidths``.
+    The iteration stops once the largest coefficient change falls below
+    ``tolerance``, or after ``max_iter`` iterations.  Bandwidths follow the
+    rule of thumb (1.06 times the index standard deviation times
+    ``T**(-1/(4+S))``, recomputed every iteration).
     """
 
-    bandwidth_rule: str = "rule_of_thumb"
-    fixed_bandwidths: tuple[float, ...] | None = None
     tolerance: float = 1e-6
     max_iter: int = 200
-    link_grid_size: int = 100
-    ridge_scale: float = 1e-8
 
     def __post_init__(self):
-        if self.bandwidth_rule not in ("rule_of_thumb", "fixed"):
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed":
-            if not self.fixed_bandwidths or any(h <= 0 for h in self.fixed_bandwidths):
-                raise ValueError("fixed bandwidths must be positive, one per group")
-            object.__setattr__(
-                self, "fixed_bandwidths", tuple(float(h) for h in self.fixed_bandwidths)
-            )
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.link_grid_size < 2:
-            raise ValueError(f"link_grid_size must be >= 2, got {self.link_grid_size}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +120,9 @@ class GroupwiseFit:
 
     ``beta`` holds one unit-norm coefficient vector per group (singleton
     groups carry exactly 1.0); ``links`` one ``(grid, values)`` tabulation
-    per group on ``link_grid_size`` points spanning that group's observed
-    index range.  ``lam`` is the final signed multiplier diagonal (multiplier
-    times constraint sign).  ``final_g``/``final_c`` are the last pooled
+    per group on 100 points spanning that group's observed index range.
+    ``lam`` is the final signed multiplier diagonal (multiplier times
+    constraint sign).  ``final_g``/``final_c`` are the last pooled
     normal-equation pieces, kept so the constrained step can be audited.
     ``backfit_converged`` is false when the link backfit stopped at its sweep
     cap; ``constraint_solver_capped`` is true when any sign-constrained step
@@ -324,14 +315,9 @@ def _sign_constrained_solve(
     return beta, lam, zeta, used_ridge, True
 
 
-def _bandwidths(v: np.ndarray, cfg: FitConfig, n_groups: int) -> np.ndarray:
+def _bandwidths(v: np.ndarray) -> np.ndarray:
+    """Rule-of-thumb bandwidth of each index column of ``v``; 1 where it is degenerate."""
     t, s = v.shape
-    if cfg.bandwidth_rule == "fixed":
-        if len(cfg.fixed_bandwidths) != n_groups:
-            raise ValueError(
-                f"{len(cfg.fixed_bandwidths)} fixed bandwidths for {n_groups} groups"
-            )
-        return np.array(cfg.fixed_bandwidths, dtype=float)
     sd = v.std(axis=0, ddof=1)
     h = 1.06 * sd * t ** (-1.0 / (4.0 + s))
     h[~np.isfinite(h) | (h <= 0.0)] = 1.0
@@ -469,13 +455,12 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     prev_objective = None
     ridge_flagged = False
     solver_capped = False
-    h = np.ones(n_groups)
     g_mat = np.zeros((k_total, k_total))
     c_vec = np.zeros(k_total)
 
     for it in range(cfg.max_iter):
         v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
-        h = _bandwidths(v, cfg, n_groups)
+        h = _bandwidths(v)
         w = _kernel_matrix(v, h)
         level, slope = _local_linear_surface(v, y, w)
         g_mat, c_vec, e0, weight_sum = _pooled_normal_equations(
@@ -483,7 +468,7 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         )
         del w  # free it before the next iteration's kernel is built
 
-        ridge = cfg.ridge_scale * float(np.trace(g_mat))
+        ridge = _RIDGE_SCALE * float(np.trace(g_mat))
         beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
             g_mat, c_vec, d, mask, ridge
         )
@@ -519,8 +504,8 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
 
     final_lam = trace[-1].lam if trace else np.zeros(k_total)
     v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
-    h = _bandwidths(v, cfg, n_groups)
-    links, backfit_converged = _backfit_links(v, y, h, cfg.link_grid_size)
+    h = _bandwidths(v)
+    links, backfit_converged = _backfit_links(v, y, h, _LINK_GRID_SIZE)
 
     betas = tuple(beta_cat[slices[s]].copy() for s in range(n_groups))
     provisional = GroupwiseFit(

@@ -71,12 +71,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-
     def submatrix(self, indices) -> "SymMatrix":
         """Restriction to ``indices`` (order preserved), labels carried along."""
         idx = list(indices)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossval import CvConfig, CvResult, CvTemplate, cv_result_to_json_obj, select_threshold
+from .crossval import CvResult, CvTemplate, cv_result_to_json_obj, select_threshold
 from .errors import EmptyScreenError, InternalConsistencyError
 from .matrices import SymMatrix, hard_threshold
 from .panel import TimeSeriesPanel, spearman_matrix
@@ -113,13 +113,13 @@ class ModelSpec:
 def screen(
     panel: TimeSeriesPanel,
     response_label: str,
-    cv_cfg: CvConfig | CvTemplate = CvTemplate(),
+    template: CvTemplate = CvTemplate(),
 ) -> ScreenResult:
     """Threshold the panel's rank-correlation matrix and keep the response's neighbors.
 
     The full matrix is estimated once (the response is a column like any
-    other); a :class:`CvTemplate` spans its grid over it, a :class:`CvConfig`
-    is used as given, and the cross-validated threshold cuts that matrix.
+    other), ``template`` spans its grid over it, and the cross-validated
+    threshold cuts that matrix.
     Keeping no variable is an error carrying the selected threshold and the
     largest response correlation seen, so callers can tell "nothing is
     related" from "threshold too aggressive".
@@ -130,8 +130,7 @@ def screen(
     if panel.n_series < 2:
         raise ValueError("screening needs at least one predictor besides the response")
     corr = spearman_matrix(panel)
-    cfg = cv_cfg.for_panel(panel, corr) if isinstance(cv_cfg, CvTemplate) else cv_cfg
-    cv = select_threshold(panel, cfg, "spearman")
+    cv = select_threshold(panel, template.for_panel(panel, corr), "spearman")
     reg = hard_threshold(corr, cv.selected)
     resp_reg = reg.entries[:, r_idx]
     kept = [k for k in range(panel.n_series) if k != r_idx and resp_reg[k] != 0.0]
@@ -195,8 +194,6 @@ def _greedy_sets(reg: SymMatrix, k: int, overlapping: bool):
         raise InternalConsistencyError(
             "regularized matrix has a zero diagonal entry among kept variables"
         )
-    link_counts = {p: None for p in range(k)}
-
     def admit_test(count, size, cand_links):
         # S(A u {x}) >= S(A)  <=>  (count + 1 + 2*links) * size^2 >= count * (size + 1)^2
         # evaluated in exact integer arithmetic.

@@ -229,16 +229,16 @@ def _gen_moving_average(
     return (w * acc) @ chol.T
 
 
-def _gen_var1(
-    sigma: np.ndarray, coeff: np.ndarray, t: int, rng: np.random.Generator
-) -> np.ndarray:
-    j = sigma.shape[0]
+def _innovation_factor(sigma: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the VAR(1) innovation covariance ``sigma - A sigma A'``.
+
+    Stationarity at the requested covariance pins the innovation covariance;
+    the pair is infeasible when that matrix is not positive definite.
+    """
     if coeff.shape != sigma.shape:
         raise ValueError(
             f"var1 coefficient shape {coeff.shape} != covariance shape {sigma.shape}"
         )
-    # Stationarity at the requested covariance pins the innovation
-    # covariance to sigma - A sigma A'; reject the pair when that is not PD.
     noise_cov = sigma - coeff @ sigma @ coeff.T
     noise_cov = (noise_cov + noise_cov.T) / 2.0
     lmin = float(np.linalg.eigvalsh(noise_cov)[0])
@@ -247,7 +247,14 @@ def _gen_var1(
             "var1 coefficient is incompatible with the target covariance: "
             f"implied innovation covariance has min eigenvalue {lmin:.3g}"
         )
-    chol = np.linalg.cholesky(noise_cov)
+    return np.linalg.cholesky(noise_cov)
+
+
+def _gen_var1(
+    sigma: np.ndarray, coeff: np.ndarray, t: int, rng: np.random.Generator
+) -> np.ndarray:
+    j = sigma.shape[0]
+    chol = _innovation_factor(sigma, coeff)
     eta = rng.standard_normal((_BURN_IN + t, j)) @ chol.T
     x = np.zeros(j)
     out = np.empty((t, j))
@@ -294,7 +301,7 @@ def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> Dependen
         top = float(np.max(np.abs(np.linalg.eigvals(raw))))
         dep = DependenceSpec.var1(raw * (radius / top))
         try:
-            gen_panel(model, dep, 2, seed=0)
+            _innovation_factor(model.sigma.entries, dep.coeff)
             return dep
         except InfeasibleDependenceError as exc:
             last_exc = exc

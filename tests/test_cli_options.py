@@ -1,7 +1,8 @@
-"""The command line's option table: echoed arguments, precedence, config-file
-checks, required options, the numeric-failure slug, and byte-identical reports at
-any BLAS thread count."""
+"""The command line's option table: the config fields it covers, echoed
+arguments, precedence, config-file checks, required options, the
+numeric-failure slug, and byte-identical reports at any BLAS thread count."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 import covclust
 import covclust.cli
 from covclust.cli import main, parse_config_file
+from covclust.crossval import CvTemplate
 from covclust.errors import ParseError
+from covclust.groupfit import FitConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PANEL_CSV = FIXTURES / "fixture_panel.csv"
@@ -120,6 +123,22 @@ class TestMetaEchoesResolvedOptions:
             "seed": 8,
             "out": str(out),
         }
+
+
+class TestOptionTableCoversConfigs:
+    @pytest.mark.parametrize(
+        "config, commands",
+        [(FitConfig, ("run",)), (CvTemplate, ("run", "threshold", "cluster"))],
+        ids=["FitConfig", "CvTemplate"],
+    )
+    def test_every_field_is_an_option(self, config, commands):
+        # a field with no row of the option table is one no command can set
+        rows = {opt.name: opt for opt in covclust.cli._OPTIONS}
+        for field in dataclasses.fields(config):
+            assert field.name in rows, f"{config.__name__}.{field.name} has no option"
+            opt = rows[field.name]
+            assert set(commands) <= set(opt.commands), field.name
+            assert opt.default == field.default, field.name
 
 
 class TestPrecedence:

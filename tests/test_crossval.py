@@ -60,7 +60,7 @@ class TestDefaultGrid:
 
     def test_degenerate_grid_for_diagonal_estimate(self):
         p = TimeSeriesPanel([[1.0], [2.0], [0.0]], ("a",))
-        assert default_grid(sample_covariance(p)) == (0.0,)
+        assert default_grid(sample_covariance(p), 50) == (0.0,)
 
 
 class TestDrawSplit:

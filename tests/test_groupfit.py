@@ -76,23 +76,11 @@ class TestKernelWeight:
 
 
 class TestFitConfig:
-    def test_fixed_rule_needs_bandwidths(self):
-        with pytest.raises(ValueError):
-            FitConfig(bandwidth_rule="fixed")
-        with pytest.raises(ValueError):
-            FitConfig(bandwidth_rule="fixed", fixed_bandwidths=(0.5, -1.0))
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            FitConfig(bandwidth_rule="plugin")
-
     def test_validation_of_numeric_knobs(self):
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            FitConfig(link_grid_size=1)
 
 
 @pytest.fixture(scope="module")
@@ -357,17 +345,6 @@ class TestDegenerateCases:
         with pytest.raises(ValueError, match="out of range"):
             fit(panel, spec)
 
-    def test_fixed_bandwidths_must_match_groups(self):
-        panel, spec, _ = linear_fixture()
-        cfg = FitConfig(bandwidth_rule="fixed", fixed_bandwidths=(0.5, 0.5))
-        with pytest.raises(ValueError, match="bandwidths"):
-            fit(panel, spec, cfg)
-
-    def test_fixed_bandwidth_fit_runs(self):
-        panel, spec, direction = linear_fixture()
-        res = fit(panel, spec, FitConfig(bandwidth_rule="fixed", fixed_bandwidths=(0.8,)))
-        assert angle_deg(res.beta[0], direction) < 1.0
-
 
 class TestExplainedVariation:
     def test_perfect_fit_is_one(self):
@@ -398,10 +375,10 @@ class TestSerialization:
 
     def test_links_csv(self, tmp_path):
         panel, spec, _ = linear_fixture()
-        res = fit(panel, spec, FitConfig(link_grid_size=25))
+        res = fit(panel, spec)
         path = tmp_path / "links.csv"
         links_to_csv(res, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "group,v,g_hat"
-        assert len(lines) == 1 + 25
+        assert len(lines) == 1 + 100
         assert lines[1].startswith("1,")

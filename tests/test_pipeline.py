@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from covclust.crossval import CvConfig
+from covclust.crossval import CvTemplate, select_threshold
 from covclust.errors import EmptyScreenError, InternalConsistencyError
 from covclust.matrices import SymMatrix
-from covclust.panel import TimeSeriesPanel
+from covclust.panel import TimeSeriesPanel, spearman_matrix
 from covclust.pipeline import (
     ModelSpec,
     ScreenResult,
@@ -103,13 +103,16 @@ class TestScreen:
         assert res.response_signs[k] == -1
 
     def test_empty_screen_reports_threshold_and_best_corr(self):
-        rng = np.random.default_rng(10)
+        rng = np.random.default_rng(12)
         panel = TimeSeriesPanel(rng.normal(size=(300, 5)), tuple("abcde"))
-        cfg = CvConfig(t1=100, t2=200, grid=(0.99,), n_splits=4, seed=0)
+        template = CvTemplate(n_splits=20)
         with pytest.raises(EmptyScreenError) as exc:
-            screen(panel, "a", cv_cfg=cfg)
-        assert exc.value.threshold == 0.99
-        assert 0.0 <= exc.value.max_abs_corr < 0.99
+            screen(panel, "a", template)
+        corr = spearman_matrix(panel)
+        cv = select_threshold(panel, template.for_panel(panel, corr), "spearman")
+        assert exc.value.threshold == cv.selected
+        assert exc.value.max_abs_corr == float(np.max(np.abs(corr.entries[1:, 0])))
+        assert exc.value.max_abs_corr < exc.value.threshold
 
     def test_unknown_response_label(self):
         rng = np.random.default_rng(11)

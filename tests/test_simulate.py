@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covclust import simulate
 from covclust.errors import InfeasibleDependenceError, NotApplicableError
 from covclust.matrices import (
     SymMatrix,
@@ -16,6 +17,7 @@ from covclust.simulate import (
     fractional_cover_size,
     gen_panel,
     make_sparse_cov,
+    random_var1,
     rate_experiment,
     rate_report_to_json_obj,
 )
@@ -180,6 +182,29 @@ class TestGenPanel:
         model = make_sparse_cov(3, Structure.diagonal(), seed=28)
         panel = gen_panel(model, DependenceSpec.iid(), 10, seed=0)
         assert panel.labels == ("x1", "x2", "x3")
+
+
+class TestRandomVar1:
+    # at this seed the first coefficient draw is infeasible and the second is not
+    MODEL = make_sparse_cov(6, Structure.random_sparse(0.3), seed=1)
+
+    def test_feasibility_check_builds_no_panel(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(simulate, "gen_panel", lambda *a, **k: built.append("gen_panel"))
+        monkeypatch.setattr(simulate, "_gen_var1", lambda *a, **k: built.append("_gen_var1"))
+        dep = random_var1(self.MODEL, 0.5, seed=1)
+        assert built == []
+        assert dep.spectral_radius() == pytest.approx(0.5)
+
+    def test_redrawn_coefficient_generates_a_panel(self):
+        dep = random_var1(self.MODEL, 0.5, seed=1)
+        panel = gen_panel(self.MODEL, dep, 20, seed=0)
+        assert panel.values.shape == (20, 6)
+
+    def test_no_feasible_draw_is_infeasible(self):
+        model = make_sparse_cov(6, Structure.random_sparse(0.3), seed=3)
+        with pytest.raises(InfeasibleDependenceError):
+            random_var1(model, 0.9, seed=3)
 
 
 class TestFractionalCoverSize:
