@@ -138,8 +138,10 @@ def parse_config_file(path) -> dict:
 
     A key must name an option of some subcommand, so one file can serve
     several subcommands while a misspelled key is an error, not ignored.  A
-    key set twice is an error too, reported at the repeat's line.
+    key set twice, or a value its option's cast or choices refuse, is an
+    error too, reported at that line.
     """
+    options = {opt.name: opt for opt in _OPTIONS}
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -148,13 +150,21 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno} is not 'key = value'", row=lineno)
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if not any(opt.name == key for opt in _OPTIONS):
-                raise ParseError(f"{path}: line {lineno} sets unknown option {key!r}", row=lineno)
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            where = f"{path}: line {lineno} sets"
+            if key not in options:
+                raise ParseError(f"{where} unknown option {key!r}", row=lineno)
             if key in out:
-                raise ParseError(f"{path}: line {lineno} sets {key!r} again", row=lineno)
-            out[key] = value.strip()
+                raise ParseError(f"{where} {key!r} again", row=lineno)
+            opt = options[key]
+            try:
+                opt.cast(value)
+                if opt.choices is not None and value not in opt.choices:
+                    raise ValueError(f"not one of {opt.choices}")
+            except ValueError as exc:
+                raise ParseError(f"{where} {key!r} to {value!r}: {exc}", row=lineno) from None
+            out[key] = value
     return out
 
 
@@ -173,8 +183,6 @@ def _resolve(command: str, args, file_cfg: dict) -> dict:
             raise ValueError(f"{command} requires {opt.flag}")
         if value is None:
             value = opt.default[command] if isinstance(opt.default, dict) else opt.default
-        if opt.choices is not None and value not in opt.choices:
-            raise ValueError(f"{opt.flag} must be one of {opt.choices}, got {value!r}")
         opts[opt.name] = value
     return opts
 
@@ -248,9 +256,9 @@ def _cmd_run(opts: dict, outdir: Path) -> str:
     transforms = _parse_transforms(opts["transforms"])
     if opts["response"] not in transforms:
         raise ValueError(f"the response {opts['response']!r} must appear in the transform map")
+    fit_cfg = FitConfig(tolerance=opts["tolerance"], max_iter=opts["max_iter"])
     panel, scr, clu = _screen_and_group(opts, transforms, outdir)
     spec = build_model_spec(scr, clu)
-    fit_cfg = FitConfig(tolerance=opts["tolerance"], max_iter=opts["max_iter"])
     result = fit(panel, spec, fit_cfg)
     _write_json(outdir / "fit.json", fit_to_json_obj(result, spec, panel.labels))
     links_to_csv(result, outdir / "links.csv")

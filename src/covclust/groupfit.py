@@ -18,14 +18,16 @@ and columns ``X``,
     sum_j w_ij (x_j - x_i)(x_j - x_i)' = M2_i - x_i M1_i' - M1_i x_i' + M0_i x_i x_i'
 
 with ``M0 = W 1``, ``M1 = W X`` and ``M2 = W (X ⊗ X)`` (Fan & Gijbels, *Local
-Polynomial Modelling*, 1996).  The local-linear surface and the pooled normal
-equations therefore need one T×T weight matrix applied to a few T-long
-columns, never a T×T×K displacement tensor, and the fit's memory is O(S·T² +
-T·K²) for S groups and K coefficients.  Columns are centred before their
-moments are formed: the fit is invariant to such shifts, while the moment
-form's rounding error grows with the square of a column's offset.  The same
-moments give the pooled step's weighted sum of squared targets, so each
-iteration's objective is read off the normal equations as
+Polynomial Modelling*, 1996).  The coefficient columns and the response are
+centred once, before the iteration (the fit is invariant to such shifts,
+while the moment form's rounding error grows with the square of a column's
+offset), and each iteration applies its T×T weight matrix to their product
+rows once.  The local-linear surface and the pooled step both read that one
+moment pass: the centred indices are ``X b`` for the K×S block-diagonal
+coefficients ``b``, so their moments are ``M1 b`` and ``b' M2 b``.  No T×T×K
+tensor is built; memory is O(S·T² + T·K²) for S groups and K coefficients.
+The same moments give the pooled step's weighted sum of squared targets, so
+each iteration's objective is read off the normal equations as
 ``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  No sum
 over observations goes to BLAS, whose blocking and summation order depend
 on its thread count: such sums are ``np.einsum`` calls without ``optimize``,
@@ -188,23 +190,15 @@ def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ik", w, rows)
 
 
-def _kernel_moments(w: np.ndarray, cols: np.ndarray):
-    """Kernel moments ``M0 = W 1``, ``M1 = W X`` and ``M2 = W (X ⊗ X)``.
-
-    ``cols`` is T×d.  Returns ``M0`` (T), ``M1`` (T×d) and ``M2`` (T×d×d,
-    exactly symmetric: each product pair is summed once and mirrored).
-    """
+def _moment_rows(cols: np.ndarray) -> np.ndarray:
+    """Rows ``[1, x, x_k x_l for k <= l]`` of the T×d ``cols``, whose kernel sums are moments."""
     t, d = cols.shape
     upper = np.triu_indices(d)
     rows = np.empty((1 + d + len(upper[0]), t))
     rows[0] = 1.0
     rows[1 : d + 1] = cols.T
     rows[d + 1 :] = cols.T[upper[0]] * cols.T[upper[1]]
-    m = _weighted_sums(w, rows)
-    m2 = np.empty((t, d, d))
-    m2[:, upper[0], upper[1]] = m[:, d + 1 :]
-    m2[:, upper[1], upper[0]] = m[:, d + 1 :]
-    return m[:, 0], m[:, 1 : d + 1], m2
+    return rows
 
 
 def _spread_about_anchors(m0, m1, m2, x):
@@ -214,8 +208,8 @@ def _spread_about_anchors(m0, m1, m2, x):
     return m2 - (cross + cross.transpose(0, 2, 1)) + m0[:, None, None] * outer
 
 
-def _initial_direction(xg: np.ndarray, y: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Starting coefficients for one multi-variable group.
+def _initial_direction(xc: np.ndarray, yc: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Starting coefficients for one multi-variable group, from centred columns.
 
     The leading direction of the cross-covariance between the group's
     variables and the response, with each sign-constrained coordinate folded
@@ -224,9 +218,7 @@ def _initial_direction(xg: np.ndarray, y: np.ndarray, signs: np.ndarray) -> np.n
     fall back to the dominant eigenvector of the response-weighted second
     moment of the group, folded the same way.
     """
-    t, k = xg.shape
-    xc = xg - xg.mean(axis=0)
-    yc = y - y.mean()
+    t, k = xc.shape
     v = xc.T @ yc / t
     # ~2-sigma noise yardstick for each cross-covariance entry
     noise = 4.0 * k * float(np.mean(xc * xc)) * float(np.mean(yc * yc)) / t
@@ -324,31 +316,33 @@ def _bandwidths(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _local_linear_surface(v: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Fitted level and per-dimension slope at every observation.
+def _local_linear_surface(m0, m1, m2, vc, b):
+    """Fitted level and per-group slope at every anchor, from the moments of ``[X, y]``.
 
     At each anchor ``i`` this solves the kernel-weighted least-squares fit of
     ``y_j`` on ``(1, v_j - v_i)`` with weights ``w[i, j]``, returning the
-    intercepts (current fitted values) and the slope matrix.
+    intercepts (fitted values, centred like ``y``) and the slope matrix.  The
+    indices ``vc = X b`` take their moments from ``X``'s, projected by ``b``.
     """
-    t, s = v.shape
-    vc = v - v.mean(axis=0)
-    ybar = float(y.mean())
-    m0, m1, m2 = _kernel_moments(w, np.column_stack([vc, y - ybar]))
-    wy = m1[:, s]
+    t, s = vc.shape
+    k = b.shape[0]
+    m1v = np.einsum("ik,ks->is", m1[:, :k], b)
+    m2v = np.einsum("ks,ikl,lt->ist", b, m2[:, :k, :k], b)
+    m2v = (m2v + m2v.transpose(0, 2, 1)) / 2.0
+    wy = m1[:, k]
     a = np.empty((t, s + 1, s + 1))
     a[:, 0, 0] = m0
-    a[:, 0, 1:] = a[:, 1:, 0] = m1[:, :s] - m0[:, None] * vc
-    a[:, 1:, 1:] = _spread_about_anchors(m0, m1[:, :s], m2[:, :s, :s], vc)
-    rhs = np.column_stack([wy, m2[:, :s, s] - vc * wy[:, None]])
+    a[:, 0, 1:] = a[:, 1:, 0] = m1v - m0[:, None] * vc
+    a[:, 1:, 1:] = _spread_about_anchors(m0, m1v, m2v, vc)
+    rhs = np.column_stack([wy, np.einsum("ik,ks->is", m2[:, :k, k], b) - vc * wy[:, None]])
     jitter = 1e-12 * np.einsum("ikk->i", a)
     a = a + jitter[:, None, None] * np.eye(s + 1)[None, :, :]
     coef = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-    return coef[:, 0] + ybar, coef[:, 1:]
+    return coef[:, 0], coef[:, 1:]
 
 
-def _pooled_normal_equations(w, x, slices, slope, y, level):
-    """``G``, ``c``, ``e0`` and ``sum(w)`` of the pooled step, from kernel moments.
+def _pooled_normal_equations(m0, m1, m2, xc, a, level):
+    """``G``, ``c``, ``e0`` and ``sum(w)`` of the pooled step, from the same moments.
 
     The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``, where ``a_ik``
     is anchor ``i``'s slope for the group holding coefficient ``k``, with
@@ -357,20 +351,32 @@ def _pooled_normal_equations(w, x, slices, slope, y, level):
     weighted sum of squared targets ``e0`` follow from the same moments, so
     the pooled criterion at any ``b`` is ``(b'Gb - 2c'b + e0) / sum(w)``.
     """
-    k = x.shape[1]
-    xc = x - x.mean(axis=0)
-    ybar = float(y.mean())
-    lc = level - ybar
-    a = slope[:, np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices])]
-    m0, m1, m2 = _kernel_moments(w, np.column_stack([xc, y - ybar]))
+    k = xc.shape[1]
     spread = _spread_about_anchors(m0, m1[:, :k], m2[:, :k, :k], xc)
     g = np.einsum("ik,il,ikl->kl", a, a, spread)
     g = (g + g.T) / 2.0
     first = m1[:, :k] - m0[:, None] * xc
     wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
-    c = np.einsum("ik,ik->k", a, wxy - lc[:, None] * first)
-    e0 = float(np.sum(m2[:, k, k] - 2.0 * lc * m1[:, k] + lc * lc * m0))
+    c = np.einsum("ik,ik->k", a, wxy - level[:, None] * first)
+    e0 = float(np.sum(m2[:, k, k] - 2.0 * level * m1[:, k] + level * level * m0))
     return g, c, e0, float(np.sum(m0))
+
+
+def _iteration_step(w, rows, xc, vc, b, group_of):
+    """Level, slopes and the pooled ``G``, ``c``, ``e0``, ``sum(w)`` from one kernel matrix.
+
+    One pass of ``w`` over ``rows``, the ``_moment_rows`` of the centred
+    ``[xc, y]``, gives ``M0``, ``M1`` and ``M2`` (each product pair summed
+    once and mirrored, so ``M2`` is exactly symmetric); ``vc = xc b``.
+    """
+    t, d = vc.shape[0], xc.shape[1] + 1
+    upper = np.triu_indices(d)
+    m = _weighted_sums(w, rows)
+    m0, m1, m2 = m[:, 0], m[:, 1 : d + 1], np.empty((t, d, d))
+    m2[:, upper[0], upper[1]] = m2[:, upper[1], upper[0]] = m[:, d + 1 :]
+    level, slope = _local_linear_surface(m0, m1, m2, vc, b)
+    g, c, e0, weight_sum = _pooled_normal_equations(m0, m1, m2, xc, slope[:, group_of], level)
+    return level, slope, g, c, e0, weight_sum
 
 
 def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndarray):
@@ -422,7 +428,8 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         )
     # the centred response would be exactly zero, and so would every slope
     # and the pooled system
-    if float(np.sum((y - y.mean()) ** 2)) == 0.0:
+    yc = y - y.mean()
+    if float(np.sum(yc**2)) == 0.0:
         raise DegenerateResponseError("response has zero variation")
     for g in groups:
         if np.any(g < 0) or np.any(g >= panel.n_series):
@@ -430,58 +437,40 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
 
     offsets = np.cumsum([0] + sizes)
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(n_groups)]
-    d = np.zeros(k_total)
-    for s, g in enumerate(groups):
-        for pos, col in enumerate(g):
-            d[offsets[s] + pos] = spec.sign_constraints.get(int(col), 0)
+    cols = np.concatenate(groups)
+    group_of = np.repeat(np.arange(n_groups), sizes)
+    d = np.array([spec.sign_constraints.get(int(col), 0) for col in cols], dtype=float)
     # singleton coefficients are pinned to 1, so their sign is carried by the
     # link and the constraint machinery leaves them alone
-    mask = (d != 0) & np.concatenate(
-        [np.full(sz, sz > 1) for sz in sizes]
-    )
+    mask = (d != 0) & (np.array(sizes)[group_of] > 1)
+
+    # loop invariants: centred columns, their moment rows, the layout of b
+    xc = x[:, cols] - x[:, cols].mean(axis=0)
+    rows = _moment_rows(np.column_stack([xc, yc]))
+    in_group = group_of[:, None] == np.arange(n_groups)
 
     beta_cat = np.empty(k_total)
-    for s, g in enumerate(groups):
-        if sizes[s] == 1:
-            beta_cat[slices[s]] = 1.0
-        else:
-            beta_cat[slices[s]] = _initial_direction(x[:, g], y, d[slices[s]])
-
-    group_cols = [x[:, g] for g in groups]
-    x_cat = np.column_stack(group_cols)
+    for sl in slices:
+        beta_cat[sl] = 1.0 if sl.stop - sl.start == 1 else _initial_direction(xc[:, sl], yc, d[sl])
     trace = []
-    converged = False
-    iterations = 0
-    prev_objective = None
-    ridge_flagged = False
     solver_capped = False
-    g_mat = np.zeros((k_total, k_total))
-    c_vec = np.zeros(k_total)
 
-    for it in range(cfg.max_iter):
-        v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
-        h = _bandwidths(v)
-        w = _kernel_matrix(v, h)
-        level, slope = _local_linear_surface(v, y, w)
-        g_mat, c_vec, e0, weight_sum = _pooled_normal_equations(
-            w, x_cat, slices, slope, y, level
-        )
+    for _ in range(cfg.max_iter):
+        b = np.where(in_group, beta_cat[:, None], 0.0)
+        vc = np.einsum("tk,ks->ts", xc, b)
+        w = _kernel_matrix(vc, _bandwidths(vc))
+        *_, g_mat, c_vec, e0, weight_sum = _iteration_step(w, rows, xc, vc, b, group_of)
         del w  # free it before the next iteration's kernel is built
 
-        ridge = _RIDGE_SCALE * float(np.trace(g_mat))
         beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
-            g_mat, c_vec, d, mask, ridge
+            g_mat, c_vec, d, mask, _RIDGE_SCALE * float(np.trace(g_mat))
         )
-        ridge_flagged = ridge_flagged or used_ridge
         solver_capped = solver_capped or capped
 
         quad = np.einsum("k,kl,l->", beta_raw, g_mat, beta_raw)
         objective = float(quad - 2.0 * np.einsum("k,k->", c_vec, beta_raw) + e0) / weight_sum
-        increased = (
-            prev_objective is not None
-            and objective > prev_objective + 1e-10 * max(1.0, abs(prev_objective))
-        )
-        prev_objective = objective
+        prev = trace[-1].objective if trace else None
+        increased = prev is not None and objective > prev + 1e-10 * max(1.0, abs(prev))
 
         beta_new = _normalize_groups(beta_raw, slices, d, mask)
         delta = float(np.max(np.abs(beta_new - beta_cat)))
@@ -497,26 +486,22 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
             )
         )
         beta_cat = beta_new
-        iterations = it + 1
         if delta < cfg.tolerance:
-            converged = True
             break
 
-    final_lam = trace[-1].lam if trace else np.zeros(k_total)
-    v = np.column_stack([group_cols[s] @ beta_cat[slices[s]] for s in range(n_groups)])
+    v = np.column_stack([_group_index(x, g, beta_cat[sl]) for g, sl in zip(groups, slices)])
     h = _bandwidths(v)
     links, backfit_converged = _backfit_links(v, y, h, _LINK_GRID_SIZE)
 
-    betas = tuple(beta_cat[slices[s]].copy() for s in range(n_groups))
     provisional = GroupwiseFit(
-        beta=betas,
+        beta=tuple(beta_cat[sl].copy() for sl in slices),
         links=links,
-        lam=final_lam * d,
-        iterations=iterations,
-        converged=converged,
+        lam=trace[-1].lam * d,
+        iterations=len(trace),
+        converged=delta < cfg.tolerance,
         r_squared=float("nan"),
         trace=tuple(trace),
-        ridge_flagged=ridge_flagged,
+        ridge_flagged=any(rec.ridge_used for rec in trace),
         bandwidths=tuple(float(b) for b in h),
         final_g=g_mat,
         final_c=c_vec,
@@ -597,6 +582,18 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
     return tuple(links), converged
 
 
+def _group_index(rows: np.ndarray, cols, beta: np.ndarray) -> np.ndarray:
+    """One group's index of every row, summed coefficient by coefficient.
+
+    A row's index then does not depend on how many rows come with it, and
+    ``fit`` tabulates each link over exactly the indices ``predict`` sees.
+    """
+    v = rows[:, cols[0]] * beta[0]
+    for col, b in zip(cols[1:], beta[1:]):
+        v = v + rows[:, col] * b
+    return v
+
+
 def _eval_link(grid: np.ndarray, vals: np.ndarray, v: np.ndarray):
     """Link values at indices ``v`` and which of them lie beyond the grid.
 
@@ -641,13 +638,7 @@ def predict(
     total = np.zeros(rows.shape[0])
     extrapolated = np.zeros(rows.shape[0], dtype=bool)
     for s, g in enumerate(spec.groups):
-        beta = fit_result.beta[s]
-        # coefficient by coefficient, so a row's index does not depend on
-        # how many rows come with it
-        v = rows[:, g[0]] * beta[0]
-        for col, b in zip(g[1:], beta[1:]):
-            v = v + rows[:, col] * b
-        val, ex = _eval_link(*fit_result.links[s], v)
+        val, ex = _eval_link(*fit_result.links[s], _group_index(rows, g, fit_result.beta[s]))
         total += val
         extrapolated |= ex
     if x.ndim == 1:

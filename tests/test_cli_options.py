@@ -229,17 +229,32 @@ class TestConfigFileChecks:
         assert args["seed"] == 7 and args["transforms"] == "y=level"
         assert "response" not in args
 
-    def test_file_value_outside_choices_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, key, value", [
+        ("seed = 1\n# comment\nmode = sideways\n", "mode", "sideways"),
+        ("seed = 1\n\nn-splits = ten\n", "n_splits", "ten"),
+    ], ids=["outside_choices", "failed_cast"])
+    def test_bad_file_value_reports_row(self, text, key, value, tmp_path, capsys):
         cfg = tmp_path / "opts.txt"
-        cfg.write_text("mode = sideways\n")
+        cfg.write_text(text)
+        out = tmp_path / "o"
         code = run_cli(
-            "cluster", "--config", cfg, "--input", PANEL_CSV, "--response", "y",
-            "--out", tmp_path / "o",
+            "cluster", "--config", cfg, "--input", PANEL_CSV, "--response", "y", "--out", out
         )
         assert code == 1
         payload = error_payload(capsys)
-        assert payload["error"] == "invalid-argument"
-        assert "--mode" in payload["message"] and "sideways" in payload["message"]
+        assert payload["error"] == "parse-error"
+        assert payload["row"] == 3
+        assert repr(key) in payload["message"] and repr(value) in payload["message"]
+        assert str(cfg) in payload["message"]
+        assert not out.exists()
+
+    def test_bad_flag_value_keeps_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "cluster", "--input", PANEL_CSV, "--response", "y", "--mode", "sideways",
+            "--out", tmp_path / "o",
+        )
+        assert code == 2
+        assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 class TestRequiredOptions:
@@ -256,6 +271,17 @@ class TestRequiredOptions:
         payload = error_payload(capsys)
         assert payload["error"] == "invalid-argument"
         assert "transform map" in payload["message"]
+
+
+class TestFitOptionsCheckedFirst:
+    @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--tolerance", 0)])
+    def test_bad_fit_option_writes_no_report(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("run", "--config", RUN_CONFIG, "--input", PANEL_CSV, flag, value,
+                       "--out", out)
+        assert code == 1
+        assert error_payload(capsys)["error"] == "invalid-argument"
+        assert list(out.iterdir()) == []
 
 
 class TestNumericFailure:

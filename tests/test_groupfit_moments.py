@@ -39,7 +39,7 @@ def assert_close_to_scale(got, want, rtol=1e-9):
 
 
 def random_case(seed):
-    """Random panel pieces for one pooled step: groups, indices, weights, slopes."""
+    """Random panel pieces for one iteration: groups, indices, weights, coefficients."""
     rng = np.random.default_rng(seed)
     t = int(rng.integers(30, 160))
     sizes = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
@@ -56,17 +56,43 @@ def random_case(seed):
     return x, slices, v, y, w, beta
 
 
+def step_inputs(x, slices, y, beta):
+    """``_iteration_step``'s arguments after ``w``, built as ``fit`` builds them."""
+    xc = x - x.mean(axis=0)
+    group_of = np.concatenate([np.full(sl.stop - sl.start, s) for s, sl in enumerate(slices)])
+    b = np.zeros((len(beta), len(slices)))
+    b[np.arange(len(beta)), group_of] = beta
+    rows = groupfit._moment_rows(np.column_stack([xc, y - y.mean()]))
+    return rows, xc, xc @ b, b, group_of
+
+
+def group_slices(group_of, n_groups):
+    """Each group's slice of the coefficients, from the coefficient-to-group index."""
+    return [slice(int(idx[0]), int(idx[-1]) + 1)
+            for idx in (np.flatnonzero(group_of == s) for s in range(n_groups))]
+
+
+def tensor_iteration_step(w, rows, xc, vc, b, group_of):
+    """``_iteration_step`` composed from the tensor-form oracles."""
+    yc = rows[1 + xc.shape[1]]  # the moment row of the centred response
+    slices = group_slices(group_of, b.shape[1])
+    level, slope = tensor_local_linear_surface(vc, yc, w)
+    return (level, slope, *tensor_pooled_normal_equations(w, xc, slices, slope, yc, level))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_surface_and_pooled_step_match_tensor_form(seed):
     x, slices, v, y, w, beta = random_case(seed)
-    level, slope = groupfit._local_linear_surface(v, y, w)
+    level, slope, g, c, e0, weight_sum = groupfit._iteration_step(
+        w, *step_inputs(x, slices, y, beta)
+    )
+    # the oracles see the uncentred columns; the step's level is centred like y
     want_level, want_slope = tensor_local_linear_surface(v, y, w)
-    assert_close_to_scale(level, want_level)
+    assert_close_to_scale(level + y.mean(), want_level)
     assert_close_to_scale(slope, want_slope)
 
-    g, c, e0, weight_sum = groupfit._pooled_normal_equations(w, x, slices, slope, y, level)
     want_g, want_c, want_e0, want_sum = tensor_pooled_normal_equations(
-        w, x, slices, slope, y, level
+        w, x, slices, slope, y, level + y.mean()
     )
     assert_close_to_scale(g, want_g)
     assert_close_to_scale(c, want_c)
@@ -76,8 +102,8 @@ def test_surface_and_pooled_step_match_tensor_form(seed):
 
     # the objective that fit records, read off the normal equations
     obj = (beta @ g @ beta - 2.0 * c @ beta + e0) / weight_sum
-    assert obj == pytest.approx(tensor_pooled_objective(w, x, slices, slope, beta, y, level),
-                                rel=1e-9)
+    want_obj = tensor_pooled_objective(w, x, slices, slope, beta, y, level + y.mean())
+    assert obj == pytest.approx(want_obj, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -105,8 +131,7 @@ def test_smoother_matrix_matches_direct_smoother(seed):
 
 
 def _tensor_form(monkeypatch):
-    monkeypatch.setattr(groupfit, "_local_linear_surface", tensor_local_linear_surface)
-    monkeypatch.setattr(groupfit, "_pooled_normal_equations", tensor_pooled_normal_equations)
+    monkeypatch.setattr(groupfit, "_iteration_step", tensor_iteration_step)
     monkeypatch.setattr(groupfit, "_backfit_links", direct_backfit_links)
 
 
@@ -185,18 +210,47 @@ def test_fit_matches_tensor_form(make, monkeypatch):
 def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
     panel, spec = make()
     steps = []
-    moment_form = groupfit._pooled_normal_equations
+    moment_form = groupfit._iteration_step
 
-    def spy(w, x, slices, slope, y, level):
-        steps.append((w, x, slices, slope, y, level))
-        return moment_form(w, x, slices, slope, y, level)
+    def spy(w, rows, xc, vc, b, group_of):
+        out = moment_form(w, rows, xc, vc, b, group_of)
+        steps.append((w, rows[1 + xc.shape[1]], xc, b, group_of, out[1], out[0]))
+        return out
 
-    monkeypatch.setattr(groupfit, "_pooled_normal_equations", spy)
+    monkeypatch.setattr(groupfit, "_iteration_step", spy)
     res = fit(panel, spec, FitConfig(max_iter=4))
     assert len(steps) == len(res.trace)
-    for (w, x, slices, slope, y, level), rec in zip(steps, res.trace):
-        want = tensor_pooled_objective(w, x, slices, slope, rec.beta_raw, y, level)
+    for (w, yc, xc, b, group_of, slope, level), rec in zip(steps, res.trace):
+        slices = group_slices(group_of, b.shape[1])
+        want = tensor_pooled_objective(w, xc, slices, slope, rec.beta_raw, yc, level)
         assert rec.objective == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
+    panel, spec = _panel_two_groups()
+    kernels, passes, row_builds = [], [], []
+    build, weighted_sums = groupfit._kernel_matrix, groupfit._weighted_sums
+    moment_rows = groupfit._moment_rows
+
+    def kernel_spy(v, h):
+        kernels.append(build(v, h))
+        return kernels[-1]
+
+    def sums_spy(w, rows):
+        passes.extend(i for i, kern in enumerate(kernels) if kern is w)
+        return weighted_sums(w, rows)
+
+    def rows_spy(cols):
+        row_builds.append(cols.shape)
+        return moment_rows(cols)
+
+    monkeypatch.setattr(groupfit, "_kernel_matrix", kernel_spy)
+    monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
+    monkeypatch.setattr(groupfit, "_moment_rows", rows_spy)
+    res = fit(panel, spec, FitConfig(max_iter=3))
+    assert len(kernels) == res.iterations == 3
+    assert passes == [0, 1, 2]  # one moment pass over each iteration's kernel matrix
+    assert len(row_builds) == 1  # the moment rows are built before the loop
 
 
 def test_fit_is_invariant_to_shifting_group_columns():
