@@ -22,10 +22,13 @@ Polynomial Modelling*, 1996).  The coefficient columns and the response are
 centred once, before the iteration (the fit is invariant to such shifts,
 while the moment form's rounding error grows with the square of a column's
 offset), and each iteration applies its T×T weight matrix to their product
-rows once.  The local-linear surface and the pooled step both read that one
-moment pass: the centred indices are ``X b`` for the K×S block-diagonal
-coefficients ``b``, so their moments are ``M1 b`` and ``b' M2 b``.  No T×T×K
-tensor is built; memory is O(S·T² + T·K²) for S groups and K coefficients.
+rows once.  That matrix is built and summed a block of anchor rows at a
+time, so it never exists whole.  The local-linear surface and the pooled
+step both read that one moment pass: the centred indices are ``X b`` for the
+K×S block-diagonal coefficients ``b``, so their moments are ``M1 b`` and
+``b' M2 b``.  No T×T×K tensor is built; memory in the iteration is
+O(block·T + T·K²) for K coefficients, and the link backfit keeps one T×T
+smoother matrix per group, O(S·T²) for S groups.
 The same moments give the pooled step's weighted sum of squared targets, so
 each iteration's objective is read off the normal equations as
 ``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  No sum
@@ -72,6 +75,8 @@ _ACTIVE_SET_EXTRA_STEPS = 10
 _LINK_GRID_SIZE = 100
 # the pooled step's ridge fallback adds this times trace(G) to the diagonal
 _RIDGE_SCALE = 1e-8
+# anchor rows of the kernel matrix built and summed at a time in each iteration
+_KERNEL_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ class FitConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -180,14 +185,29 @@ def _product_gaussian(displacements, h: np.ndarray):
     return np.exp(-0.5 * sq) / (np.prod(h) * _SQRT_2PI ** h.shape[0])
 
 
-def _kernel_matrix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """T×T weights ``kernel_weight(v[j] - v[i], h)``, one T×T slice per dimension."""
-    return _product_gaussian((v[None, :, s] - v[:, None, s] for s in range(v.shape[1])), h)
+def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``."""
+    return _product_gaussian((v[None, :, s] - anchors[:, None, s] for s in range(v.shape[1])), h)
 
 
 def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``out[i, k] = sum_j w[i, j] rows[k, j]`` in numpy's own loop, not BLAS."""
     return np.einsum("ij,kj->ik", w, rows)
+
+
+def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_weighted_sums(W, rows)`` for the T×T weights ``W = _kernel_matrix(v, v, h)``.
+
+    ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time.
+    Each weight is computed elementwise and each output row sums over ``j``
+    on its own, so the result is the same bytes as the full-matrix form.
+    """
+    t = v.shape[0]
+    out = np.empty((t, rows.shape[0]))
+    for start in range(0, t, _KERNEL_BLOCK_ROWS):
+        block = slice(start, start + _KERNEL_BLOCK_ROWS)
+        out[block] = _weighted_sums(_kernel_matrix(v[block], v, h), rows)
+    return out
 
 
 def _moment_rows(cols: np.ndarray) -> np.ndarray:
@@ -362,16 +382,17 @@ def _pooled_normal_equations(m0, m1, m2, xc, a, level):
     return g, c, e0, float(np.sum(m0))
 
 
-def _iteration_step(w, rows, xc, vc, b, group_of):
-    """Level, slopes and the pooled ``G``, ``c``, ``e0``, ``sum(w)`` from one kernel matrix.
+def _iteration_step(vc, h, rows, xc, b, group_of):
+    """Level, slopes and the pooled ``G``, ``c``, ``e0``, ``sum(w)`` at indices ``vc = xc b``.
 
-    One pass of ``w`` over ``rows``, the ``_moment_rows`` of the centred
-    ``[xc, y]``, gives ``M0``, ``M1`` and ``M2`` (each product pair summed
-    once and mirrored, so ``M2`` is exactly symmetric); ``vc = xc b``.
+    One pass of the kernel weights (bandwidths ``h``) over ``rows``, the
+    ``_moment_rows`` of the centred ``[xc, y]``, gives ``M0``, ``M1`` and
+    ``M2`` (each product pair summed once and mirrored, so ``M2`` is exactly
+    symmetric).
     """
     t, d = vc.shape[0], xc.shape[1] + 1
     upper = np.triu_indices(d)
-    m = _weighted_sums(w, rows)
+    m = _kernel_moments(vc, h, rows)
     m0, m1, m2 = m[:, 0], m[:, 1 : d + 1], np.empty((t, d, d))
     m2[:, upper[0], upper[1]] = m2[:, upper[1], upper[0]] = m[:, d + 1 :]
     level, slope = _local_linear_surface(m0, m1, m2, vc, b)
@@ -458,9 +479,9 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     for _ in range(cfg.max_iter):
         b = np.where(in_group, beta_cat[:, None], 0.0)
         vc = np.einsum("tk,ks->ts", xc, b)
-        w = _kernel_matrix(vc, _bandwidths(vc))
-        *_, g_mat, c_vec, e0, weight_sum = _iteration_step(w, rows, xc, vc, b, group_of)
-        del w  # free it before the next iteration's kernel is built
+        *_, g_mat, c_vec, e0, weight_sum = _iteration_step(
+            vc, _bandwidths(vc), rows, xc, b, group_of
+        )
 
         beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
             g_mat, c_vec, d, mask, _RIDGE_SCALE * float(np.trace(g_mat))

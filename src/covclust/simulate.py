@@ -293,7 +293,10 @@ def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> Dependen
     then redrawn, 50 draws in all, before the last
     :class:`InfeasibleDependenceError` is raised.  Identical
     ``(model, radius, seed)`` always yields an identical coefficient.
+    ``radius`` must lie in ``[0, 1)``.
     """
+    if not 0.0 <= radius < 1.0:
+        raise ValueError(f"var1 spectral radius must be in [0, 1), got {radius}")
     j = model.sigma.dim
     for draw_seed in [seed] + [seed + 1000 + k for k in range(49)]:
         rng = np.random.default_rng([draw_seed & _SEED_MASK, 0xA151])

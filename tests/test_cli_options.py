@@ -274,7 +274,10 @@ class TestRequiredOptions:
 
 
 class TestFitOptionsCheckedFirst:
-    @pytest.mark.parametrize("flag, value", [("--max-iter", 0), ("--tolerance", 0)])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-iter", 0), ("--tolerance", 0), ("--tolerance", "nan"), ("--tolerance", "inf")],
+    )
     def test_bad_fit_option_writes_no_report(self, flag, value, tmp_path, capsys):
         out = tmp_path / "o"
         code = run_cli("run", "--config", RUN_CONFIG, "--input", PANEL_CSV, flag, value,
@@ -282,6 +285,17 @@ class TestFitOptionsCheckedFirst:
         assert code == 1
         assert error_payload(capsys)["error"] == "invalid-argument"
         assert list(out.iterdir()) == []
+
+
+class TestVarRadiusChecked:
+    @pytest.mark.parametrize("radius", ["nan", "-0.5"])
+    def test_bad_radius_is_invalid_argument(self, radius, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("simulate", "--j", 6, "--t", 20, "--dependence", "var1",
+                       "--var-radius", radius, "--out", out)
+        assert code == 1
+        assert error_payload(capsys)["error"] == "invalid-argument"
+        assert not (out / "panel.csv").exists()
 
 
 class TestNumericFailure:

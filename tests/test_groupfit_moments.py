@@ -39,7 +39,7 @@ def assert_close_to_scale(got, want, rtol=1e-9):
 
 
 def random_case(seed):
-    """Random panel pieces for one iteration: groups, indices, weights, coefficients."""
+    """Random panel pieces for one iteration: groups, indices, bandwidths, coefficients."""
     rng = np.random.default_rng(seed)
     t = int(rng.integers(30, 160))
     sizes = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
@@ -52,18 +52,22 @@ def random_case(seed):
     y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t) + rng.normal()
     h = 1.06 * v.std(axis=0, ddof=1) * t ** (-1.0 / (4.0 + len(sizes)))
     h *= rng.uniform(0.5, 2.0, size=len(sizes))
-    w = groupfit._kernel_matrix(v, h)
-    return x, slices, v, y, w, beta
+    return x, slices, v, y, h, beta
 
 
-def step_inputs(x, slices, y, beta):
-    """``_iteration_step``'s arguments after ``w``, built as ``fit`` builds them."""
+def step_inputs(x, slices, y, beta, h):
+    """``_iteration_step``'s arguments, built as ``fit`` builds them."""
     xc = x - x.mean(axis=0)
     group_of = np.concatenate([np.full(sl.stop - sl.start, s) for s, sl in enumerate(slices)])
     b = np.zeros((len(beta), len(slices)))
     b[np.arange(len(beta)), group_of] = beta
     rows = groupfit._moment_rows(np.column_stack([xc, y - y.mean()]))
-    return rows, xc, xc @ b, b, group_of
+    return xc @ b, h, rows, xc, b, group_of
+
+
+def full_kernel(vc, h):
+    """The T×T weight matrix of one iteration, built in one piece."""
+    return kernel_weight(vc[None, :, :] - vc[:, None, :], h)
 
 
 def group_slices(group_of, n_groups):
@@ -72,8 +76,9 @@ def group_slices(group_of, n_groups):
             for idx in (np.flatnonzero(group_of == s) for s in range(n_groups))]
 
 
-def tensor_iteration_step(w, rows, xc, vc, b, group_of):
+def tensor_iteration_step(vc, h, rows, xc, b, group_of):
     """``_iteration_step`` composed from the tensor-form oracles."""
+    w = full_kernel(vc, h)
     yc = rows[1 + xc.shape[1]]  # the moment row of the centred response
     slices = group_slices(group_of, b.shape[1])
     level, slope = tensor_local_linear_surface(vc, yc, w)
@@ -82,10 +87,10 @@ def tensor_iteration_step(w, rows, xc, vc, b, group_of):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_surface_and_pooled_step_match_tensor_form(seed):
-    x, slices, v, y, w, beta = random_case(seed)
-    level, slope, g, c, e0, weight_sum = groupfit._iteration_step(
-        w, *step_inputs(x, slices, y, beta)
-    )
+    x, slices, v, y, h, beta = random_case(seed)
+    args = step_inputs(x, slices, y, beta, h)
+    level, slope, g, c, e0, weight_sum = groupfit._iteration_step(*args)
+    w = full_kernel(args[0], h)  # the step's kernel weights, built whole
     # the oracles see the uncentred columns; the step's level is centred like y
     want_level, want_slope = tensor_local_linear_surface(v, y, w)
     assert_close_to_scale(level + y.mean(), want_level)
@@ -111,8 +116,23 @@ def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
     rng = np.random.default_rng(100 + seed)
     v = rng.normal(size=(50, 1 + seed)) * rng.uniform(0.1, 10.0)
     h = rng.uniform(0.2, 2.0, size=v.shape[1])
-    want = kernel_weight(v[None, :, :] - v[:, None, :], h)
-    np.testing.assert_array_equal(groupfit._kernel_matrix(v, h), want)
+    want = full_kernel(v, h)
+    np.testing.assert_array_equal(groupfit._kernel_matrix(v, v, h), want)
+    np.testing.assert_array_equal(groupfit._kernel_matrix(v[7:20], v, h), want[7:20])
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [2, 63, 64, 65, 130, 1200])
+def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", block)
+    rng = np.random.default_rng(t * 10 + s)
+    v = rng.normal(size=(t, s)) * rng.uniform(0.1, 10.0)
+    h = rng.uniform(0.2, 2.0, size=s)
+    rows = groupfit._moment_rows(rng.normal(size=(t, 3)))
+    want = groupfit._weighted_sums(full_kernel(v, h), rows)
+    np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -212,9 +232,10 @@ def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
     steps = []
     moment_form = groupfit._iteration_step
 
-    def spy(w, rows, xc, vc, b, group_of):
-        out = moment_form(w, rows, xc, vc, b, group_of)
-        steps.append((w, rows[1 + xc.shape[1]], xc, b, group_of, out[1], out[0]))
+    def spy(vc, h, rows, xc, b, group_of):
+        out = moment_form(vc, h, rows, xc, b, group_of)
+        steps.append((full_kernel(vc, h), rows[1 + xc.shape[1]], xc, b, group_of,
+                      out[1], out[0]))
         return out
 
     monkeypatch.setattr(groupfit, "_iteration_step", spy)
@@ -228,29 +249,57 @@ def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
 
 def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
     panel, spec = _panel_two_groups()
-    kernels, passes, row_builds = [], [], []
-    build, weighted_sums = groupfit._kernel_matrix, groupfit._weighted_sums
+    # per iteration: the full kernel matrix and the row blocks summed against it
+    iterations, row_builds = [], []
+    kernel_moments, weighted_sums = groupfit._kernel_moments, groupfit._weighted_sums
     moment_rows = groupfit._moment_rows
 
-    def kernel_spy(v, h):
-        kernels.append(build(v, h))
-        return kernels[-1]
+    def moments_spy(v, h, rows):
+        iterations.append((full_kernel(v, h), []))
+        return kernel_moments(v, h, rows)
 
     def sums_spy(w, rows):
-        passes.extend(i for i, kern in enumerate(kernels) if kern is w)
+        if any(rows is built for built in row_builds):  # not a backfit smoother
+            full, blocks = iterations[-1]
+            start = sum(len(block) for block in blocks)
+            np.testing.assert_array_equal(w, full[start : start + len(w)])
+            blocks.append(w)
         return weighted_sums(w, rows)
 
     def rows_spy(cols):
-        row_builds.append(cols.shape)
-        return moment_rows(cols)
+        row_builds.append(moment_rows(cols))
+        return row_builds[-1]
 
-    monkeypatch.setattr(groupfit, "_kernel_matrix", kernel_spy)
+    monkeypatch.setattr(groupfit, "_kernel_moments", moments_spy)
     monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
     monkeypatch.setattr(groupfit, "_moment_rows", rows_spy)
     res = fit(panel, spec, FitConfig(max_iter=3))
-    assert len(kernels) == res.iterations == 3
-    assert passes == [0, 1, 2]  # one moment pass over each iteration's kernel matrix
+    assert len(iterations) == res.iterations == 3
+    for full, blocks in iterations:
+        # consecutive blocks cover the kernel rows [0, T) exactly once
+        assert sum(len(block) for block in blocks) == len(full) == panel.n_periods
+        assert max(len(block) for block in blocks) <= groupfit._KERNEL_BLOCK_ROWS
+        assert len(blocks) == -(-panel.n_periods // groupfit._KERNEL_BLOCK_ROWS)
     assert len(row_builds) == 1  # the moment rows are built before the loop
+
+
+def test_iteration_step_peak_memory_is_below_one_kernel_matrix():
+    # T = 2000: the whole T×T weight matrix would take 32 MB
+    rng = np.random.default_rng(9)
+    t, sizes = 2000, (3, 2)
+    x = rng.normal(size=(t, sum(sizes)))
+    slices = [slice(0, 3), slice(3, 5)]
+    beta = rng.normal(size=sum(sizes))
+    v = np.column_stack([x[:, sl] @ beta[sl] for sl in slices])
+    y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t)
+    args = step_inputs(x, slices, y, beta, groupfit._bandwidths(v))
+    tracemalloc.start()
+    try:
+        groupfit._iteration_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t * t * 8
 
 
 def test_fit_is_invariant_to_shifting_group_columns():
@@ -280,8 +329,9 @@ def test_peak_memory_does_not_grow_with_coefficients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about three T×T arrays at once (weights plus two temporaries) and the
-    # T·K² moments; the tensor form peaked near 30 T² doubles here
+    # the backfit's smoother matrices (one T×T array per group plus a
+    # temporary) set the peak, not the iterations' kernel row blocks and T·K²
+    # moments; the tensor form peaked near 30 T² doubles here
     assert peak < 5 * t * t * 8
 
 

@@ -201,6 +201,15 @@ class TestRandomVar1:
         panel = gen_panel(self.MODEL, dep, 20, seed=0)
         assert panel.values.shape == (20, 6)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -0.5, 1.0])
+    def test_radius_outside_unit_interval_rejected_before_any_draw(self, radius, monkeypatch):
+        def eigvals(a):
+            raise AssertionError("eigen-decomposition before the radius check")
+
+        monkeypatch.setattr(simulate.np.linalg, "eigvals", eigvals)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            random_var1(self.MODEL, radius, seed=1)
+
     def test_no_feasible_draw_is_infeasible(self):
         model = make_sparse_cov(6, Structure.random_sparse(0.3), seed=3)
         with pytest.raises(InfeasibleDependenceError):
