@@ -12,7 +12,6 @@ dependent panels for error-scaling studies.
 from .crossval import (
     CvConfig,
     CvResult,
-    CvTemplate,
     default_grid,
     draw_split,
     empirical_loss,

@@ -37,12 +37,11 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .crossval import CvTemplate, cv_result_to_json_obj, select_threshold
+from .crossval import CvConfig, cv_result_to_json_obj, select_threshold
 from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
 from .ingest import ingest, write_panel_csv
 from .matrices import sym_to_csv
-from .panel import sample_covariance, spearman_matrix
 from .pipeline import (
     build_model_spec,
     cluster_backward,
@@ -114,8 +113,8 @@ _OPTIONS = (
     _Option("max_iter", ("run",), "fit iteration cap", int, FitConfig.max_iter),
     _Option("t1", _ON_PANEL, "first-segment length (default max(2, 2T//9))", int),
     _Option("t2", _ON_PANEL, "second-segment length (default min(2*t1, T - t1))", int),
-    _Option("n_splits", _ON_PANEL, "number of CV splits", int, CvTemplate.n_splits),
-    _Option("grid_size", _ON_PANEL, "threshold grid size", int, CvTemplate.grid_size),
+    _Option("n_splits", _ON_PANEL, "number of CV splits", int, CvConfig.n_splits),
+    _Option("grid_size", _ON_PANEL, "threshold grid size", int, CvConfig.grid_size),
     _Option("j", _SIM, "number of series", int, 20),
     _Option("t", _SIM, "number of periods", int, 200),
     _Option("structure", _SIM, "covariance structure", default="random_sparse",
@@ -178,7 +177,11 @@ def _resolve(command: str, args, file_cfg: dict) -> dict:
         if value is None and opt.name in file_cfg:
             value = opt.cast(file_cfg[opt.name])
         if value is None and opt.env is not None and os.environ.get(opt.env) is not None:
-            value = opt.cast(os.environ[opt.env])
+            raw = os.environ[opt.env]
+            try:
+                value = opt.cast(raw)
+            except ValueError as exc:
+                raise ValueError(f"{opt.env}={raw!r} is not a valid {opt.flag}: {exc}") from None
         if value is None and opt.required:
             raise ValueError(f"{command} requires {opt.flag}")
         if value is None:
@@ -236,15 +239,16 @@ def _write_meta(outdir: Path, args_echo: dict) -> None:
     _write_json(outdir / "meta.json", meta)
 
 
-def _cv_template(opts: dict) -> CvTemplate:
+def _cv_config(opts: dict) -> CvConfig:
     fields = ("n_splits", "grid_size", "seed", "t1", "t2")
-    return CvTemplate(**{name: opts[name] for name in fields})
+    return CvConfig(**{name: opts[name] for name in fields})
 
 
 def _screen_and_group(opts: dict, transforms: dict, outdir: Path):
     """Ingest, screen and group as ``run`` and ``cluster`` share; write their reports."""
+    cv_cfg = _cv_config(opts)
     panel = ingest(opts["input"], transforms)
-    scr = screen(panel, opts["response"], _cv_template(opts))
+    scr = screen(panel, opts["response"], cv_cfg)
     clu = cluster_backward(scr) if opts["mode"] == "backward" else cluster_forward(scr)
     _write_json(outdir / "screen.json", screen_to_json_obj(scr, panel.labels))
     _write_json(outdir / "clusters.json", clusters_to_json_obj(clu, panel.labels))
@@ -306,10 +310,9 @@ def _cmd_simulate(opts: dict, outdir: Path) -> str:
 
 
 def _cmd_threshold(opts: dict, outdir: Path) -> str:
+    cv_cfg = _cv_config(opts)
     panel = ingest(opts["input"], _parse_transforms(opts["transforms"]))
-    matrix_kind = opts["matrix_kind"]
-    estimate = sample_covariance(panel) if matrix_kind == "covariance" else spearman_matrix(panel)
-    res = select_threshold(panel, _cv_template(opts).for_panel(panel, estimate), matrix_kind)
+    res = select_threshold(panel, cv_cfg, opts["matrix_kind"])
     _write_json(outdir / "cv.json", cv_result_to_json_obj(res))
     return f"selected threshold {res.selected!r} -> {outdir}/cv.json"
 

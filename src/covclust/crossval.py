@@ -1,5 +1,9 @@
 """Threshold selection by cross-validation on random consecutive segments.
 
+:func:`select_threshold` is the one entry point.  It estimates the
+full-sample matrix once, spans the grid over it and returns it with the
+selected threshold, so callers threshold the matrix the grid was built on.
+
 Each split draws one consecutive stretch of ``t1 + t2`` periods at a uniform
 random offset, estimates a matrix on the first ``t1`` rows and another on the
 remaining ``t2`` rows, and scores a candidate threshold ``s`` by the squared
@@ -32,14 +36,13 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateColumnError
+from .errors import DegenerateColumnError, InsufficientDataError
 from .matrices import SymMatrix
-from .panel import TimeSeriesPanel, _covariance, _spearman
+from .panel import TimeSeriesPanel, _covariance, _spearman, sample_covariance, spearman_matrix
 
 __all__ = [
     "MatrixKind",
     "CvConfig",
-    "CvTemplate",
     "CvResult",
     "default_grid",
     "draw_split",
@@ -53,46 +56,59 @@ MatrixKind = Literal["covariance", "spearman"]
 _SEED_MASK = (1 << 63) - 1
 
 
-def _estimate(values: np.ndarray, labels, matrix_kind: str) -> np.ndarray:
-    """Entries of the ``matrix_kind`` estimate of the ``T x J`` block ``values``."""
+def _estimators(matrix_kind: str):
+    """Full-sample estimator and ``(values, labels)`` array kernel of ``matrix_kind``.
+
+    Looked up per call, so a wrapper installed on a module-level name sees every estimate.
+    """
     if matrix_kind == "covariance":
-        return _covariance(values)
+        return sample_covariance, lambda values, labels: _covariance(values)
     if matrix_kind == "spearman":
-        return _spearman(values, labels)
+        return spearman_matrix, _spearman
     raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
 
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Split sizes, replication count, candidate grid, and split-sampler seed.
+    """Replication count, grid size, split-sampler seed and segment lengths.
 
     ``t1`` rows feed the estimate that gets thresholded and ``t2`` rows the
-    comparison estimate; both must be at least 2 so each segment supports an
-    estimator.  The grid must be sorted, nonempty, with a nonnegative first
-    point.
+    comparison estimate; a set length must be at least 2 so each segment
+    supports an estimator, and an unset one follows the panel (:meth:`segments`).
     """
 
-    t1: int
-    t2: int
-    grid: tuple[float, ...]
     n_splits: int = 100
+    grid_size: int = 50
     seed: int = 0
+    t1: int | None = None
+    t2: int | None = None
 
     def __post_init__(self):
-        if self.t1 < 2 or self.t2 < 2:
-            raise ValueError(
-                f"segment sizes must be >= 2, got t1={self.t1}, t2={self.t2}"
-            )
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be positive, got {self.n_splits}")
-        grid = tuple(float(g) for g in self.grid)
-        if not grid:
-            raise ValueError("grid must be nonempty")
-        if grid[0] < 0:
-            raise ValueError(f"grid must start at >= 0, got {grid[0]}")
-        if any(b < a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be sorted ascending")
-        object.__setattr__(self, "grid", grid)
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be positive, got {self.grid_size}")
+        for name, size in (("t1", self.t1), ("t2", self.t2)):
+            if size is not None and size < 2:
+                raise ValueError(f"{name} must be >= 2, got {size}")
+
+    def segments(self, t: int) -> tuple[int, int]:
+        """Segment lengths ``(t1, t2)`` on a panel of ``t`` periods.
+
+        Unset, ``t1 = max(2, 2t // 9)`` and ``t2 = min(2 * t1, t - t1)``: a
+        segment of about two thirds of the panel leaves room for different
+        split offsets, where one as long as the panel would pin every split
+        to offset 0.  An unset ``t2`` follows a set ``t1``.
+        """
+        if t < 4:
+            raise InsufficientDataError(f"cross-validation needs T >= 4 periods, got T={t}")
+        t1 = self.t1 if self.t1 is not None else max(2, 2 * t // 9)
+        t2 = self.t2 if self.t2 is not None else min(2 * t1, t - t1)
+        if t2 < 2:
+            raise ValueError(f"t1={t1} leaves fewer than 2 of T={t} periods for t2")
+        if t1 + t2 > t:
+            raise ValueError(f"t1 + t2 = {t1} + {t2} exceeds panel length T={t}")
+        return t1, t2
 
 
 def default_grid(estimate: SymMatrix, size: int) -> tuple[float, ...]:
@@ -107,62 +123,30 @@ def default_grid(estimate: SymMatrix, size: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, top, size))
 
 
-@dataclass(frozen=True)
-class CvTemplate:
-    """Recipe that turns a panel and its full-sample estimate into a :class:`CvConfig`.
-
-    Each drawn segment covers about two thirds of the panel; its first third
-    feeds the thresholded estimate and the remaining two thirds the
-    comparison estimate.  Keeping the segment strictly shorter than the panel
-    leaves room for genuinely different split offsets — a segment as long as
-    the panel would pin every split to offset 0 and silently collapse the
-    replication.  ``t1`` and ``t2`` override those segment lengths; an
-    unset ``t2`` follows ``t1`` at twice its length, capped by the rows left.
-    """
-
-    n_splits: int = 100
-    grid_size: int = 50
-    seed: int = 0
-    t1: int | None = None
-    t2: int | None = None
-
-    def for_panel(self, panel: TimeSeriesPanel, estimate: SymMatrix) -> CvConfig:
-        t = panel.n_periods
-        t1 = self.t1 if self.t1 is not None else max(2, 2 * t // 9)
-        t2 = self.t2 if self.t2 is not None else min(2 * t1, t - t1)
-        return CvConfig(
-            t1=t1,
-            t2=t2,
-            grid=default_grid(estimate, self.grid_size),
-            n_splits=self.n_splits,
-            seed=self.seed,
-        )
-
-
 def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Row ranges ``((o, o + t1), (o + t1, o + t1 + t2))`` for one split.
 
-    The offset ``o`` is uniform on ``{0, ..., t - t1 - t2}`` and depends only
-    on ``(cfg.seed, split_index)``, so a split can be re-drawn independently
-    of every other split.
+    ``t1`` and ``t2`` are ``cfg.segments(t)``.  The offset ``o`` is uniform
+    on ``{0, ..., t - t1 - t2}`` and depends only on ``(cfg.seed,
+    split_index)``, so a split can be re-drawn independently of every other
+    split.
     """
     if split_index < 0:
         raise ValueError(f"split_index must be >= 0, got {split_index}")
-    need = cfg.t1 + cfg.t2
-    if need > t:
-        raise ValueError(f"t1 + t2 = {need} exceeds panel length {t}")
+    t1, t2 = cfg.segments(t)
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, split_index])
-    offset = int(rng.integers(0, t - need + 1))
-    return (offset, offset + cfg.t1), (offset + cfg.t1, offset + cfg.t1 + cfg.t2)
+    offset = int(rng.integers(0, t - t1 - t2 + 1))
+    return (offset, offset + t1), (offset + t1, offset + t1 + t2)
 
 
 def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
     """Yield ``(e1, e2)`` entry arrays one split at a time, from row views."""
+    _, kernel = _estimators(matrix_kind)
     values, labels = panel.values, panel.labels
     for i, (r1, r2) in enumerate(splits):
         try:
-            e1 = _estimate(values[r1[0]:r1[1]], labels, matrix_kind)
-            e2 = _estimate(values[r2[0]:r2[1]], labels, matrix_kind)
+            e1 = kernel(values[r1[0]:r1[1]], labels)
+            e2 = kernel(values[r2[0]:r2[1]], labels)
         except DegenerateColumnError as exc:
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"
@@ -198,6 +182,19 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     return np.cumsum(zeroed_sums)[:-1] + np.cumsum(kept_sums[::-1])[::-1][1:]
 
 
+def _loss_curve(panel: TimeSeriesPanel, grid, splits, matrix_kind: str):
+    """Read-only per-split losses of the ascending ``grid``, their column
+    means, and the largest grid point that attains the minimum mean."""
+    splits = list(splits)
+    per_split = np.empty((len(splits), len(grid)))
+    for v, (e1, e2) in enumerate(_segment_estimates(panel, splits, matrix_kind)):
+        per_split[v] = _grid_losses(e1, e2, grid)
+    per_split.setflags(write=False)
+    losses = per_split.mean(axis=0)
+    best = np.flatnonzero(losses == losses.min())[-1]
+    return per_split, tuple(float(v) for v in losses), float(grid[best])
+
+
 def empirical_loss(
     panel: TimeSeriesPanel, s: float, splits, matrix_kind: str = "covariance"
 ) -> float:
@@ -217,19 +214,21 @@ def empirical_loss(
                 f"invalid row range [{start}, {stop}) for {t} periods; "
                 "a segment needs at least 2 rows"
             )
-    pairs = _segment_estimates(panel, splits, matrix_kind)
-    return float(np.mean([_grid_losses(e1, e2, (s,))[0] for e1, e2 in pairs]))
+    return _loss_curve(panel, (s,), splits, matrix_kind)[1][0]
 
 
 @dataclass(frozen=True)
 class CvResult:
-    """Loss curve and selection from one cross-validation run.
+    """Full-sample estimate, loss curve and selection from one cross-validation run.
 
-    ``per_split_losses`` has shape ``(n_splits, len(grid))`` and is kept for
-    diagnostics; ``losses`` is its column mean.  ``selected`` attains the
-    minimum of ``losses`` and is the largest grid point that does so.
+    ``estimate`` is the full-sample matrix the grid was spanned over and the
+    one to threshold at ``selected``.  ``per_split_losses`` has shape
+    ``(n_splits, len(grid))`` and is kept for diagnostics; ``losses`` is its
+    column mean.  ``selected`` attains the minimum of ``losses`` and is the
+    largest grid point that does so.
     """
 
+    estimate: SymMatrix
     grid: tuple[float, ...]
     losses: tuple[float, ...]
     selected: float
@@ -241,34 +240,31 @@ class CvResult:
 
 
 def select_threshold(
-    panel: TimeSeriesPanel, cfg: CvConfig, matrix_kind: str = "covariance"
+    panel: TimeSeriesPanel, cfg: CvConfig = CvConfig(), matrix_kind: str = "covariance"
 ) -> CvResult:
-    """Score every grid point on a common set of splits and pick the minimizer.
+    """Cross-validate a hard threshold for the panel's ``matrix_kind`` matrix.
 
-    Every grid point is scored on the same ``cfg.n_splits`` splits, so the
-    comparison between thresholds sees identical sampling noise.  Each split
-    is estimated once, scored on the whole grid from one sort of its first
-    estimate's magnitudes (bucket sums and their running totals, see the
-    module notes) and dropped.  Grid points that keep the same entries of a
-    split get the same loss float, so exact ties in the mean loss happen
-    wherever the kept sets agree, and they are resolved toward the larger
-    threshold.
+    The kind and the segment lengths are checked before any estimate.  The
+    full-sample matrix is estimated once, :func:`default_grid` spans
+    ``cfg.grid_size`` points over it, and every grid point is scored on the
+    same ``cfg.n_splits`` splits, so exact ties in the mean loss happen
+    wherever the kept sets agree; they go to the larger threshold.
     """
+    estimator, _ = _estimators(matrix_kind)
     t = panel.n_periods
-    splits = (draw_split(t, cfg, i) for i in range(cfg.n_splits))
-    per_split = np.empty((cfg.n_splits, len(cfg.grid)))
-    for v, (e1, e2) in enumerate(_segment_estimates(panel, splits, matrix_kind)):
-        per_split[v] = _grid_losses(e1, e2, cfg.grid)
-    losses = per_split.mean(axis=0)
-    best = np.flatnonzero(losses == losses.min())[-1]
-    per_split.setflags(write=False)
+    t1, t2 = cfg.segments(t)
+    estimate = estimator(panel)
+    grid = default_grid(estimate, cfg.grid_size)
+    splits = [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
+    per_split, losses, selected = _loss_curve(panel, grid, splits, matrix_kind)
     return CvResult(
-        grid=cfg.grid,
-        losses=tuple(float(v) for v in losses),
-        selected=float(cfg.grid[best]),
+        estimate=estimate,
+        grid=grid,
+        losses=losses,
+        selected=selected,
         per_split_losses=per_split,
-        t1=cfg.t1,
-        t2=cfg.t2,
+        t1=t1,
+        t2=t2,
         n_splits=cfg.n_splits,
         seed=cfg.seed,
     )

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossval import CvResult, CvTemplate, cv_result_to_json_obj, select_threshold
+from .crossval import CvConfig, CvResult, cv_result_to_json_obj, select_threshold
 from .errors import EmptyScreenError, InternalConsistencyError
 from .matrices import SymMatrix, hard_threshold
-from .panel import TimeSeriesPanel, spearman_matrix
+from .panel import TimeSeriesPanel
 
 __all__ = [
     "ScreenResult",
@@ -113,13 +113,13 @@ class ModelSpec:
 def screen(
     panel: TimeSeriesPanel,
     response_label: str,
-    template: CvTemplate = CvTemplate(),
+    cfg: CvConfig = CvConfig(),
 ) -> ScreenResult:
     """Threshold the panel's rank-correlation matrix and keep the response's neighbors.
 
-    The full matrix is estimated once (the response is a column like any
-    other), ``template`` spans its grid over it, and the cross-validated
-    threshold cuts that matrix.
+    :func:`~covclust.crossval.select_threshold` estimates the full matrix
+    once (the response is a column like any other) and cross-validates a
+    threshold on it under ``cfg``; that estimate is what gets cut.
     Keeping no variable is an error carrying the selected threshold and the
     largest response correlation seen, so callers can tell "nothing is
     related" from "threshold too aggressive".
@@ -129,14 +129,13 @@ def screen(
     r_idx = panel.labels.index(response_label)
     if panel.n_series < 2:
         raise ValueError("screening needs at least one predictor besides the response")
-    corr = spearman_matrix(panel)
-    cv = select_threshold(panel, template.for_panel(panel, corr), "spearman")
-    reg = hard_threshold(corr, cv.selected)
+    cv = select_threshold(panel, cfg, "spearman")
+    reg = hard_threshold(cv.estimate, cv.selected)
     resp_reg = reg.entries[:, r_idx]
     kept = [k for k in range(panel.n_series) if k != r_idx and resp_reg[k] != 0.0]
     if not kept:
         others = [k for k in range(panel.n_series) if k != r_idx]
-        max_seen = float(np.max(np.abs(corr.entries[others, r_idx])))
+        max_seen = float(np.max(np.abs(cv.estimate.entries[others, r_idx])))
         raise EmptyScreenError(cv.selected, max_seen)
     kept.sort(key=lambda k: (-abs(resp_reg[k]), k))
     order = kept + [r_idx]

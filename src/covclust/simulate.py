@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .crossval import _SEED_MASK, CvTemplate, select_threshold
+from .crossval import _SEED_MASK, CvConfig, select_threshold
 from .errors import InfeasibleDependenceError, NotApplicableError
 from .matrices import (
     SymMatrix,
@@ -25,7 +25,7 @@ from .matrices import (
     operator_norm,
     uniformity_diagnostics,
 )
-from .panel import TimeSeriesPanel, sample_covariance
+from .panel import TimeSeriesPanel
 
 __all__ = [
     "Structure",
@@ -369,14 +369,15 @@ def rate_experiment(
     dep: DependenceSpec,
     t_list,
     n_reps: int,
-    cv_template: CvTemplate = CvTemplate(n_splits=20),
+    cv: CvConfig = CvConfig(n_splits=20),
     seed: int = 0,
 ) -> RateReport:
     """Measure thresholded-estimator error across sample sizes.
 
     For every ``t`` and repetition: generate a panel, select a threshold by
-    cross-validation, and record operator-norm and normalized-Frobenius
-    distances between the thresholded sample covariance and the truth.  The
+    cross-validation under ``cv`` (its seed replaced by the panel's), and
+    record operator-norm and normalized-Frobenius distances between the
+    thresholded sample covariance and the truth.  The
     theoretical curve is ``c0 * (log(J) * cover / t) ** ((1 - q) / 2)`` with
     ``cover`` the fractional cover size (taken as 1 for var1 dependence,
     where covers do not apply).
@@ -403,10 +404,8 @@ def rate_experiment(
                 np.random.default_rng([seed & _SEED_MASK, ti, rep]).integers(_SEED_MASK)
             )
             panel = gen_panel(model, dep, t, seed=panel_seed)
-            cov = sample_covariance(panel)
-            cfg = replace(cv_template, seed=panel_seed).for_panel(panel, cov)
-            s_hat = select_threshold(panel, cfg, "covariance").selected
-            est = hard_threshold(cov, s_hat)
+            res = select_threshold(panel, replace(cv, seed=panel_seed), "covariance")
+            est = hard_threshold(res.estimate, res.selected)
             diff = SymMatrix(est.entries - model.sigma.entries, est.labels)
             op = operator_norm(diff)
             frob = frobenius_norm(diff) / np.sqrt(j)

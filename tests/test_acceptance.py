@@ -14,7 +14,7 @@ import numpy as np
 
 from oracles import jacobi_eigenvalues, naive_spearman
 from covclust.cli import main as cli_main
-from covclust.crossval import CvConfig, CvTemplate, default_grid, select_threshold
+from covclust.crossval import CvConfig, select_threshold
 from covclust.groupfit import FitConfig, fit
 from covclust.matrices import (
     SymMatrix,
@@ -23,7 +23,7 @@ from covclust.matrices import (
     min_eigenvalue,
     operator_norm,
 )
-from covclust.panel import TimeSeriesPanel, sample_covariance, spearman_matrix, standardize
+from covclust.panel import TimeSeriesPanel, spearman_matrix, standardize
 from covclust.pipeline import ModelSpec, ScreenResult, cluster_backward, cluster_forward, screen
 from covclust.simulate import (
     DependenceSpec,
@@ -181,15 +181,9 @@ def test_c4_cv_threshold_near_best_grid_point():
         panel = gen_panel(model, DependenceSpec.iid(), 300, seed=seed)
         # a long first segment keeps the selected threshold matched to the
         # full-sample noise scale instead of a much noisier subsample's
-        cfg = CvConfig(
-            t1=240,
-            t2=48,
-            grid=default_grid(sample_covariance(panel), 50),
-            n_splits=30,
-            seed=seed,
-        )
+        cfg = CvConfig(t1=240, t2=48, grid_size=50, n_splits=30, seed=seed)
         res = select_threshold(panel, cfg, "covariance")
-        sig_hat = sample_covariance(panel)
+        sig_hat = res.estimate
         errors = np.array(
             [
                 frobenius_norm(
@@ -257,7 +251,7 @@ def test_c6_screening_recovers_known_support():
             np.column_stack([cols[i] for i in order]),
             tuple(labels[i] for i in order),
         )
-        scr = screen(panel, "y", CvTemplate(seed=seed))
+        scr = screen(panel, "y", CvConfig(seed=seed))
         if {panel.labels[k] for k in scr.kept} == {"s1", "s2"}:
             hits += 1
     elapsed = time.perf_counter() - start

@@ -11,11 +11,10 @@ import pytest
 
 import covclust
 from covclust.cli import main, parse_config_file
-from covclust.crossval import CvConfig, cv_result_to_json_obj, default_grid, select_threshold
+from covclust.crossval import CvConfig, cv_result_to_json_obj, select_threshold
 from covclust.errors import ParseError
 from covclust.ingest import ingest
 from covclust.matrices import sym_from_csv, uniformity_diagnostics
-from covclust.panel import spearman_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PANEL_CSV = FIXTURES / "fixture_panel.csv"
@@ -358,9 +357,7 @@ class TestThresholdCommand:
         got = json.loads((out / "cv.json").read_text())
 
         panel = ingest(PANEL_CSV, {})
-        cfg = CvConfig(
-            t1=120, t2=240, grid=default_grid(spearman_matrix(panel), 30), n_splits=25, seed=3
-        )
+        cfg = CvConfig(t1=120, t2=240, grid_size=30, n_splits=25, seed=3)
         expected = cv_result_to_json_obj(select_threshold(panel, cfg, "spearman"))
         assert got["selected"] == expected["selected"]
         assert got["grid"] == [float(g) for g in expected["grid"]]

@@ -15,7 +15,7 @@ import pytest
 import covclust
 import covclust.cli
 from covclust.cli import main, parse_config_file
-from covclust.crossval import CvTemplate
+from covclust.crossval import CvConfig
 from covclust.errors import ParseError
 from covclust.groupfit import FitConfig
 
@@ -128,8 +128,8 @@ class TestMetaEchoesResolvedOptions:
 class TestOptionTableCoversConfigs:
     @pytest.mark.parametrize(
         "config, commands",
-        [(FitConfig, ("run",)), (CvTemplate, ("run", "threshold", "cluster"))],
-        ids=["FitConfig", "CvTemplate"],
+        [(FitConfig, ("run",)), (CvConfig, ("run", "threshold", "cluster"))],
+        ids=["FitConfig", "CvConfig"],
     )
     def test_every_field_is_an_option(self, config, commands):
         # a field with no row of the option table is one no command can set
@@ -285,6 +285,66 @@ class TestFitOptionsCheckedFirst:
         assert code == 1
         assert error_payload(capsys)["error"] == "invalid-argument"
         assert list(out.iterdir()) == []
+
+
+class TestCvOptionsCheckedFirst:
+    @pytest.mark.parametrize(
+        "command",
+        [("run", "--config", RUN_CONFIG), ("cluster", "--config", RUN_CONFIG), ("threshold",)],
+        ids=["run", "cluster", "threshold"],
+    )
+    @pytest.mark.parametrize("flag, value", [("--n-splits", 0), ("--grid-size", 0), ("--t2", 1)])
+    def test_bad_cv_option_fails_before_ingest(self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(*command, "--input", tmp_path / "missing.csv", flag, value, "--out", out)
+        assert code == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert flag[2:].replace("-", "_") in payload["message"]
+        assert list(out.iterdir()) == []
+
+
+class TestSplitSizeErrors:
+    @pytest.mark.parametrize(
+        "command", [("threshold",), ("cluster", "--response", "y")], ids=["threshold", "cluster"]
+    )
+    def test_panel_under_four_rows_is_insufficient_data(self, command, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("y,a\n1,2\n2,1\n3,5\n")
+        out = tmp_path / "o"
+        assert run_cli(*command, "--input", short, "--out", out) == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "insufficient-data"
+        assert "T=3" in payload["message"]
+        assert list(out.iterdir()) == []
+
+    def test_t1_leaving_under_two_rows_names_t1_and_t(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("threshold", "--input", PANEL_CSV, "--t1", 1000, "--out", out) == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert "t1=1000" in payload["message"] and "T=540" in payload["message"]
+        assert "-460" not in payload["message"]  # a t2 the user never set
+
+    def test_oversized_t1_plus_t2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("threshold", "--input", PANEL_CSV, "--t1", 300, "--t2", 300, "--out", out)
+        assert code == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert "t1 + t2 = 300 + 300 exceeds panel length T=540" in payload["message"]
+        assert list(out.iterdir()) == []
+
+
+class TestSeedFromEnvironment:
+    def test_bad_value_names_variable_and_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COVCLUST_SEED", "abc")
+        out = tmp_path / "o"
+        assert run_cli("threshold", "--input", PANEL_CSV, "--out", out) == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert "COVCLUST_SEED='abc'" in payload["message"]
+        assert not out.exists()
 
 
 class TestVarRadiusChecked:

@@ -5,13 +5,13 @@ import pytest
 
 from covclust.crossval import (
     CvConfig,
-    CvTemplate,
     cv_result_to_json_obj,
     default_grid,
     draw_split,
     empirical_loss,
     select_threshold,
     _grid_losses,
+    _loss_curve,
 )
 from covclust.errors import DegenerateColumnError
 from covclust.matrices import SymMatrix, hard_threshold
@@ -27,24 +27,43 @@ def gaussian_panel(seed, t, j, sigma=None):
     return TimeSeriesPanel(x, tuple(f"x{i + 1}" for i in range(j)))
 
 
+def splits_of(t, cfg):
+    return [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
+
+
 class TestCvConfig:
     def test_rejects_small_segments(self):
         with pytest.raises(ValueError):
-            CvConfig(t1=1, t2=10, grid=(0.0,))
+            CvConfig(t1=1, t2=10)
         with pytest.raises(ValueError):
-            CvConfig(t1=10, t2=1, grid=(0.0,))
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            CvConfig(t1=5, t2=5, grid=())
-        with pytest.raises(ValueError):
-            CvConfig(t1=5, t2=5, grid=(-0.1, 0.5))
-        with pytest.raises(ValueError):
-            CvConfig(t1=5, t2=5, grid=(0.5, 0.1))
+            CvConfig(t1=10, t2=1)
 
     def test_rejects_nonpositive_splits(self):
         with pytest.raises(ValueError):
-            CvConfig(t1=5, t2=5, grid=(0.0,), n_splits=0)
+            CvConfig(t1=5, t2=5, n_splits=0)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_nonpositive_grid_size(self, size):
+        with pytest.raises(ValueError, match="grid_size"):
+            CvConfig(grid_size=size)
+
+    def test_segment_is_a_third_and_two_thirds(self):
+        p = gaussian_panel(31, 540, 4)
+        res = select_threshold(p, CvConfig(n_splits=7, grid_size=11, seed=8))
+        assert res.t1 == 120
+        assert res.t2 == 240
+        assert res.n_splits == 7
+        assert len(res.grid) == 11
+
+    def test_segment_leaves_room_for_offsets(self):
+        t1, t2 = CvConfig().segments(300)
+        assert t1 + t2 < 300  # several admissible offsets exist
+
+    def test_short_panel_still_valid(self):
+        for t in (4, 5, 8, 9, 10):
+            t1, t2 = CvConfig().segments(t)
+            assert t1 >= 2 and t2 >= 2
+            assert t1 + t2 <= t
 
 
 class TestDefaultGrid:
@@ -65,7 +84,7 @@ class TestDefaultGrid:
 
 class TestDrawSplit:
     def test_shapes_and_adjacency(self):
-        cfg = CvConfig(t1=120, t2=240, grid=(0.0,), seed=4)
+        cfg = CvConfig(t1=120, t2=240, seed=4)
         for i in range(50):
             (a0, a1), (b0, b1) = draw_split(540, cfg, i)
             assert a1 - a0 == 120
@@ -74,24 +93,24 @@ class TestDrawSplit:
             assert 0 <= a0 and b1 <= 540
 
     def test_offset_varies_and_covers_range(self):
-        cfg = CvConfig(t1=10, t2=10, grid=(0.0,), seed=0)
+        cfg = CvConfig(t1=10, t2=10, seed=0)
         offsets = {draw_split(25, cfg, i)[0][0] for i in range(300)}
         assert offsets == {0, 1, 2, 3, 4, 5}  # uniform over {0,...,t-t1-t2}
 
     def test_redrawable_independently(self):
-        cfg = CvConfig(t1=10, t2=10, grid=(0.0,), seed=9)
+        cfg = CvConfig(t1=10, t2=10, seed=9)
         again = draw_split(100, cfg, 7)
         assert draw_split(100, cfg, 7) == again
 
     def test_seed_changes_splits(self):
-        a = CvConfig(t1=10, t2=10, grid=(0.0,), seed=1)
-        b = CvConfig(t1=10, t2=10, grid=(0.0,), seed=2)
+        a = CvConfig(t1=10, t2=10, seed=1)
+        b = CvConfig(t1=10, t2=10, seed=2)
         draws_a = [draw_split(200, a, i) for i in range(20)]
         draws_b = [draw_split(200, b, i) for i in range(20)]
         assert draws_a != draws_b
 
     def test_rejects_oversized_request(self):
-        cfg = CvConfig(t1=30, t2=30, grid=(0.0,))
+        cfg = CvConfig(t1=30, t2=30)
         with pytest.raises(ValueError, match="exceeds"):
             draw_split(59, cfg, 0)
 
@@ -130,7 +149,7 @@ class TestEmpiricalLoss:
         wins = 0
         for seed in range(20):
             p = gaussian_panel(100 + seed, 600, 10)
-            splits = [draw_split(600, CvConfig(t1=200, t2=400, grid=(0.0,), seed=seed), i) for i in range(20)]
+            splits = [draw_split(600, CvConfig(t1=200, t2=400, seed=seed), i) for i in range(20)]
             if empirical_loss(p, 0.5, splits) < empirical_loss(p, 0.0, splits):
                 wins += 1
         assert wins >= 18
@@ -139,12 +158,12 @@ class TestEmpiricalLoss:
 class TestSelectThreshold:
     def test_losses_are_means_of_common_splits(self):
         p = gaussian_panel(21, 90, 4)
-        cfg = CvConfig(t1=30, t2=60, grid=(0.0, 0.1, 0.2), n_splits=8, seed=3)
+        cfg = CvConfig(t1=30, t2=60, grid_size=3, n_splits=8, seed=3)
         res = select_threshold(p, cfg)
         assert res.per_split_losses.shape == (8, 3)
         np.testing.assert_allclose(res.losses, res.per_split_losses.mean(axis=0), rtol=1e-15)
         splits = [draw_split(90, cfg, i) for i in range(8)]
-        for gi, s in enumerate(cfg.grid):
+        for gi, s in enumerate(res.grid):
             assert res.losses[gi] == pytest.approx(empirical_loss(p, s, splits), rel=1e-14)
 
     def test_ties_resolve_to_larger_threshold(self):
@@ -153,14 +172,14 @@ class TestSelectThreshold:
         p = gaussian_panel(22, 80, 3)
         scale = 1e-6
         tiny = TimeSeriesPanel(p.values * scale, p.labels)
-        cfg = CvConfig(t1=20, t2=40, grid=(5.0, 9.0), n_splits=4, seed=0)
-        res = select_threshold(tiny, cfg)
-        assert res.losses[0] == res.losses[1]
-        assert res.selected == 9.0
+        cfg = CvConfig(t1=20, t2=40, n_splits=4, seed=0)
+        _, losses, selected = _loss_curve(tiny, (5.0, 9.0), splits_of(80, cfg), "covariance")
+        assert losses[0] == losses[1]
+        assert selected == 9.0
 
     def test_deterministic_across_runs(self):
         p = gaussian_panel(23, 120, 5)
-        cfg = CvConfig(t1=40, t2=80, grid=tuple(np.linspace(0, 0.4, 9)), n_splits=10, seed=5)
+        cfg = CvConfig(t1=40, t2=80, grid_size=9, n_splits=10, seed=5)
         a = select_threshold(p, cfg)
         b = select_threshold(p, cfg)
         assert a.selected == b.selected
@@ -169,17 +188,16 @@ class TestSelectThreshold:
 
     def test_selected_is_last_argmin(self):
         p = gaussian_panel(24, 100, 4)
-        cfg = CvTemplate(n_splits=12, grid_size=20, seed=1).for_panel(p, sample_covariance(p))
-        res = select_threshold(p, cfg)
+        res = select_threshold(p, CvConfig(n_splits=12, grid_size=20, seed=1))
         losses = np.array(res.losses)
         assert res.selected == res.grid[np.flatnonzero(losses == losses.min())[-1]]
 
     def test_degenerate_column_reports_split(self):
         vals = np.column_stack([np.ones(40), np.arange(40.0)])
         p = TimeSeriesPanel(vals, ("const", "trend"))
-        cfg = CvConfig(t1=10, t2=20, grid=(0.0,), n_splits=2, seed=0)
+        cfg = CvConfig(t1=10, t2=20, n_splits=2, seed=0)
         with pytest.raises(DegenerateColumnError) as exc:
-            select_threshold(p, cfg, "spearman")
+            _loss_curve(p, (0.0,), splits_of(40, cfg), "spearman")
         assert "split" in str(exc.value)
         assert "const" in exc.value.labels
 
@@ -188,13 +206,13 @@ class TestSelectThreshold:
     )
     def test_per_split_losses_match_independent_estimates_bitwise(self, kind, estimator):
         p = gaussian_panel(26, 150, 7)
-        cfg = CvConfig(t1=33, t2=66, grid=tuple(np.linspace(0.0, 0.6, 13)), n_splits=9, seed=4)
+        cfg = CvConfig(t1=33, t2=66, grid_size=13, n_splits=9, seed=4)
         res = select_threshold(p, cfg, kind)
         for v in range(cfg.n_splits):
             r1, r2 = draw_split(150, cfg, v)
             e1 = estimator(TimeSeriesPanel(p.values[r1[0]:r1[1]], p.labels)).entries
             e2 = estimator(TimeSeriesPanel(p.values[r2[0]:r2[1]], p.labels)).entries
-            want = _grid_losses(e1, e2, cfg.grid)
+            want = _grid_losses(e1, e2, res.grid)
             np.testing.assert_array_equal(res.per_split_losses[v], want)
 
     @pytest.mark.parametrize("kind", ["covariance", "spearman"])
@@ -202,7 +220,7 @@ class TestSelectThreshold:
         # 2 * 40 split estimates of 150 x 150 would hold 14 MB at once; a
         # streamed loop keeps a few matrices alive at a time.
         p = gaussian_panel(27, 120, 150)
-        cfg = CvConfig(t1=30, t2=60, grid=(0.0, 0.2), n_splits=40, seed=1)
+        cfg = CvConfig(t1=30, t2=60, grid_size=2, n_splits=40, seed=1)
         matrix_bytes = 150 * 150 * 8
         tracemalloc.start()
         try:
@@ -214,8 +232,7 @@ class TestSelectThreshold:
 
     def test_spearman_kind_runs(self):
         p = gaussian_panel(25, 90, 4)
-        cfg = CvTemplate(n_splits=5, grid_size=10, seed=2).for_panel(p, spearman_matrix(p))
-        res = select_threshold(p, cfg, "spearman")
+        res = select_threshold(p, CvConfig(n_splits=5, grid_size=10, seed=2), "spearman")
         assert 0.0 <= res.selected <= res.grid[-1]
 
 
@@ -230,42 +247,20 @@ class TestIdentityCovarianceSelection:
         hits = 0
         for seed in range(n_seeds):
             p = gaussian_panel(1000 + seed, t, j)
-            cfg = CvConfig(t1=133, t2=266, grid=grid, n_splits=20, seed=seed)
-            res = select_threshold(p, cfg)
-            est = hard_threshold(sample_covariance(p), res.selected)
+            cfg = CvConfig(t1=133, t2=266, n_splits=20, seed=seed)
+            _, _, selected = _loss_curve(p, grid, splits_of(t, cfg), "covariance")
+            est = hard_threshold(sample_covariance(p), selected)
             off = est.entries - np.diag(np.diag(est.entries))
             floor = 2.0 / np.sqrt(cfg.t1)
-            if floor <= res.selected < 1.0 and not np.any(off):
+            if floor <= selected < 1.0 and not np.any(off):
                 hits += 1
         assert hits >= 45
-
-
-class TestCvTemplate:
-    def test_segment_is_a_third_and_two_thirds(self):
-        p = gaussian_panel(31, 540, 4)
-        cfg = CvTemplate(n_splits=7, grid_size=11, seed=8).for_panel(p, sample_covariance(p))
-        assert cfg.t1 == 120
-        assert cfg.t2 == 240
-        assert cfg.n_splits == 7
-        assert len(cfg.grid) == 11
-
-    def test_segment_leaves_room_for_offsets(self):
-        p = gaussian_panel(33, 300, 4)
-        cfg = CvTemplate().for_panel(p, sample_covariance(p))
-        assert cfg.t1 + cfg.t2 < 300  # several admissible offsets exist
-
-    def test_short_panel_still_valid(self):
-        p = gaussian_panel(32, 8, 3)
-        cfg = CvTemplate().for_panel(p, sample_covariance(p))
-        assert cfg.t1 >= 2 and cfg.t2 >= 2
-        assert cfg.t1 + cfg.t2 <= 8
 
 
 class TestJson:
     def test_round_trip_keys_and_values(self):
         p = gaussian_panel(41, 90, 3)
-        cfg = CvTemplate(n_splits=4, grid_size=6, seed=7).for_panel(p, sample_covariance(p))
-        res = select_threshold(p, cfg)
+        res = select_threshold(p, CvConfig(n_splits=4, grid_size=6, seed=7))
         obj = cv_result_to_json_obj(res)
         assert set(obj) == {"grid", "losses", "selected", "seed", "t1", "t2", "n_splits"}
         assert obj["selected"] == res.selected

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from covclust.crossval import CvTemplate, select_threshold
+from covclust.crossval import CvConfig, select_threshold
 from covclust.errors import EmptyScreenError, InternalConsistencyError
 from covclust.matrices import SymMatrix
-from covclust.panel import TimeSeriesPanel, spearman_matrix
+from covclust.panel import TimeSeriesPanel
 from covclust.pipeline import (
     ModelSpec,
     ScreenResult,
@@ -105,11 +105,11 @@ class TestScreen:
     def test_empty_screen_reports_threshold_and_best_corr(self):
         rng = np.random.default_rng(12)
         panel = TimeSeriesPanel(rng.normal(size=(300, 5)), tuple("abcde"))
-        template = CvTemplate(n_splits=20)
+        cfg = CvConfig(n_splits=20)
         with pytest.raises(EmptyScreenError) as exc:
-            screen(panel, "a", template)
-        corr = spearman_matrix(panel)
-        cv = select_threshold(panel, template.for_panel(panel, corr), "spearman")
+            screen(panel, "a", cfg)
+        cv = select_threshold(panel, cfg, "spearman")
+        corr = cv.estimate
         assert exc.value.threshold == cv.selected
         assert exc.value.max_abs_corr == float(np.max(np.abs(corr.entries[1:, 0])))
         assert exc.value.max_abs_corr < exc.value.threshold
