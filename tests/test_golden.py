@@ -1,0 +1,48 @@
+"""Committed reports that every refactor must reproduce byte for byte.
+
+``tests/golden/<name>/`` holds what one command wrote, ``meta.json`` left
+out (it carries a timestamp).  Each command is rerun in a fresh interpreter
+at one BLAS thread and every report is compared with its golden copy.  A
+change that alters a golden file on purpose says why in CHANGES.md.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import covclust
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ON_FIXTURE = ("--config", str(FIXTURES / "run_config.txt"),
+              "--input", str(FIXTURES / "fixture_panel.csv"))
+
+COMMANDS = {
+    "run": ("run", *ON_FIXTURE),
+    "threshold": ("threshold", "--matrix-kind", "covariance", *ON_FIXTURE),
+    "simulate": ("simulate", "--j", "12", "--t", "80", "--dependence", "var1", "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_reports_match_golden_bytes(name, tmp_path):
+    src = str(Path(covclust.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "covclust", *COMMANDS[name], "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    golden = sorted(p.name for p in (GOLDEN / name).iterdir())
+    written = sorted(p.name for p in out.iterdir() if p.name != "meta.json")
+    assert written == golden
+    for report in golden:
+        assert (out / report).read_bytes() == (GOLDEN / name / report).read_bytes(), report
