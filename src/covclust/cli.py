@@ -206,37 +206,31 @@ def _parse_transforms(text: str) -> dict:
     return out
 
 
-def _canon(obj):
-    """Recursively convert numpy scalars/arrays so json emits native types."""
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
-    # bool first: Python bool is a subclass of int and would render as 0/1
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def _write_json(path, obj) -> None:
+def _write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(_canon(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_meta(outdir: Path, args_echo: dict) -> None:
+def _write_text(text: str, path: Path) -> None:
+    path.write_text(text)
+
+
+def _write_reports(outdir: Path, reports: dict, args_echo: dict) -> None:
+    """Create ``outdir`` and write each ``name: (writer, obj)`` report, then ``meta.json``.
+
+    Called only once a command has computed everything, so a failed command
+    leaves no directory or file behind.
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (write, obj) in reports.items():
+        write(obj, outdir / name)
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
         "arguments": args_echo,
     }
-    _write_json(outdir / "meta.json", meta)
+    _write_json(meta, outdir / "meta.json")
 
 
 def _cv_config(opts: dict) -> CvConfig:
@@ -244,38 +238,39 @@ def _cv_config(opts: dict) -> CvConfig:
     return CvConfig(**{name: opts[name] for name in fields})
 
 
-def _screen_and_group(opts: dict, transforms: dict, outdir: Path):
-    """Ingest, screen and group as ``run`` and ``cluster`` share; write their reports."""
+def _screen_and_group(opts: dict, transforms: dict):
+    """Ingest, screen and group as ``run`` and ``cluster`` share; return their reports."""
     cv_cfg = _cv_config(opts)
     panel = ingest(opts["input"], transforms)
     scr = screen(panel, opts["response"], cv_cfg)
     clu = cluster_backward(scr) if opts["mode"] == "backward" else cluster_forward(scr)
-    _write_json(outdir / "screen.json", screen_to_json_obj(scr, panel.labels))
-    _write_json(outdir / "clusters.json", clusters_to_json_obj(clu, panel.labels))
-    (outdir / "clusters.txt").write_text(clusters_to_text(clu, panel.labels))
-    return panel, scr, clu
+    reports = {
+        "screen.json": (_write_json, screen_to_json_obj(scr, panel.labels)),
+        "clusters.json": (_write_json, clusters_to_json_obj(clu, panel.labels)),
+        "clusters.txt": (_write_text, clusters_to_text(clu, panel.labels)),
+    }
+    return panel, scr, clu, reports
 
 
-def _cmd_run(opts: dict, outdir: Path) -> str:
+def _cmd_run(opts: dict, outdir: Path) -> tuple[str, dict]:
     transforms = _parse_transforms(opts["transforms"])
     if opts["response"] not in transforms:
         raise ValueError(f"the response {opts['response']!r} must appear in the transform map")
     fit_cfg = FitConfig(tolerance=opts["tolerance"], max_iter=opts["max_iter"])
-    panel, scr, clu = _screen_and_group(opts, transforms, outdir)
+    panel, scr, clu, reports = _screen_and_group(opts, transforms)
     spec = build_model_spec(scr, clu)
     result = fit(panel, spec, fit_cfg)
-    _write_json(outdir / "fit.json", fit_to_json_obj(result, spec, panel.labels))
-    links_to_csv(result, outdir / "links.csv")
-    report = {
+    reports["fit.json"] = (_write_json, fit_to_json_obj(result, spec, panel.labels))
+    reports["links.csv"] = (links_to_csv, result)
+    reports["report.json"] = (_write_json, {
         "selected_threshold": float(scr.threshold),
         "K": len(scr.kept),
         "S": len(spec.groups),
         "r_squared": float(result.r_squared),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
-    }
-    _write_json(outdir / "report.json", report)
-    return f"run complete: {outdir}/report.json"
+    })
+    return f"run complete: {outdir}/report.json", reports
 
 
 def _structure(opts: dict) -> Structure:
@@ -299,30 +294,32 @@ def _dependence(opts: dict, model) -> DependenceSpec:
     return random_var1(model, opts["var_radius"], opts["seed"])
 
 
-def _cmd_simulate(opts: dict, outdir: Path) -> str:
+def _cmd_simulate(opts: dict, outdir: Path) -> tuple[str, dict]:
     t, seed = opts["t"], opts["seed"]
     model = make_sparse_cov(opts["j"], _structure(opts), seed=seed)
     dep = _dependence(opts, model)
-    write_panel_csv(gen_panel(model, dep, t, seed=seed), outdir / "panel.csv")
-    sym_to_csv(model.sigma, outdir / "truth_sigma.csv")
-    _write_json(outdir / "model.json", model_to_json_obj(model, dep, t, seed))
-    return f"simulation written to {outdir}"
+    reports = {
+        "panel.csv": (write_panel_csv, gen_panel(model, dep, t, seed=seed)),
+        "truth_sigma.csv": (sym_to_csv, model.sigma),
+        "model.json": (_write_json, model_to_json_obj(model, dep, t, seed)),
+    }
+    return f"simulation written to {outdir}", reports
 
 
-def _cmd_threshold(opts: dict, outdir: Path) -> str:
+def _cmd_threshold(opts: dict, outdir: Path) -> tuple[str, dict]:
     cv_cfg = _cv_config(opts)
     panel = ingest(opts["input"], _parse_transforms(opts["transforms"]))
     res = select_threshold(panel, cv_cfg, opts["matrix_kind"])
-    _write_json(outdir / "cv.json", cv_result_to_json_obj(res))
-    return f"selected threshold {res.selected!r} -> {outdir}/cv.json"
+    reports = {"cv.json": (_write_json, cv_result_to_json_obj(res))}
+    return f"selected threshold {res.selected!r} -> {outdir}/cv.json", reports
 
 
-def _cmd_cluster(opts: dict, outdir: Path) -> str:
-    _, _, clu = _screen_and_group(opts, _parse_transforms(opts["transforms"]), outdir)
-    return f"{len(clu.sets)} sets -> {outdir}/clusters.txt"
+def _cmd_cluster(opts: dict, outdir: Path) -> tuple[str, dict]:
+    _, _, clu, reports = _screen_and_group(opts, _parse_transforms(opts["transforms"]))
+    return f"{len(clu.sets)} sets -> {outdir}/clusters.txt", reports
 
 
-# subcommand -> (help line, handler returning the completion message)
+# subcommand -> (help line, handler returning the message and the reports)
 _COMMANDS = {
     "run": ("full screen/group/fit pipeline", _cmd_run),
     "simulate": ("generate a synthetic panel", _cmd_simulate),
@@ -360,7 +357,7 @@ def _error_payload(exc: Exception, stage: str) -> dict:
     for attr in ("row", "column", "labels", "threshold", "max_abs_corr"):
         value = getattr(exc, attr, None)
         if value is not None:
-            payload[attr] = _canon(value)
+            payload[attr] = value
     return payload
 
 
@@ -374,9 +371,8 @@ def main(argv=None) -> int:
         file_cfg = parse_config_file(args.config) if args.config else {}
         opts = _resolve(args.command, args, file_cfg)
         outdir = Path(opts["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        message = _COMMANDS[args.command][1](opts, outdir)
-        _write_meta(outdir, {"command": args.command, **opts})
+        message, reports = _COMMANDS[args.command][1](opts, outdir)
+        _write_reports(outdir, reports, {"command": args.command, **opts})
     except (CovclustError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(json.dumps(_error_payload(exc, args.command), sort_keys=True))
         return 1

@@ -249,10 +249,16 @@ def _initial_direction(xc: np.ndarray, yc: np.ndarray, signs: np.ndarray) -> np.
         v = eigvecs[:, int(np.argmax(np.abs(eigvals)))]
     out = np.where(signs != 0, signs * np.abs(v), v)
     norm = float(np.linalg.norm(out))
-    if norm < 1e-12:
-        out = np.where(signs != 0, signs.astype(float), 1.0)
-        norm = float(np.linalg.norm(out))
-    return out / norm
+    return _equal_weight_start(signs) if norm < 1e-12 else out / norm
+
+
+def _equal_weight_start(signs: np.ndarray) -> np.ndarray:
+    """Unit vector of equal weights, each constrained coordinate on its feasible side.
+
+    A group whose direction vanishes restarts from here.
+    """
+    out = np.where(signs != 0, signs.astype(float), 1.0)
+    return out / float(np.linalg.norm(out))
 
 
 def _solve_with_guard(g: np.ndarray, rhs: np.ndarray, ridge: float):
@@ -409,11 +415,7 @@ def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndar
             out[sl] = 1.0
             continue
         norm = float(np.linalg.norm(seg))
-        if norm < 1e-12:
-            # fully zeroed group: restart from the feasible equal-weight point
-            seg = np.where(d[sl] != 0, d[sl].astype(float), 1.0)
-            norm = float(np.linalg.norm(seg))
-        seg = seg / norm
+        seg = _equal_weight_start(d[sl]) if norm < 1e-12 else seg / norm
         constrained = mask[sl] & (seg != 0.0)
         if not np.any(constrained):
             # orientation is free: make the largest coefficient positive

@@ -25,27 +25,32 @@ __all__ = [
     "read_panel_csv",
 ]
 
-_LAGS = {
-    "level": 0,
-    "log": 0,
-    "diff1": 1,
-    "diff2": 2,
-    "log_diff1": 1,
-    "log_diff2": 2,
+#: transform code -> (take the log, differencing order); the order is the lag
+_TRANSFORMS = {
+    "level": (False, 0),
+    "log": (True, 0),
+    "diff1": (False, 1),
+    "diff2": (False, 2),
+    "log_diff1": (True, 1),
+    "log_diff2": (True, 2),
 }
 
 #: recognized transform codes, in the order error messages list them
-TRANSFORM_CODES = tuple(_LAGS)
+TRANSFORM_CODES = tuple(_TRANSFORMS)
 
 
-def transform_lag(code: str) -> int:
-    """Number of leading periods the transform consumes."""
+def _transform(code: str) -> tuple[bool, int]:
     try:
-        return _LAGS[code]
+        return _TRANSFORMS[code]
     except KeyError:
         raise ValueError(
             f"unknown transform code {code!r}; expected one of {TRANSFORM_CODES}"
         ) from None
+
+
+def transform_lag(code: str) -> int:
+    """Number of leading periods the transform consumes."""
+    return _transform(code)[1]
 
 
 def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarray:
@@ -55,11 +60,11 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
     offending row (0-based within the column) on failure; :func:`ingest`
     turns that into the cell's file coordinates.
     """
-    lag = transform_lag(code)
+    take_log, lag = _transform(code)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("apply_transform expects a 1-D column")
-    if code in ("log", "log_diff1", "log_diff2"):
+    if take_log:
         bad = np.flatnonzero(v <= 0.0)
         if bad.size:
             raise DataError(
@@ -69,10 +74,7 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
                 column=label,
             )
         v = np.log(v)
-    if code in ("diff1", "log_diff1"):
-        v = np.diff(v)
-    elif code in ("diff2", "log_diff2"):
-        v = np.diff(v, n=2)
+    v = np.diff(v, n=lag)
     assert len(v) == len(values) - lag
     return v
 

@@ -104,18 +104,20 @@ class DependenceSpec:
     equally weighted innovation rows so observations more than ``m`` periods
     apart are independent while the marginal covariance is untouched;
     ``var1(coeff)`` iterates ``x_t = A x_{t-1} + eta_t`` with the spectral
-    radius of ``A`` strictly below 1.
+    radius of ``A`` strictly below 1.  Independence is ``m = 0``, so ``m``
+    drives every kind but ``var1``.
     """
 
     kind: str
     m: int = 0
     coeff: np.ndarray | None = None
+    _radius: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("iid", "m_dependent", "var1"):
             raise ValueError(f"unknown dependence kind {self.kind!r}")
-        if self.kind == "m_dependent" and self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        if self.m < 0 or (self.kind == "iid" and self.m != 0):
+            raise ValueError(f"m must be >= 0, and 0 for iid, got {self.m}")
         if self.kind == "var1":
             a = np.array(self.coeff, dtype=float, copy=True)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -125,6 +127,7 @@ class DependenceSpec:
                 raise ValueError(f"var1 spectral radius must be < 1, got {radius:.6g}")
             a.setflags(write=False)
             object.__setattr__(self, "coeff", a)
+            object.__setattr__(self, "_radius", radius)
 
     @classmethod
     def iid(cls) -> "DependenceSpec":
@@ -139,9 +142,8 @@ class DependenceSpec:
         return cls(kind="var1", coeff=np.array(coeff, dtype=float))
 
     def spectral_radius(self) -> float:
-        if self.kind != "var1":
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(self.coeff))))
+        """Spectral radius of the var1 coefficient, found at validation; 0 for other kinds."""
+        return self._radius
 
 
 def _rescale_to_unit_diag(base: np.ndarray) -> np.ndarray:
@@ -277,11 +279,10 @@ def gen_panel(
         raise ValueError(f"panel length must be >= 2, got {t}")
     rng = np.random.default_rng([seed & _SEED_MASK, 0x9A7E1])
     sigma = model.sigma.entries
-    if dep.kind in ("iid", "m_dependent"):
-        m = dep.m if dep.kind == "m_dependent" else 0
-        values = _gen_moving_average(sigma, m, t, rng)
-    else:
+    if dep.kind == "var1":
         values = _gen_var1(sigma, dep.coeff, t, rng)
+    else:
+        values = _gen_moving_average(sigma, dep.m, t, rng)
     return TimeSeriesPanel(values, model.sigma.labels)
 
 
@@ -337,13 +338,9 @@ def fractional_cover_size(dep: DependenceSpec, t: int) -> int:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if dep.kind == "iid":
-        return 1
-    if dep.kind == "m_dependent":
-        return min(dep.m + 1, t)
-    raise NotApplicableError(
-        "fractional cover size is undefined for var1 dependence"
-    )
+    if dep.kind == "var1":
+        raise NotApplicableError("fractional cover size is undefined for var1 dependence")
+    return min(dep.m + 1, t)
 
 
 @dataclass(frozen=True)
@@ -388,12 +385,7 @@ def rate_experiment(
     if n_reps < 1:
         raise ValueError(f"n_reps must be positive, got {n_reps}")
     j = model.sigma.dim
-    if dep.kind == "m_dependent":
-        dep_level = float(dep.m)
-    elif dep.kind == "var1":
-        dep_level = dep.spectral_radius()
-    else:
-        dep_level = 0.0
+    dep_level = dep.spectral_radius() if dep.kind == "var1" else float(dep.m)
     rows = []
     medians = {}
     theory = {}
@@ -412,10 +404,7 @@ def rate_experiment(
             rows.append((t, dep_level, rep, op, frob))
             op_errors.append((op, frob))
         medians[t] = tuple(float(np.median(errors)) for errors in zip(*op_errors))
-        if dep.kind == "var1":
-            cover = 1
-        else:
-            cover = fractional_cover_size(dep, t)
+        cover = 1 if dep.kind == "var1" else fractional_cover_size(dep, t)
         theory[t] = float(
             model.params.c0
             * (np.log(j) * cover / t) ** ((1.0 - model.params.q) / 2.0)

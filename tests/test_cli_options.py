@@ -284,7 +284,7 @@ class TestFitOptionsCheckedFirst:
                        "--out", out)
         assert code == 1
         assert error_payload(capsys)["error"] == "invalid-argument"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCvOptionsCheckedFirst:
@@ -301,7 +301,7 @@ class TestCvOptionsCheckedFirst:
         payload = error_payload(capsys)
         assert payload["error"] == "invalid-argument"
         assert flag[2:].replace("-", "_") in payload["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestSplitSizeErrors:
@@ -316,7 +316,7 @@ class TestSplitSizeErrors:
         payload = error_payload(capsys)
         assert payload["error"] == "insufficient-data"
         assert "T=3" in payload["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_t1_leaving_under_two_rows_names_t1_and_t(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -333,7 +333,33 @@ class TestSplitSizeErrors:
         payload = error_payload(capsys)
         assert payload["error"] == "invalid-argument"
         assert "t1 + t2 = 300 + 300 exceeds panel length T=540" in payload["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+
+class TestFailedCommandWritesNothing:
+    def test_failed_run_leaves_earlier_reports_untouched(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("run", "--config", RUN_CONFIG, "--input", PANEL_CSV, "--n-splits", 5,
+                       "--out", out) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # 12 rows of 15 near-copies of one trend: every series passes the
+        # screen, so the fit has more coefficients than periods
+        rows = np.arange(12.0)[:, None] + 0.01 * np.random.default_rng(1).standard_normal((12, 15))
+        short = tmp_path / "short.csv"
+        short.write_text(",".join(["y"] + [f"c{k}" for k in range(14)]) + "\n"
+                         + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+        code = run_cli("run", "--input", short, "--response", "y", "--transforms", "y=level",
+                       "--seed", 0, "--out", out)
+        assert code == 1
+        assert error_payload(capsys)["error"] == "insufficient-data"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_threshold_creates_no_default_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("threshold", "--input", "nope.csv", "--n-splits", 0) == 1
+        assert error_payload(capsys)["error"] == "invalid-argument"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeedFromEnvironment:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from covclust import simulate
+from covclust.cli import main
 from covclust.errors import InfeasibleDependenceError, NotApplicableError
 from covclust.matrices import (
     SymMatrix,
@@ -108,6 +111,46 @@ class TestDependenceSpec:
     def test_m_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             DependenceSpec.m_dependent(-1)
+
+    def test_iid_must_have_m_zero(self):
+        with pytest.raises(ValueError, match="0 for iid"):
+            DependenceSpec("iid", m=2)
+
+    def test_iid_is_m_dependent_of_order_zero(self):
+        for t in (1, 2, 100):
+            assert fractional_cover_size(DependenceSpec.iid(), t) == fractional_cover_size(
+                DependenceSpec.m_dependent(0), t
+            )
+        model = make_sparse_cov(5, Structure.diagonal(), seed=35)
+        iid, m0 = (
+            rate_experiment(model, dep, [60], n_reps=2, seed=9)
+            for dep in (DependenceSpec.iid(), DependenceSpec.m_dependent(0))
+        )
+        assert [row[1] for row in iid.rows] == [row[1] for row in m0.rows] == [0.0, 0.0]
+
+    def test_var1_radius_found_once_at_validation(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        dep = DependenceSpec.var1(0.5 * np.eye(3))
+        assert calls == [(3, 3)]
+        model = make_sparse_cov(3, Structure.diagonal(), seed=1)
+        assert dep.spectral_radius() == 0.5
+        assert simulate.model_to_json_obj(model, dep, 20, 0)["dependence"]["radius"] == 0.5
+        assert calls == [(3, 3)]
+
+    def test_iid_keeps_its_label_in_model_json(self, tmp_path, capsys):
+        out = tmp_path / "iid"
+        assert main(["simulate", "--j", "4", "--t", "10", "--dependence", "iid",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        model = json.loads((out / "model.json").read_text())
+        assert model["dependence"] == {"kind": "iid"}
 
 
 class TestGenPanel:
