@@ -26,7 +26,9 @@ Splits are streamed: each pair of segment estimates is scored against the
 whole grid and dropped before the next split is estimated, so memory stays
 O(J^2) whatever the number of splits.  A segment is a row view of the
 panel's already validated block, handed straight to the array estimators of
-:mod:`covclust.panel`: a split copies no rows and checks no cells again.
+:mod:`covclust.panel`: a split copies no rows and checks no cells again.  A
+Spearman run ranks each column of the panel once, and each segment ranks its
+window of those codes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ import numpy as np
 
 from .errors import DegenerateColumnError, InsufficientDataError
 from .matrices import SymMatrix
-from .panel import TimeSeriesPanel, _covariance, _spearman, sample_covariance, spearman_matrix
+from .panel import (
+    TimeSeriesPanel,
+    _covariance,
+    _rank_codes,
+    _spearman,
+    sample_covariance,
+    spearman_matrix,
+)
 
 __all__ = [
     "MatrixKind",
@@ -57,15 +66,29 @@ _SEED_MASK = (1 << 63) - 1
 
 
 def _estimators(matrix_kind: str):
-    """Full-sample estimator and ``(values, labels)`` array kernel of ``matrix_kind``.
+    """Full-sample estimator of ``matrix_kind`` and its segment kernel.
 
-    Looked up per call, so a wrapper installed on a module-level name sees every estimate.
+    The segment kernel takes a panel and returns ``estimate(start, stop)``,
+    the entries of the rows ``start:stop``.  Names are looked up per call, so
+    a wrapper installed on a module-level name sees every estimate.
     """
     if matrix_kind == "covariance":
-        return sample_covariance, lambda values, labels: _covariance(values)
+        return sample_covariance, _covariance_segments
     if matrix_kind == "spearman":
-        return spearman_matrix, _spearman
+        return spearman_matrix, _spearman_segments
     raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
+
+
+def _covariance_segments(panel: TimeSeriesPanel):
+    values = panel.values
+    return lambda start, stop: _covariance(values[start:stop])
+
+
+def _spearman_segments(panel: TimeSeriesPanel):
+    """Rank each column of the panel once; each segment sorts its window of the codes."""
+    values, labels = panel.values, panel.labels
+    codes = _rank_codes(values)
+    return lambda start, stop: _spearman(values[start:stop], labels, codes[:, start:stop])
 
 
 @dataclass(frozen=True)
@@ -140,13 +163,16 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
 
 
 def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
-    """Yield ``(e1, e2)`` entry arrays one split at a time, from row views."""
-    _, kernel = _estimators(matrix_kind)
-    values, labels = panel.values, panel.labels
+    """Yield ``(e1, e2)`` entry arrays one split at a time, from row views.
+
+    A degenerate column names the split and its row ranges.
+    """
+    _, segments = _estimators(matrix_kind)
+    estimate = segments(panel)
     for i, (r1, r2) in enumerate(splits):
         try:
-            e1 = kernel(values[r1[0]:r1[1]], labels)
-            e2 = kernel(values[r2[0]:r2[1]], labels)
+            e1 = estimate(*r1)
+            e2 = estimate(*r2)
         except DegenerateColumnError as exc:
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"

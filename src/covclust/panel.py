@@ -15,10 +15,20 @@ thread count.  Two rules deliver that:
   are multiples of 1/2, so one BLAS product returns the same bits in any
   summation order (:func:`_rank_gram`).
 
+Ranking takes one sort per panel and one per window of rows.
+:func:`_rank_codes` sorts each column once and gives every value a dense
+int32 code: equal values share a code, and codes follow the order of the
+values.  A window of rows is ranked by its window of codes alone
+(:func:`_sort_window`): one integer sort of the unique keys
+``(code << bits) | position`` orders every column, and the order and the
+sorted codes are read back out of the keys.  Since the keys are unique, the
+ranks do not depend on how a sort breaks ties.
+
 The array kernels :func:`_covariance` and :func:`_spearman` take a ``T x J``
 block and return the ``J x J`` entries; the public estimators wrap them in a
 :class:`SymMatrix`.  Cross-validation feeds them row slices of an already
-validated panel, so a split neither copies nor re-validates its cells.
+validated panel, so a split neither copies nor re-validates its cells, and
+passes :func:`_spearman` each slice's window of the panel's codes.
 """
 
 from __future__ import annotations
@@ -97,19 +107,15 @@ class TimeSeriesPanel:
         return self.values[:, j]
 
 
-def _find_degenerate(arr: np.ndarray, labels) -> list:
-    constant = np.all(arr == arr[0], axis=0)
-    return [labels[j] for j in np.flatnonzero(constant)]
-
-
 def standardize(p: TimeSeriesPanel) -> TimeSeriesPanel:
     """Center each column and scale it to unit sample standard deviation.
 
     The scale uses the ``T - 1`` divisor.  A constant column has no scale and
     raises :class:`DegenerateColumnError` naming every offending label.
     """
-    bad = _find_degenerate(p.values, p.labels)
-    if bad:
+    constant = np.all(p.values == p.values[0], axis=0)
+    if constant.any():
+        bad = [p.labels[j] for j in np.flatnonzero(constant)]
         raise DegenerateColumnError(bad, context="standardize")
     mean = p.values.mean(axis=0)
     sd = p.values.std(axis=0, ddof=1)
@@ -147,37 +153,79 @@ def _pairwise_gram(z: np.ndarray, scale: float) -> np.ndarray:
 _EXACT_RANK_GRAM_MAX_T = 208_063
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Per-column ranks from 1 to ``T``, ties given the mean of the ranks they span.
+def _rank_codes(values: np.ndarray) -> np.ndarray:
+    """``J x T`` int32 dense codes of a ``T x J`` block, one sort per column.
 
-    One sort ranks every column.  The columns are copied into the rows of a
-    contiguous ``J x T`` block first, so each sort runs along memory rather
-    than down a stride of ``J`` cells; the result is returned as a ``T x J``
-    view.  In sorted order, a tie group spans positions ``start..end``; each
-    member gets ``(start + end) / 2 + 1``, the same value
-    ``scipy.stats.rankdata(method="average")`` gives.  Every member of a
-    group gets the same rank, so the order the sort leaves ties in does not
-    matter: the default sort, about three times faster than a stable one,
-    gives the same ranks.  With no ties at all, the ranks are the inverse
-    of the sort order plus one, which skips the tie-group scans.
+    Equal values share a code, and codes follow the order of the values:
+    ``codes[j, a] < codes[j, b]`` exactly when ``values[a, j] < values[b, j]``.
+    So ranking any window of rows by its codes ranks it by its values, and
+    the order the sort leaves ties in does not matter.  The columns are
+    copied into the rows of a contiguous block first, so each sort runs
+    along memory rather than down a stride of ``J`` cells.
     """
-    t = x.shape[0]
-    series = np.ascontiguousarray(x.T)
+    series = np.ascontiguousarray(values.T)
     order = np.argsort(series, axis=1)
     srt = np.take_along_axis(series, order, axis=1)
+    dense = np.zeros(srt.shape, dtype=np.int32)
+    np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=dense[:, 1:])
+    codes = np.empty_like(dense)
+    np.put_along_axis(codes, order, dense, axis=1)
+    return codes
+
+
+def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat sort order and sorted codes of a ``J x t`` window of codes.
+
+    One sort of the keys ``(code << bits) | position`` orders every column,
+    ``bits = (t - 1).bit_length()`` wide enough for any position.  The keys
+    are unique, so the order does not depend on how the sort breaks ties.
+    They are int32 when ``T << bits < 2**31``, with ``T`` one more than the
+    largest code (at most the length of the panel the codes came from), and
+    int64 otherwise.  The returned order indexes the flattened ``J x t``
+    block: row ``j``'s entries are offset by ``j * t``.
+    """
+    n, t = codes.shape
+    bits = (t - 1).bit_length()
+    bound = int(codes.max()) + 1
+    dtype = np.int32 if bound << bits < 2**31 else np.int64
+    keys = codes.astype(dtype)
+    keys <<= bits
+    keys |= np.arange(t, dtype=dtype)
+    keys.sort(axis=1)
+    order = (keys & ((1 << bits) - 1)) + np.arange(0, n * t, t)[:, None]
+    keys >>= bits
+    return order, keys
+
+
+def _midranks(x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """Per-column ranks from 1 to ``T``, ties given the mean of the ranks they span.
+
+    ``codes`` are the :func:`_rank_codes` of ``x``, or the window of the codes
+    of a longer block that ``x`` is a row window of; unset, they are computed
+    from ``x``.  In sorted order (:func:`_sort_window`), a tie group spans
+    positions ``start..end``; each member gets ``(start + end) / 2 + 1``, the
+    same value ``scipy.stats.rankdata(method="average")`` gives.  With no ties
+    at all, the ranks are the inverse of the sort order plus one, which skips
+    the tie-group scans.  One flat scatter fills in every rank of the ``J x T``
+    block, returned as a ``T x J`` view.
+    """
+    if codes is None:
+        codes = _rank_codes(x)
+    n, t = codes.shape
+    order, srt = _sort_window(codes)
     new = np.ones(srt.shape, dtype=bool)
     new[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    ranks = np.empty(series.shape)
+    ranks = np.empty(n * t)
     if new.all():
-        np.put_along_axis(ranks, order, np.arange(1.0, t + 1.0)[None, :], axis=1)
-        return ranks.T
-    pos = np.arange(t)
-    start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
-    last = np.ones(srt.shape, dtype=bool)
-    last[:, :-1] = new[:, 1:]
-    end = np.minimum.accumulate(np.where(last, pos, t - 1)[:, ::-1], axis=1)[:, ::-1]
-    np.put_along_axis(ranks, order, (start + end) / 2.0 + 1.0, axis=1)
-    return ranks.T
+        ranks[order] = np.arange(1.0, t + 1.0)
+    else:
+        pos = np.arange(t)
+        start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+        last = np.ones(srt.shape, dtype=bool)
+        last[:, :-1] = new[:, 1:]
+        end = np.minimum.accumulate(np.where(last, pos, t - 1)[:, ::-1], axis=1)[:, ::-1]
+        ranks[order] = (start + end) / 2.0 + 1.0
+    return ranks.reshape(n, t).T
 
 
 def _rank_gram(centered: np.ndarray) -> np.ndarray:
@@ -205,28 +253,35 @@ def _covariance(values: np.ndarray) -> np.ndarray:
     return _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
 
 
-def _correlation_from_gram(gram: np.ndarray, labels) -> np.ndarray:
+def _correlation_from_gram(gram: np.ndarray, labels, context: str) -> np.ndarray:
+    """Correlation of a Gram of centered columns; a zero diagonal entry is a
+    constant column and raises :class:`DegenerateColumnError` with ``context``."""
     diag = np.diag(gram)
     bad = [labels[k] for k in np.flatnonzero(diag == 0.0)]
     if bad:
-        raise DegenerateColumnError(bad, context="correlation")
+        raise DegenerateColumnError(bad, context=context)
     denom = np.sqrt(diag)
     # One symmetric divisor (a*b == b*a exactly) rather than two sequential
     # divisions, which would break exact symmetry by a unit in the last place.
-    corr = gram / (denom[:, None] * denom[None, :])
-    corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    # The Gram is the caller's scratch, so it becomes the correlation in place.
+    gram /= denom[:, None] * denom[None, :]
+    np.clip(gram, -1.0, 1.0, out=gram)
+    np.fill_diagonal(gram, 1.0)
+    return gram
 
 
-def _spearman(values: np.ndarray, labels) -> np.ndarray:
-    """Entries of :func:`spearman_matrix` for a ``T x J`` block labeled ``labels``."""
-    bad = _find_degenerate(values, labels)
-    if bad:
-        raise DegenerateColumnError(bad, context="spearman")
-    # Midranks of every column sum to T(T+1)/2, ties or not.
-    centered = _midranks(values) - (values.shape[0] + 1) / 2.0
-    return _correlation_from_gram(_rank_gram(centered), labels)
+def _spearman(values: np.ndarray, labels, codes: np.ndarray | None = None) -> np.ndarray:
+    """Entries of :func:`spearman_matrix` for a ``T x J`` block labeled ``labels``.
+
+    ``codes`` are as in :func:`_midranks`; cross-validation passes each
+    segment its window of the panel's codes.
+    """
+    ranks = _midranks(values, codes)
+    # Midranks of every column sum to T(T+1)/2, ties or not.  The centered
+    # ranks are exact multiples of 1/2, so a column's Gram diagonal is exactly
+    # zero when, and only when, the column is constant in the block.
+    ranks -= (values.shape[0] + 1) / 2.0
+    return _correlation_from_gram(_rank_gram(ranks), labels, "spearman")
 
 
 def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
@@ -243,7 +298,8 @@ def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
 def pearson_matrix(p: TimeSeriesPanel) -> SymMatrix:
     """Pearson correlation matrix: unit diagonal, entries clipped to ``[-1, 1]``."""
     centered = p.values - p.values.mean(axis=0)
-    return SymMatrix(_correlation_from_gram(_pairwise_gram(centered, 1.0), p.labels), p.labels)
+    gram = _pairwise_gram(centered, 1.0)
+    return SymMatrix(_correlation_from_gram(gram, p.labels, "correlation"), p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:

@@ -215,6 +215,44 @@ class TestSelectThreshold:
             want = _grid_losses(e1, e2, res.grid)
             np.testing.assert_array_equal(res.per_split_losses[v], want)
 
+    def test_tied_spearman_losses_match_from_scratch_segments_bitwise(self):
+        # Few distinct levels tie most of every segment; each segment is
+        # ranked from the panel's codes, the reference from its own values.
+        rng = np.random.default_rng(28)
+        vals = rng.integers(0, 4, size=(120, 6)).astype(float)
+        vals[:, 2] = np.tile([0.0, 1.0], 60)  # two levels, half tied each
+        p = TimeSeriesPanel(vals, tuple(f"x{i + 1}" for i in range(6)))
+        cfg = CvConfig(t1=20, t2=40, grid_size=11, n_splits=15, seed=6)
+        res = select_threshold(p, cfg, "spearman")
+        for v in range(cfg.n_splits):
+            r1, r2 = draw_split(120, cfg, v)
+            e1 = spearman_matrix(TimeSeriesPanel(vals[r1[0]:r1[1]], p.labels)).entries
+            e2 = spearman_matrix(TimeSeriesPanel(vals[r2[0]:r2[1]], p.labels)).entries
+            want = _grid_losses(e1, e2, res.grid)
+            np.testing.assert_array_equal(res.per_split_losses[v], want)
+
+    def test_column_constant_in_one_segment_names_split_and_rows(self):
+        # "flat2" and "flat" are constant on rows 17..29 only, so the
+        # full-sample estimate succeeds; split 3's first segment, rows
+        # 19..28, is the first to fall inside that stretch.
+        rng = np.random.default_rng(30)
+        vals = rng.integers(0, 5, size=(90, 4)).astype(float)
+        vals[17:30, 1] = 2.0
+        vals[17:30, 3] = -1.0
+        p = TimeSeriesPanel(vals, ("a", "flat2", "b", "flat"))
+        cfg = CvConfig(t1=10, t2=20, grid_size=5, n_splits=8, seed=3)
+        splits = splits_of(90, cfg)
+        inside = [i for i, pair in enumerate(splits) if any(17 <= a and b <= 30 for a, b in pair)]
+        assert inside[0] == 3
+        with pytest.raises(DegenerateColumnError) as exc:
+            select_threshold(p, cfg, "spearman")
+        r1, r2 = splits[3]
+        assert exc.value.labels == ("flat2", "flat")
+        assert exc.value.context == f"split 3, rows {r1}/{r2}"
+        assert str(exc.value) == (
+            "degenerate column(s): 'flat2', 'flat' (split 3, rows (19, 29)/(29, 49))"
+        )
+
     @pytest.mark.parametrize("kind", ["covariance", "spearman"])
     def test_memory_does_not_grow_with_splits(self, kind):
         # 2 * 40 split estimates of 150 x 150 would hold 14 MB at once; a

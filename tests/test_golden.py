@@ -4,6 +4,13 @@
 out (it carries a timestamp).  Each command is rerun in a fresh interpreter
 at one BLAS thread and every report is compared with its golden copy.  A
 change that alters a golden file on purpose says why in CHANGES.md.
+
+The bytes hold per numpy build and SIMD dispatch target: numpy picks its
+vectorised loops by CPU at import, and a loop for another target can round
+a sum differently.  The committed files come from numpy 2.4.6 dispatching
+to AVX-512 (``X86_V4``, ``AVX512_ICL``, ``AVX512_SPR``); without those
+targets ``run``'s ``fit.json`` and ``links.csv`` differ in the last digits.
+A failure names the numpy version and dispatch targets it ran with.
 """
 
 import os
@@ -11,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import covclust
@@ -44,5 +52,9 @@ def test_reports_match_golden_bytes(name, tmp_path):
     golden = sorted(p.name for p in (GOLDEN / name).iterdir())
     written = sorted(p.name for p in out.iterdir() if p.name != "meta.json")
     assert written == golden
+    simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
     for report in golden:
-        assert (out / report).read_bytes() == (GOLDEN / name / report).read_bytes(), report
+        assert (out / report).read_bytes() == (GOLDEN / name / report).read_bytes(), (
+            f"{report} differs from its golden copy under numpy {numpy.__version__}, "
+            f"SIMD extensions {simd}"
+        )

@@ -179,9 +179,12 @@ class TestSpearman:
         np.testing.assert_array_equal(before, after)
 
     def test_all_tied_column_raises(self):
-        p = make_panel([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]], ("a", "b"))
-        with pytest.raises(DegenerateColumnError):
+        p = make_panel([[1.0, 7.0, 2.0, 0.0], [2.0, 7.0, 2.0, 0.0], [3.0, 7.0, 1.0, 0.0]],
+                       ("a", "d", "b", "c"))
+        with pytest.raises(DegenerateColumnError) as exc:
             spearman_matrix(p)
+        assert exc.value.labels == ("d", "c")
+        assert exc.value.context == "spearman"
 
     def test_permutation_equivariance_is_bitwise(self):
         rng = np.random.default_rng(27)
@@ -224,6 +227,51 @@ class TestWholeMatrixSpearman:
             vals = rng.normal(size=(57, 6))
         want = np.column_stack([midranks(vals[:, a]) for a in range(6)])
         np.testing.assert_array_equal(panel_mod._midranks(vals), want)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_midranks_of_every_window_match_oracle_bitwise(self, tied):
+        # T = 18 gives every window length from 2 to 18, so both sides of
+        # the packing width's steps (t = 2, 3, 4, 5, 8, 9, 16, 17).
+        rng = np.random.default_rng(37 + tied)
+        t = 18
+        if tied:
+            vals = rng.integers(0, 3, size=(t, 5)).astype(float)
+            vals[:, 0] = 4.0  # one column entirely tied
+            vals[:9, 3] = -0.0
+            vals[9:, 3] = 0.0  # signed zeros compare equal, so tie
+        else:
+            vals = rng.normal(size=(t, 5))
+        codes = panel_mod._rank_codes(vals)
+        assert codes.shape == (5, t) and codes.dtype == np.int32
+        for a in range(t - 1):
+            for b in range(a + 2, t + 1):
+                window = vals[a:b]
+                want = np.column_stack([midranks(window[:, k]) for k in range(5)])
+                np.testing.assert_array_equal(panel_mod._midranks(window, codes[:, a:b]), want)
+                np.testing.assert_array_equal(panel_mod._midranks(window), want)
+
+    def test_rank_codes_are_dense_and_ordered(self):
+        vals = np.array([[3.0, 1.0], [-2.0, 1.0], [3.0, 1.0], [0.5, 1.0]])
+        np.testing.assert_array_equal(
+            panel_mod._rank_codes(vals), [[2, 0, 2, 1], [0, 0, 0, 0]]
+        )
+
+    def test_midranks_with_int64_keys_match_oracle_bitwise(self):
+        # 40000 codes need 16 position bits, and 40000 << 16 >= 2**31.
+        vals = np.random.default_rng(41).permutation(40_000).astype(float)[:, None]
+        codes = panel_mod._rank_codes(vals)
+        assert panel_mod._sort_window(codes)[1].dtype == np.int64
+        np.testing.assert_array_equal(panel_mod._midranks(vals), midranks(vals[:, 0])[:, None])
+
+    @pytest.mark.parametrize("top, dtype", [(2**30 - 2, np.int32), (2**30 - 1, np.int64)])
+    def test_sort_window_key_width_at_the_int32_edge(self, top, dtype):
+        # t = 2 packs one position bit: (top + 1) << 1 reaches 2**31 only
+        # for the larger code, which must move to int64 keys.
+        codes = np.array([[top, 0], [0, top]], dtype=np.int32)
+        order, srt = panel_mod._sort_window(codes)
+        assert srt.dtype == dtype
+        np.testing.assert_array_equal(order, [[1, 0], [2, 3]])
+        np.testing.assert_array_equal(srt, [[0, top], [0, top]])
 
     @pytest.mark.parametrize(
         "t, j, tied", [(3, 2, False), (40, 9, True), (333, 17, False), (1000, 12, True), (1999, 8, False)]
