@@ -191,7 +191,10 @@ def _resolve(command: str, args, file_cfg: dict) -> dict:
 
 
 def _parse_transforms(text: str) -> dict:
-    """``"A=log_diff1,B=level"`` to a label-to-code dict; ``ingest`` checks the codes."""
+    """``"A=log_diff1,B=level"`` to a label-to-code dict; ``ingest`` checks the codes.
+
+    A label given twice is refused rather than letting the last code win.
+    """
     out = {}
     if not text:
         return out
@@ -202,6 +205,8 @@ def _parse_transforms(text: str) -> dict:
         if "=" not in part:
             raise ValueError(f"transform entry {part!r} is not LABEL=CODE")
         label, code = (p.strip() for p in part.split("=", 1))
+        if label in out:
+            raise ValueError(f"transform label {label!r} is given more than once")
         out[label] = code
     return out
 

@@ -22,13 +22,15 @@ bucket totals give every grid point's loss.  Grid points that keep the same
 entries are separated only by empty buckets, which add exact zeros, so they
 get the same float and an exact tie still goes to the larger threshold.
 
-Splits are streamed: each pair of segment estimates is scored against the
-whole grid and dropped before the next split is estimated, so memory stays
-O(J^2) whatever the number of splits.  A segment is a row view of the
-panel's already validated block, handed straight to the array estimators of
-:mod:`covclust.panel`: a split copies no rows and checks no cells again.  A
-Spearman run ranks each column of the panel once, and each segment ranks its
-window of those codes.
+One window estimator (:func:`_window_estimator`) serves a run: it maps a
+row range to the entries of that window, and the full-sample matrix is the
+``(0, T)`` window.  A window is a row view of the panel's already validated
+block, handed straight to the array estimators of :mod:`covclust.panel`: a
+split copies no rows and checks no cells again.  A Spearman run ranks each
+column of the panel once, and the full-sample estimate and every segment
+read windows of those codes.  Splits are streamed: each pair of segment
+estimates is scored against the whole grid and dropped before the next
+split is estimated, so memory stays O(J^2) whatever the number of splits.
 """
 
 from __future__ import annotations
@@ -40,14 +42,7 @@ import numpy as np
 
 from .errors import DegenerateColumnError, InsufficientDataError
 from .matrices import SymMatrix
-from .panel import (
-    TimeSeriesPanel,
-    _covariance,
-    _rank_codes,
-    _spearman,
-    sample_covariance,
-    spearman_matrix,
-)
+from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
 
 __all__ = [
     "MatrixKind",
@@ -65,30 +60,21 @@ MatrixKind = Literal["covariance", "spearman"]
 _SEED_MASK = (1 << 63) - 1
 
 
-def _estimators(matrix_kind: str):
-    """Full-sample estimator of ``matrix_kind`` and its segment kernel.
+def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
+    """``estimate(start, stop)``: the ``matrix_kind`` entries of rows ``start:stop``.
 
-    The segment kernel takes a panel and returns ``estimate(start, stop)``,
-    the entries of the rows ``start:stop``.  Names are looked up per call, so
-    a wrapper installed on a module-level name sees every estimate.
+    A window is a row view of the panel's validated block.  The Spearman
+    estimator ranks each column of the panel once, and every window ranks
+    its window of those codes.  Kernels are looked up per call, so a wrapper
+    installed on a module-level name sees every estimate.
     """
-    if matrix_kind == "covariance":
-        return sample_covariance, _covariance_segments
-    if matrix_kind == "spearman":
-        return spearman_matrix, _spearman_segments
-    raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
-
-
-def _covariance_segments(panel: TimeSeriesPanel):
     values = panel.values
-    return lambda start, stop: _covariance(values[start:stop])
-
-
-def _spearman_segments(panel: TimeSeriesPanel):
-    """Rank each column of the panel once; each segment sorts its window of the codes."""
-    values, labels = panel.values, panel.labels
-    codes = _rank_codes(values)
-    return lambda start, stop: _spearman(values[start:stop], labels, codes[:, start:stop])
+    if matrix_kind == "covariance":
+        return lambda start, stop: _covariance(values[start:stop])
+    if matrix_kind == "spearman":
+        codes, labels = _rank_codes(values), panel.labels
+        return lambda start, stop: _spearman(codes[:, start:stop], labels)
+    raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -162,24 +148,6 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
     return (offset, offset + t1), (offset + t1, offset + t1 + t2)
 
 
-def _segment_estimates(panel: TimeSeriesPanel, splits, matrix_kind: str):
-    """Yield ``(e1, e2)`` entry arrays one split at a time, from row views.
-
-    A degenerate column names the split and its row ranges.
-    """
-    _, segments = _estimators(matrix_kind)
-    estimate = segments(panel)
-    for i, (r1, r2) in enumerate(splits):
-        try:
-            e1 = estimate(*r1)
-            e2 = estimate(*r2)
-        except DegenerateColumnError as exc:
-            raise DegenerateColumnError(
-                exc.labels, context=f"split {i}, rows {r1}/{r2}"
-            ) from None
-        yield e1, e2
-
-
 def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     """Squared Frobenius loss of every threshold in the ascending ``grid``.
 
@@ -208,13 +176,25 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     return np.cumsum(zeroed_sums)[:-1] + np.cumsum(kept_sums[::-1])[::-1][1:]
 
 
-def _loss_curve(panel: TimeSeriesPanel, grid, splits, matrix_kind: str):
+def _loss_curve(estimate, grid, splits):
     """Read-only per-split losses of the ascending ``grid``, their column
-    means, and the largest grid point that attains the minimum mean."""
+    means, and the largest grid point that attains the minimum mean.
+
+    ``estimate`` is a :func:`_window_estimator`.  Each split's pair of
+    estimates is scored and dropped before the next; a degenerate column
+    names the split and its row ranges.
+    """
     splits = list(splits)
     per_split = np.empty((len(splits), len(grid)))
-    for v, (e1, e2) in enumerate(_segment_estimates(panel, splits, matrix_kind)):
-        per_split[v] = _grid_losses(e1, e2, grid)
+    for i, (r1, r2) in enumerate(splits):
+        try:
+            e1 = estimate(*r1)
+            e2 = estimate(*r2)
+        except DegenerateColumnError as exc:
+            raise DegenerateColumnError(
+                exc.labels, context=f"split {i}, rows {r1}/{r2}"
+            ) from None
+        per_split[i] = _grid_losses(e1, e2, grid)
     per_split.setflags(write=False)
     losses = per_split.mean(axis=0)
     best = np.flatnonzero(losses == losses.min())[-1]
@@ -226,13 +206,15 @@ def empirical_loss(
 ) -> float:
     """Mean squared-Frobenius validation loss of threshold ``s`` over ``splits``.
 
-    ``splits`` holds ``((start, stop), (start, stop))`` row ranges; each
-    range must cover at least 2 rows of the panel.
+    ``splits`` holds at least one ``((start, stop), (start, stop))`` pair of
+    row ranges; each range must cover at least 2 rows of the panel.
     """
     s = float(s)
     if not np.isfinite(s) or s < 0:
         raise ValueError(f"threshold must be finite and >= 0, got {s}")
     splits = list(splits)
+    if not splits:
+        raise ValueError("empirical_loss needs at least one split")
     t = panel.n_periods
     for start, stop in (r for pair in splits for r in pair):
         if start < 0 or stop > t or stop - start < 2:
@@ -240,7 +222,7 @@ def empirical_loss(
                 f"invalid row range [{start}, {stop}) for {t} periods; "
                 "a segment needs at least 2 rows"
             )
-    return _loss_curve(panel, (s,), splits, matrix_kind)[1][0]
+    return _loss_curve(_window_estimator(panel, matrix_kind), (s,), splits)[1][0]
 
 
 @dataclass(frozen=True)
@@ -270,21 +252,22 @@ def select_threshold(
 ) -> CvResult:
     """Cross-validate a hard threshold for the panel's ``matrix_kind`` matrix.
 
-    The kind and the segment lengths are checked before any estimate.  The
-    full-sample matrix is estimated once, :func:`default_grid` spans
+    The segment lengths and the kind are checked before any estimate.  One
+    window estimator serves the whole run: the full-sample matrix is its
+    ``(0, T)`` window, estimated once, :func:`default_grid` spans
     ``cfg.grid_size`` points over it, and every grid point is scored on the
     same ``cfg.n_splits`` splits, so exact ties in the mean loss happen
     wherever the kept sets agree; they go to the larger threshold.
     """
-    estimator, _ = _estimators(matrix_kind)
     t = panel.n_periods
     t1, t2 = cfg.segments(t)
-    estimate = estimator(panel)
-    grid = default_grid(estimate, cfg.grid_size)
+    estimate = _window_estimator(panel, matrix_kind)
+    full = SymMatrix(estimate(0, t), panel.labels)
+    grid = default_grid(full, cfg.grid_size)
     splits = [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
-    per_split, losses, selected = _loss_curve(panel, grid, splits, matrix_kind)
+    per_split, losses, selected = _loss_curve(estimate, grid, splits)
     return CvResult(
-        estimate=estimate,
+        estimate=full,
         grid=grid,
         losses=losses,
         selected=selected,

@@ -41,7 +41,7 @@ thread count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -532,8 +532,7 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         constraint_solver_capped=solver_capped,
     )
     r2 = explained_variation(provisional, panel, spec)
-    object.__setattr__(provisional, "r_squared", float(r2))
-    return provisional
+    return replace(provisional, r_squared=float(r2))
 
 
 def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray) -> np.ndarray:

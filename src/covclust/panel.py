@@ -24,11 +24,12 @@ values.  A window of rows is ranked by its window of codes alone
 sorted codes are read back out of the keys.  Since the keys are unique, the
 ranks do not depend on how a sort breaks ties.
 
-The array kernels :func:`_covariance` and :func:`_spearman` take a ``T x J``
-block and return the ``J x J`` entries; the public estimators wrap them in a
-:class:`SymMatrix`.  Cross-validation feeds them row slices of an already
-validated panel, so a split neither copies nor re-validates its cells, and
-passes :func:`_spearman` each slice's window of the panel's codes.
+The array kernels return ``J x J`` entries, and the public estimators wrap
+them in a :class:`SymMatrix`.  :func:`_covariance` takes a ``T x J`` block
+and :func:`_spearman` a ``J x T`` block of codes.  Cross-validation ranks
+the panel once and feeds them windows of an already validated panel: row
+slices of the values or column slices of the codes, so a window neither
+copies nor re-validates its cells, nor sorts its values again.
 """
 
 from __future__ import annotations
@@ -197,20 +198,18 @@ def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, keys
 
 
-def _midranks(x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-    """Per-column ranks from 1 to ``T``, ties given the mean of the ranks they span.
+def _midranks(codes: np.ndarray) -> np.ndarray:
+    """Per-column ranks from 1 to ``t``, ties given the mean of the ranks they span.
 
-    ``codes`` are the :func:`_rank_codes` of ``x``, or the window of the codes
-    of a longer block that ``x`` is a row window of; unset, they are computed
-    from ``x``.  In sorted order (:func:`_sort_window`), a tie group spans
-    positions ``start..end``; each member gets ``(start + end) / 2 + 1``, the
-    same value ``scipy.stats.rankdata(method="average")`` gives.  With no ties
-    at all, the ranks are the inverse of the sort order plus one, which skips
-    the tie-group scans.  One flat scatter fills in every rank of the ``J x T``
-    block, returned as a ``T x J`` view.
+    ``codes`` are the ``J x T`` :func:`_rank_codes` of a ``T x J`` block, or a
+    window ``codes[:, a:b]`` of them, which ranks the rows ``a:b``.  In sorted order
+    (:func:`_sort_window`), a tie group spans positions ``start..end``; each
+    member gets ``(start + end) / 2 + 1``, the same value
+    ``scipy.stats.rankdata(method="average")`` gives.  With no ties at all,
+    the ranks are the inverse of the sort order plus one, which skips the
+    tie-group scans.  One flat scatter fills in every rank of the ``J x t``
+    block, returned as a ``t x J`` view.
     """
-    if codes is None:
-        codes = _rank_codes(x)
     n, t = codes.shape
     order, srt = _sort_window(codes)
     new = np.ones(srt.shape, dtype=bool)
@@ -270,17 +269,14 @@ def _correlation_from_gram(gram: np.ndarray, labels, context: str) -> np.ndarray
     return gram
 
 
-def _spearman(values: np.ndarray, labels, codes: np.ndarray | None = None) -> np.ndarray:
-    """Entries of :func:`spearman_matrix` for a ``T x J`` block labeled ``labels``.
-
-    ``codes`` are as in :func:`_midranks`; cross-validation passes each
-    segment its window of the panel's codes.
-    """
-    ranks = _midranks(values, codes)
-    # Midranks of every column sum to T(T+1)/2, ties or not.  The centered
+def _spearman(codes: np.ndarray, labels) -> np.ndarray:
+    """Entries of :func:`spearman_matrix` for the block a ``J x t`` window of
+    codes stands for (as in :func:`_midranks`), its columns labeled ``labels``."""
+    ranks = _midranks(codes)
+    # Midranks of every column sum to t(t+1)/2, ties or not.  The centered
     # ranks are exact multiples of 1/2, so a column's Gram diagonal is exactly
     # zero when, and only when, the column is constant in the block.
-    ranks -= (values.shape[0] + 1) / 2.0
+    ranks -= (codes.shape[1] + 1) / 2.0
     return _correlation_from_gram(_rank_gram(ranks), labels, "spearman")
 
 
@@ -310,4 +306,4 @@ def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:
     column.  A column whose values are all tied carries no rank information
     and raises :class:`DegenerateColumnError`.
     """
-    return SymMatrix(_spearman(p.values, p.labels), p.labels)
+    return SymMatrix(_spearman(_rank_codes(p.values), p.labels), p.labels)

@@ -239,6 +239,18 @@ class TestErrorPaths:
         assert payload["error"] == "invalid-argument"
         assert "exp" in payload["message"]
 
+    def test_repeated_transform_label_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "threshold", "--input", PANEL_CSV, "--transforms", "y=log,y=diff1", "--out", out
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "invalid-argument"
+        assert payload["stage"] == "threshold"
+        assert "'y'" in payload["message"]
+        assert not out.exists()
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

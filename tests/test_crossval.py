@@ -12,6 +12,7 @@ from covclust.crossval import (
     select_threshold,
     _grid_losses,
     _loss_curve,
+    _window_estimator,
 )
 from covclust.errors import DegenerateColumnError
 from covclust.matrices import SymMatrix, hard_threshold
@@ -173,7 +174,9 @@ class TestSelectThreshold:
         scale = 1e-6
         tiny = TimeSeriesPanel(p.values * scale, p.labels)
         cfg = CvConfig(t1=20, t2=40, n_splits=4, seed=0)
-        _, losses, selected = _loss_curve(tiny, (5.0, 9.0), splits_of(80, cfg), "covariance")
+        _, losses, selected = _loss_curve(
+            _window_estimator(tiny, "covariance"), (5.0, 9.0), splits_of(80, cfg)
+        )
         assert losses[0] == losses[1]
         assert selected == 9.0
 
@@ -197,7 +200,7 @@ class TestSelectThreshold:
         p = TimeSeriesPanel(vals, ("const", "trend"))
         cfg = CvConfig(t1=10, t2=20, n_splits=2, seed=0)
         with pytest.raises(DegenerateColumnError) as exc:
-            _loss_curve(p, (0.0,), splits_of(40, cfg), "spearman")
+            _loss_curve(_window_estimator(p, "spearman"), (0.0,), splits_of(40, cfg))
         assert "split" in str(exc.value)
         assert "const" in exc.value.labels
 
@@ -286,7 +289,7 @@ class TestIdentityCovarianceSelection:
         for seed in range(n_seeds):
             p = gaussian_panel(1000 + seed, t, j)
             cfg = CvConfig(t1=133, t2=266, n_splits=20, seed=seed)
-            _, _, selected = _loss_curve(p, grid, splits_of(t, cfg), "covariance")
+            _, _, selected = _loss_curve(_window_estimator(p, "covariance"), grid, splits_of(t, cfg))
             est = hard_threshold(sample_covariance(p), selected)
             off = est.entries - np.diag(np.diag(est.entries))
             floor = 2.0 / np.sqrt(cfg.t1)

@@ -72,3 +72,10 @@ def test_split_sizes_fail_before_any_estimate(t, cfg, error, message, estimated_
     with pytest.raises(error, match=message):
         screen(panel, "x1", cfg)
     assert estimated_rows == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empirical_loss_without_splits_fails_before_any_estimate(kind, estimated_rows):
+    with pytest.raises(ValueError, match="needs at least one split"):
+        empirical_loss(random_panel(60), 0.1, [], kind)
+    assert estimated_rows == []

@@ -9,6 +9,7 @@ import pytest
 
 import covclust.panel
 from covclust.cli import main
+from covclust.crossval import CvConfig, select_threshold
 from covclust.ingest import ingest
 from covclust.panel import TimeSeriesPanel
 from covclust.pipeline import screen
@@ -25,19 +26,39 @@ def estimated_rows(monkeypatch):
 
     The kernels are replaced wherever a covclust module binds them, so calls
     through the public estimators and through cross-validation both count.
+    ``_covariance`` takes a ``T x J`` block and ``_spearman`` a ``J x T``
+    block of codes, so the row count is read from axis 0 or axis 1.
     """
     rows = []
-    for name in ("_covariance", "_spearman"):
+    for name, axis in (("_covariance", 0), ("_spearman", 1)):
         original = getattr(covclust.panel, name)
 
-        def spy(values, *args, _original=original):
-            rows.append(values.shape[0])
-            return _original(values, *args)
+        def spy(block, *args, _original=original, _axis=axis):
+            rows.append(block.shape[_axis])
+            return _original(block, *args)
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("covclust") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, spy)
+        _patch_everywhere(monkeypatch, name, original, spy)
     return rows
+
+
+@pytest.fixture
+def rank_code_calls(monkeypatch):
+    """Shapes of the blocks handed to ``_rank_codes``, wherever it is bound."""
+    calls = []
+    original = covclust.panel._rank_codes
+
+    def spy(values):
+        calls.append(values.shape)
+        return original(values)
+
+    _patch_everywhere(monkeypatch, "_rank_codes", original, spy)
+    return calls
+
+
+def _patch_everywhere(monkeypatch, name, original, spy):
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("covclust") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
 
 
 @pytest.mark.parametrize(
@@ -72,3 +93,16 @@ def test_unknown_response_fails_before_any_estimate(estimated_rows):
     with pytest.raises(KeyError):
         screen(panel, "nope")
     assert estimated_rows == []
+
+
+@pytest.mark.parametrize("kind, ranked", [("covariance", 0), ("spearman", 1)])
+def test_panel_ranked_once_per_cv_run(kind, ranked, rank_code_calls):
+    panel = ingest(PANEL_CSV, {"y": "level"})
+    select_threshold(panel, CvConfig(n_splits=4, seed=2), kind)
+    assert rank_code_calls == [panel.values.shape] * ranked
+
+
+def test_screen_ranks_the_panel_once(rank_code_calls):
+    panel = ingest(PANEL_CSV, {"y": "level"})
+    screen(panel, "y", CvConfig(n_splits=4, seed=2))
+    assert rank_code_calls == [panel.values.shape]
