@@ -40,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InsufficientDataError
+from .errors import DegenerateColumnError, InsufficientDataError, _require_integer
 from .matrices import SymMatrix
 from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
 
@@ -93,12 +93,17 @@ class CvConfig:
     t2: int | None = None
 
     def __post_init__(self):
+        for name in ("n_splits", "grid_size", "seed"):
+            _require_integer(name, getattr(self, name))
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be positive, got {self.n_splits}")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be positive, got {self.grid_size}")
         for name, size in (("t1", self.t1), ("t2", self.t2)):
-            if size is not None and size < 2:
+            if size is None:
+                continue
+            _require_integer(name, size)
+            if size < 2:
                 raise ValueError(f"{name} must be >= 2, got {size}")
 
     def segments(self, t: int) -> tuple[int, int]:

@@ -9,6 +9,8 @@ names its ``slug``, the ``error`` field of the command line's JSON error line.
 
 from __future__ import annotations
 
+import numbers
+
 
 class CovclustError(Exception):
     """Base class for all data-dependent failures raised by covclust."""
@@ -93,3 +95,13 @@ class ParseError(_FileLocatedError):
     """The input file could not be parsed into a numeric panel."""
 
     slug = "parse-error"
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer.
+
+    Python and numpy integers pass; ``bool``, floats (even integral ones)
+    and strings do not, so a config holds a count only when it is one.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -23,29 +23,35 @@ centred once, before the iteration (the fit is invariant to such shifts,
 while the moment form's rounding error grows with the square of a column's
 offset), and each iteration applies its T×T weight matrix to their product
 rows once.  That matrix is built and summed a block of anchor rows at a
-time, so it never exists whole.  The local-linear surface and the pooled
-step both read that one moment pass: the centred indices are ``X b`` for the
-K×S block-diagonal coefficients ``b``, so their moments are ``M1 b`` and
-``b' M2 b``.  No T×T×K tensor is built; memory in the iteration is
-O(block·T + T·K²) for K coefficients, and the link backfit keeps one T×T
-smoother matrix per group, O(S·T²) for S groups.
+time, so it never exists whole, and the blocks are shared among a few
+threads, each with its own block buffers.  The local-linear surface and the
+pooled step both read that one moment pass: the centred indices are ``X b``
+for the K×S block-diagonal coefficients ``b``, so their moments are ``M1 b``
+and ``b' M2 b``.  No T×T×K tensor is built; memory in the iteration is
+O(workers·block·T + T·K²) for K coefficients, and the link backfit keeps
+one T×T smoother matrix per group, O(S·T²) for S groups.
 The same moments give the pooled step's weighted sum of squared targets, so
 each iteration's objective is read off the normal equations as
 ``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  No sum
 over observations goes to BLAS, whose blocking and summation order depend
 on its thread count: such sums are ``np.einsum`` calls without ``optimize``,
 which run numpy's own loops, so results are the same bytes at any BLAS
-thread count.
+thread count.  Every block of kernel rows gets the same operations on
+whichever thread sums it, so they are the same bytes at any number of
+cores too.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateResponseError, InsufficientDataError
+from .errors import DegenerateResponseError, InsufficientDataError, _require_integer
 from .panel import TimeSeriesPanel
 from .pipeline import ModelSpec
 
@@ -77,6 +83,9 @@ _LINK_GRID_SIZE = 100
 _RIDGE_SCALE = 1e-8
 # anchor rows of the kernel matrix built and summed at a time in each iteration
 _KERNEL_BLOCK_ROWS = 64
+# threads that share one iteration's anchor blocks, at most; each holds two
+# block×T buffers, 2 MB at T=2000
+_KERNEL_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,9 @@ class FitConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        _require_integer("max_iter", self.max_iter)
         if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 1:
@@ -164,30 +176,45 @@ def kernel_weight(u, h) -> np.ndarray:
         raise ValueError(f"bandwidth shape {h.shape} does not match u shape {u.shape}")
     if np.any(h <= 0) or not np.all(np.isfinite(h)):
         raise ValueError("bandwidths must be positive and finite")
-    return _product_gaussian((u[..., s] for s in range(h.shape[0])), h)
+    sq, z = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
+    # ``[()]`` hands a single displacement's weight back as a scalar
+    return _product_gaussian(lambda s, out: np.copyto(out, u[..., s]), h, sq, z)[()]
 
 
-def _product_gaussian(displacements, h: np.ndarray):
-    """``kernel_weight`` from one displacement array per index dimension.
+def _product_gaussian(displacement, h: np.ndarray, sq: np.ndarray, z: np.ndarray):
+    """``kernel_weight`` into ``sq``, one index dimension at a time.
 
-    The squared scaled displacements are added one dimension at a time, in
-    order, so no array with an index-dimension axis is built.
+    ``displacement(s, out)`` writes the displacements along dimension ``s``
+    into ``out``.  The squared scaled displacements are added in order of
+    dimension, in ``sq`` and the scratch ``z`` of the same shape, so no
+    array with an index-dimension axis is built and no temporary either:
+    every step writes in place.  Returns ``sq``.
     """
-    sq = None
-    for disp, hs in zip(displacements, h):
-        z = disp / hs
-        z *= z
-        if sq is None:
-            sq = z
-        else:
+    for s, hs in enumerate(h):
+        term = sq if s == 0 else z
+        displacement(s, term)
+        term /= hs
+        term *= term
+        if s:
             sq += z
-        del disp, z  # before the next displacement is built
-    return np.exp(-0.5 * sq) / (np.prod(h) * _SQRT_2PI ** h.shape[0])
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq /= np.prod(h) * _SQRT_2PI ** h.shape[0]
+    return sq
 
 
-def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``."""
-    return _product_gaussian((v[None, :, s] - anchors[:, None, s] for s in range(v.shape[1])), h)
+def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq=None, z=None):
+    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``.
+
+    ``sq`` and ``z``, when given, are ``len(anchors)×len(v)`` buffers: the
+    weights are written into ``sq`` and ``z`` is scratch.
+    """
+    shape = (anchors.shape[0], v.shape[0])
+    sq = np.empty(shape) if sq is None else sq
+    z = np.empty(shape) if z is None else z
+    return _product_gaussian(
+        lambda s, out: np.subtract(v[None, :, s], anchors[:, None, s], out=out), h, sq, z
+    )
 
 
 def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -195,18 +222,72 @@ def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ik", w, rows)
 
 
+def _available_cores() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``_weighted_sums(W, rows)`` for the T×T weights ``W = _kernel_matrix(v, v, h)``.
 
-    ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time.
+    ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time,
+    and the blocks are shared out among up to ``_KERNEL_MAX_WORKERS``
+    threads, no more than the CPUs this process may use or the blocks
+    there are.  The calling thread is one of them.  Each worker takes the
+    next block start from one shared iterator and builds that block's
+    weights in its own two preallocated block×T buffers, so a worker holds
+    2·block·T doubles whatever T is.  numpy's elementwise loops and
+    ``einsum`` release the interpreter lock, so the workers run at once.
+
     Each weight is computed elementwise and each output row sums over ``j``
-    on its own, so the result is the same bytes as the full-matrix form.
+    on its own, with the same operations whichever worker takes the block,
+    so the result is the same bytes as the full-matrix form at any worker
+    count.  An exception in a worker stops every worker taking new blocks;
+    it is raised here once all of them have finished, and no thread
+    outlives the call.
     """
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
-    for start in range(0, t, _KERNEL_BLOCK_ROWS):
-        block = slice(start, start + _KERNEL_BLOCK_ROWS)
-        out[block] = _weighted_sums(_kernel_matrix(v[block], v, h), rows)
+    starts = iter(range(0, t, _KERNEL_BLOCK_ROWS))
+    n_blocks = -(-t // _KERNEL_BLOCK_ROWS)
+    lock = threading.Lock()
+    failures = []
+
+    def next_start():
+        with lock:
+            return None if failures else next(starts, None)
+
+    def work():
+        try:
+            size = min(_KERNEL_BLOCK_ROWS, t)
+            sq, z = np.empty((size, t)), np.empty((size, t))
+            for start in iter(next_start, None):
+                block = slice(start, start + _KERNEL_BLOCK_ROWS)
+                anchors = v[block]
+                n = anchors.shape[0]
+                w = _kernel_matrix(anchors, v, h, sq[:n], z[:n])
+                out[block] = _weighted_sums(w, rows)
+        except BaseException as exc:  # re-raised by the caller after every join
+            with lock:
+                failures.append(exc)
+
+    workers = []
+    try:
+        for _ in range(min(_available_cores(), n_blocks, _KERNEL_MAX_WORKERS) - 1):
+            worker = threading.Thread(target=work)
+            worker.start()
+            workers.append(worker)
+    except BaseException as exc:  # a thread that could not start stops the others
+        with lock:
+            failures.append(exc)
+    work()
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[0]
     return out
 
 

@@ -48,6 +48,20 @@ class TestCvConfig:
         with pytest.raises(ValueError, match="grid_size"):
             CvConfig(grid_size=size)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_splits", 2.5), ("n_splits", True), ("grid_size", 10.0), ("grid_size", "10"),
+         ("seed", 1.5), ("seed", False), ("t1", 5.5), ("t2", np.float64(6.0)), ("t1", True)],
+    )
+    def test_rejects_non_integer_counts_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CvConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = CvConfig(n_splits=np.int32(3), grid_size=np.int64(5), seed=np.int64(-2),
+                       t1=np.int16(4), t2=np.uint8(4))
+        assert splits_of(20, cfg) == splits_of(20, CvConfig(n_splits=3, seed=-2, t1=4, t2=4))
+
     def test_segment_is_a_third_and_two_thirds(self):
         p = gaussian_panel(31, 540, 4)
         res = select_threshold(p, CvConfig(n_splits=7, grid_size=11, seed=8))

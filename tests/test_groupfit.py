@@ -82,6 +82,19 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", "3"),
+         ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", None)],
+    )
+    def test_rejects_values_of_the_wrong_type_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_accepts_numpy_numbers(self):
+        cfg = FitConfig(tolerance=np.float64(1e-4), max_iter=np.int64(3))
+        assert cfg.max_iter == 3
+
 
 @pytest.fixture(scope="module")
 def linear_fitted():

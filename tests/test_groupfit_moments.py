@@ -4,10 +4,12 @@ The tensor-form references live in ``oracles.py``; they build the T×T×d
 displacement tensors that ``covclust.groupfit`` avoids.
 """
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +18,15 @@ import pytest
 
 import covclust
 from covclust import groupfit
-from covclust.groupfit import FitConfig, fit, fit_to_json_obj, kernel_weight, predict
+from covclust.cli import main
+from covclust.groupfit import (
+    FitConfig,
+    fit,
+    fit_to_json_obj,
+    kernel_weight,
+    links_to_csv,
+    predict,
+)
 from covclust.ingest import ingest
 from covclust.panel import TimeSeriesPanel
 from covclust.pipeline import ModelSpec
@@ -63,6 +73,15 @@ def step_inputs(x, slices, y, beta, h):
     b[np.arange(len(beta)), group_of] = beta
     rows = groupfit._moment_rows(np.column_stack([xc, y - y.mean()]))
     return xc @ b, h, rows, xc, b, group_of
+
+
+# worker counts of the kernel-moment pass: one, two, three and the cap
+WORKER_COUNTS = (1, 2, 3, groupfit._KERNEL_MAX_WORKERS)
+
+
+def use_workers(monkeypatch, n):
+    """Let the kernel-moment pass see ``n`` CPUs, so it runs min(n, blocks, cap) workers."""
+    monkeypatch.setattr(groupfit, "_available_cores", lambda: n)
 
 
 def full_kernel(vc, h):
@@ -132,7 +151,9 @@ def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch):
     h = rng.uniform(0.2, 2.0, size=s)
     rows = groupfit._moment_rows(rng.normal(size=(t, 3)))
     want = groupfit._weighted_sums(full_kernel(v, h), rows)
-    np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
+    for workers in WORKER_COUNTS:
+        use_workers(monkeypatch, workers)
+        np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -249,7 +270,8 @@ def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
 
 def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
     panel, spec = _panel_two_groups()
-    # per iteration: the full kernel matrix and the row blocks summed against it
+    # per iteration: the full kernel matrix and the (start, length) of each
+    # row block summed against it
     iterations, row_builds = [], []
     kernel_moments, weighted_sums = groupfit._kernel_moments, groupfit._weighted_sums
     moment_rows = groupfit._moment_rows
@@ -261,29 +283,89 @@ def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
     def sums_spy(w, rows):
         if any(rows is built for built in row_builds):  # not a backfit smoother
             full, blocks = iterations[-1]
-            start = sum(len(block) for block in blocks)
-            np.testing.assert_array_equal(w, full[start : start + len(w)])
-            blocks.append(w)
+            # blocks arrive in any order: find each one's rows of the full
+            # kernel by content; it must equal exactly one run of them
+            starts = [int(i) for i in np.flatnonzero((full == w[0]).all(axis=1))
+                      if np.array_equal(full[i : i + len(w)], w)]
+            assert len(starts) == 1
+            blocks.append((starts[0], len(w)))
         return weighted_sums(w, rows)
 
     def rows_spy(cols):
         row_builds.append(moment_rows(cols))
         return row_builds[-1]
 
+    use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
     monkeypatch.setattr(groupfit, "_kernel_moments", moments_spy)
     monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
     monkeypatch.setattr(groupfit, "_moment_rows", rows_spy)
     res = fit(panel, spec, FitConfig(max_iter=3))
     assert len(iterations) == res.iterations == 3
     for full, blocks in iterations:
-        # consecutive blocks cover the kernel rows [0, T) exactly once
-        assert sum(len(block) for block in blocks) == len(full) == panel.n_periods
-        assert max(len(block) for block in blocks) <= groupfit._KERNEL_BLOCK_ROWS
+        # the blocks, in row order, cover the kernel rows [0, T) exactly once
+        covered = 0
+        for start, length in sorted(blocks):
+            assert start == covered
+            covered += length
+        assert covered == len(full) == panel.n_periods
+        assert max(length for _, length in blocks) <= groupfit._KERNEL_BLOCK_ROWS
         assert len(blocks) == -(-panel.n_periods // groupfit._KERNEL_BLOCK_ROWS)
     assert len(row_builds) == 1  # the moment rows are built before the loop
 
 
-def test_iteration_step_peak_memory_is_below_one_kernel_matrix():
+def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch):
+    rng = np.random.default_rng(3)
+    t = 20 * groupfit._KERNEL_BLOCK_ROWS
+    v, h = rng.normal(size=(t, 2)), np.array([0.5, 0.7])
+    rows = groupfit._moment_rows(rng.normal(size=(t, 2)))
+    weighted_sums = groupfit._weighted_sums
+    for cores, most in ((1, 1), (3, 3), (64, groupfit._KERNEL_MAX_WORKERS)):
+        seen, live = set(), []
+
+        def sums_spy(w, rows):
+            seen.add(threading.get_ident())
+            live.append(threading.active_count())
+            return weighted_sums(w, rows)
+
+        use_workers(monkeypatch, cores)
+        monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
+        before = threading.active_count()
+        groupfit._kernel_moments(v, h, rows)
+        assert len(seen) <= most
+        assert max(live) <= before + most - 1
+        assert threading.active_count() == before
+        if cores == 1:
+            assert seen == {threading.get_ident()}
+
+
+def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch):
+    rng = np.random.default_rng(4)
+    t = 300
+    v, h = rng.normal(size=(t, 2)), np.array([0.5, 0.7])
+    rows = groupfit._moment_rows(rng.normal(size=(t, 2)))
+    use_workers(monkeypatch, 1)
+    want = groupfit._kernel_moments(v, h, rows)
+    # one-row blocks, more workers than cores, a thread switch every microsecond
+    monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", 1)
+    use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+    weighted_sums, summed = groupfit._weighted_sums, []
+
+    def sums_spy(w, rows):
+        summed.append(len(w))
+        return weighted_sums(w, rows)
+
+    monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = groupfit._kernel_moments(v, h, rows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(summed) == t
+    np.testing.assert_array_equal(got, want)
+
+
+def test_iteration_step_peak_memory_is_below_one_kernel_matrix(monkeypatch):
     # T = 2000: the whole T×T weight matrix would take 32 MB
     rng = np.random.default_rng(9)
     t, sizes = 2000, (3, 2)
@@ -293,13 +375,17 @@ def test_iteration_step_peak_memory_is_below_one_kernel_matrix():
     v = np.column_stack([x[:, sl] @ beta[sl] for sl in slices])
     y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t)
     args = step_inputs(x, slices, y, beta, groupfit._bandwidths(v))
-    tracemalloc.start()
-    try:
-        groupfit._iteration_step(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < t * t * 8
+    # at this machine's worker count, then at the cap (2 MB of buffers each)
+    for workers in (None, groupfit._KERNEL_MAX_WORKERS):
+        if workers is not None:
+            use_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            groupfit._iteration_step(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t * t * 8
 
 
 def test_fit_is_invariant_to_shifting_group_columns():
@@ -333,6 +419,64 @@ def test_peak_memory_does_not_grow_with_coefficients():
     # temporary) set the peak, not the iterations' kernel row blocks and T·K²
     # moments; the tensor form peaked near 30 T² doubles here
     assert peak < 5 * t * t * 8
+
+
+@pytest.mark.parametrize("make", [_panel_two_groups, _panel_fixture], ids=["two_groups", "fixture"])
+def test_reports_are_the_same_bytes_at_one_worker_and_at_the_cap(make, monkeypatch, tmp_path):
+    panel, spec = make()
+    reports = []
+    for workers in (1, groupfit._KERNEL_MAX_WORKERS):
+        use_workers(monkeypatch, workers)
+        res = fit(panel, spec)
+        links_to_csv(res, tmp_path / "links.csv")
+        reports.append((json.dumps(fit_to_json_obj(res, spec, panel.labels)),
+                        (tmp_path / "links.csv").read_bytes(),
+                        res.final_g.tobytes(), res.final_c.tobytes()))
+    assert reports[0] == reports[1]
+
+
+class TestWorkerFailure:
+    """A ``MemoryError`` in one block of the kernel-moment pass."""
+
+    @staticmethod
+    def fail_on_third_block(monkeypatch):
+        """Make the third block summed raise; returns the list of blocks summed."""
+        weighted_sums, calls, order = groupfit._weighted_sums, [], itertools.count()
+
+        def failing(w, rows):
+            calls.append(len(w))
+            if next(order) == 2:  # one atomic step, so exactly one call raises
+                raise MemoryError("Unable to allocate")
+            return weighted_sums(w, rows)
+
+        monkeypatch.setattr(groupfit, "_weighted_sums", failing)
+        return calls
+
+    def test_fit_raises_it_and_leaves_no_thread(self, monkeypatch):
+        panel, spec = _panel_fixture()
+        # many small blocks, so a worker that went on would be seen
+        monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", 8)
+        use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+        calls = self.fail_on_third_block(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            fit(panel, spec)
+        assert threading.active_count() == before
+        # after the failure, only blocks already taken were summed
+        assert len(calls) <= 3 + groupfit._KERNEL_MAX_WORKERS - 1
+        assert len(calls) < -(-panel.n_periods // 8)
+
+    def test_run_reports_numeric_failure_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+        self.fail_on_third_block(monkeypatch)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(FIXTURES / "run_config.txt"),
+                     "--input", str(FIXTURES / "fixture_panel.csv"), "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "numeric-failure"
+        assert payload["message"] == "Unable to allocate"
+        assert not out.exists()
 
 
 class TestPredictRows:
