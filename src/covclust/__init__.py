@@ -37,7 +37,7 @@ from .groupfit import (
     kernel_weight,
     predict,
 )
-from .ingest import apply_transform, ingest, read_panel_csv, write_panel_csv
+from .ingest import apply_transform, ingest, write_panel_csv
 from .matrices import (
     SymMatrix,
     UniformityParams,
@@ -45,17 +45,10 @@ from .matrices import (
     hard_threshold,
     min_eigenvalue,
     operator_norm,
-    sym_from_csv,
     sym_to_csv,
     uniformity_diagnostics,
 )
-from .panel import (
-    TimeSeriesPanel,
-    pearson_matrix,
-    sample_covariance,
-    spearman_matrix,
-    standardize,
-)
+from .panel import TimeSeriesPanel, sample_covariance, spearman_matrix, standardize
 from .pipeline import (
     ClusterResult,
     ModelSpec,

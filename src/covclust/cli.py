@@ -354,15 +354,19 @@ def _error_payload(exc: Exception, stage: str) -> dict:
         slug = "numeric-failure"
     elif isinstance(exc, CovclustError):
         slug = exc.slug
-    elif isinstance(exc, (KeyError, ValueError)):
+    elif isinstance(exc, OSError):
+        slug = "io-error"
+    else:  # the KeyError or ValueError of a malformed argument
         slug = "invalid-argument"
-    else:
-        slug = "error"
-    payload = {"error": slug, "stage": stage, "message": str(exc)}
+    # str() of a KeyError is the repr of its message, quotes and all
+    message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+    payload = {"error": slug, "stage": stage, "message": message}
     for attr in ("row", "column", "labels", "threshold", "max_abs_corr"):
         value = getattr(exc, attr, None)
         if value is not None:
             payload[attr] = value
+    if isinstance(exc, OSError) and exc.filename is not None:
+        payload["path"] = str(exc.filename)
     return payload
 
 

@@ -41,7 +41,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateColumnError, InsufficientDataError, _require_integer
-from .matrices import SymMatrix
+from .matrices import SymMatrix, _check_threshold
 from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
 
 __all__ = [
@@ -214,9 +214,7 @@ def empirical_loss(
     ``splits`` holds at least one ``((start, stop), (start, stop))`` pair of
     row ranges; each range must cover at least 2 rows of the panel.
     """
-    s = float(s)
-    if not np.isfinite(s) or s < 0:
-        raise ValueError(f"threshold must be finite and >= 0, got {s}")
+    s = _check_threshold(s)
     splits = list(splits)
     if not splits:
         raise ValueError("empirical_loss needs at least one split")

@@ -203,15 +203,12 @@ def _product_gaussian(displacement, h: np.ndarray, sq: np.ndarray, z: np.ndarray
     return sq
 
 
-def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq=None, z=None):
+def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
     """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``.
 
-    ``sq`` and ``z``, when given, are ``len(anchors)×len(v)`` buffers: the
-    weights are written into ``sq`` and ``z`` is scratch.
+    ``sq`` and ``z`` are ``len(anchors)×len(v)`` buffers: the weights are
+    written into ``sq`` and ``z`` is scratch.
     """
-    shape = (anchors.shape[0], v.shape[0])
-    sq = np.empty(shape) if sq is None else sq
-    z = np.empty(shape) if z is None else z
     return _product_gaussian(
         lambda s, out: np.subtract(v[None, :, s], anchors[:, None, s], out=out), h, sq, z
     )

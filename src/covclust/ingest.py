@@ -13,6 +13,7 @@ import csv
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ParseError
+from .matrices import _write_labeled_csv
 from .panel import TimeSeriesPanel, standardize
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "read_csv_matrix",
     "ingest",
     "write_panel_csv",
-    "read_panel_csv",
 ]
 
 #: transform code -> (take the log, differencing order); the order is the lag
@@ -39,12 +39,13 @@ _TRANSFORMS = {
 TRANSFORM_CODES = tuple(_TRANSFORMS)
 
 
-def _transform(code: str) -> tuple[bool, int]:
+def _transform(code: str, label: str = "") -> tuple[bool, int]:
     try:
         return _TRANSFORMS[code]
     except KeyError:
+        column = f" for {label!r}" if label else ""
         raise ValueError(
-            f"unknown transform code {code!r}; expected one of {TRANSFORM_CODES}"
+            f"unknown transform code {code!r}{column}; expected one of {TRANSFORM_CODES}"
         ) from None
 
 
@@ -170,12 +171,7 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
     if unknown:
         raise ValueError(f"transform map names absent columns: {unknown}")
     codes = [transform_map.get(l, "level") for l in labels]
-    for label, code in zip(labels, codes):
-        if code not in TRANSFORM_CODES:
-            raise ValueError(
-                f"unknown transform code {code!r} for {label!r}; expected one of {TRANSFORM_CODES}"
-            )
-    max_lag = max(transform_lag(code) for code in codes)
+    max_lag = max(_transform(code, label)[1] for label, code in zip(labels, codes))
     t_out = data.shape[0] - max_lag
     if t_out < 2:
         raise InsufficientDataError(
@@ -199,14 +195,4 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
 
 def write_panel_csv(panel: TimeSeriesPanel, path) -> None:
     """Write a panel as a labeled CSV, losslessly (shortest round-trip floats)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(panel.labels)
-        for row in panel.values:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_panel_csv(path) -> TimeSeriesPanel:
-    """Read a panel written by :func:`write_panel_csv` (no transforms applied)."""
-    labels, data, _ = read_csv_matrix(path)
-    return TimeSeriesPanel(data, labels)
+    _write_labeled_csv(panel.labels, panel.values, path)

@@ -22,7 +22,6 @@ __all__ = [
     "min_eigenvalue",
     "uniformity_diagnostics",
     "sym_to_csv",
-    "sym_from_csv",
 ]
 
 
@@ -78,6 +77,21 @@ class SymMatrix:
         return SymMatrix(sub, tuple(self.labels[i] for i in idx))
 
 
+def _check_q(q):
+    """``q`` itself, once it is known to lie in ``[0, 1)``."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+    return q
+
+
+def _check_threshold(s) -> float:
+    """``s`` as a float, once it is known to be a finite, nonnegative threshold."""
+    s = float(s)
+    if not np.isfinite(s) or s < 0:
+        raise ValueError(f"threshold must be finite and >= 0, got {s}")
+    return s
+
+
 @dataclass(frozen=True)
 class UniformityParams:
     """Sparsity-class parameters: row q-norm budget ``c0`` and diagonal cap ``M``.
@@ -92,8 +106,7 @@ class UniformityParams:
     M: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q must lie in [0, 1), got {self.q}")
+        _check_q(self.q)
         if self.c0 <= 0 or self.M <= 0:
             raise ValueError("c0 and M must be positive")
 
@@ -116,9 +129,7 @@ def hard_threshold(m: SymMatrix, s: float) -> SymMatrix:
     SymMatrix
         Same labels, entries ``m_ij * 1(|m_ij| >= s)``.
     """
-    s = float(s)
-    if not np.isfinite(s) or s < 0:
-        raise ValueError(f"threshold must be finite and >= 0, got {s}")
+    s = _check_threshold(s)
     kept = np.where(np.abs(m.entries) >= s, m.entries, 0.0)
     return SymMatrix(kept, m.labels)
 
@@ -151,9 +162,7 @@ def uniformity_diagnostics(m: SymMatrix, q: float) -> tuple[float, float]:
     ``max_i sum_j |m_ij|**q`` under the convention ``0**0 = 0``, so at
     ``q = 0`` the second component is the largest per-row nonzero count.
     """
-    q = float(q)
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    q = _check_q(float(q))
     a = np.abs(m.entries)
     with np.errstate(divide="ignore"):
         powered = np.where(a > 0, a ** q, 0.0)
@@ -171,30 +180,15 @@ def uniformity_diagnostics(m: SymMatrix, q: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def sym_to_csv(m: SymMatrix, path) -> None:
-    """Write ``m`` as CSV: a header row of labels, then the square block."""
+def _write_labeled_csv(labels, rows, path) -> None:
+    """Write a header row of ``labels``, then one CSV row of ``repr`` floats per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(m.labels)
-        for row in m.entries:
+        writer.writerow(labels)
+        for row in rows:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def sym_from_csv(path) -> SymMatrix:
-    """Read a matrix written by :func:`sym_to_csv`."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    labels = tuple(rows[0])
-    block = rows[1:]
-    if len(block) != len(labels):
-        raise ValueError(
-            f"{path}: {len(labels)} labels but {len(block)} matrix rows"
-        )
-    try:
-        entries = [[float(v) for v in row] for row in block]
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric matrix cell ({exc})") from None
-    return SymMatrix(np.array(entries), labels)
-
+def sym_to_csv(m: SymMatrix, path) -> None:
+    """Write ``m`` as CSV: a header row of labels, then the square block."""
+    _write_labeled_csv(m.labels, m.entries, path)

@@ -5,7 +5,7 @@ estimator is exactly symmetric, bitwise permutation-equivariant under column
 reordering, bit-identical from run to run and independent of the BLAS
 thread count.  Two rules deliver that:
 
-* Covariance and Pearson Gram entries are sums over rows taken in row
+* Covariance Gram entries are sums over rows taken in row
   order (:func:`_pairwise_gram`), so each entry depends only on its two
   columns and never on BLAS blocking.  One ``np.einsum`` (numpy's own loop,
   not BLAS) over a C-ordered block adds the rows in order for two or more
@@ -45,7 +45,6 @@ __all__ = [
     "TimeSeriesPanel",
     "standardize",
     "sample_covariance",
-    "pearson_matrix",
     "spearman_matrix",
 ]
 
@@ -252,23 +251,6 @@ def _covariance(values: np.ndarray) -> np.ndarray:
     return _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
 
 
-def _correlation_from_gram(gram: np.ndarray, labels, context: str) -> np.ndarray:
-    """Correlation of a Gram of centered columns; a zero diagonal entry is a
-    constant column and raises :class:`DegenerateColumnError` with ``context``."""
-    diag = np.diag(gram)
-    bad = [labels[k] for k in np.flatnonzero(diag == 0.0)]
-    if bad:
-        raise DegenerateColumnError(bad, context=context)
-    denom = np.sqrt(diag)
-    # One symmetric divisor (a*b == b*a exactly) rather than two sequential
-    # divisions, which would break exact symmetry by a unit in the last place.
-    # The Gram is the caller's scratch, so it becomes the correlation in place.
-    gram /= denom[:, None] * denom[None, :]
-    np.clip(gram, -1.0, 1.0, out=gram)
-    np.fill_diagonal(gram, 1.0)
-    return gram
-
-
 def _spearman(codes: np.ndarray, labels) -> np.ndarray:
     """Entries of :func:`spearman_matrix` for the block a ``J x t`` window of
     codes stands for (as in :func:`_midranks`), its columns labeled ``labels``."""
@@ -277,7 +259,19 @@ def _spearman(codes: np.ndarray, labels) -> np.ndarray:
     # ranks are exact multiples of 1/2, so a column's Gram diagonal is exactly
     # zero when, and only when, the column is constant in the block.
     ranks -= (codes.shape[1] + 1) / 2.0
-    return _correlation_from_gram(_rank_gram(ranks), labels, "spearman")
+    gram = _rank_gram(ranks)
+    diag = np.diag(gram)
+    bad = [labels[k] for k in np.flatnonzero(diag == 0.0)]
+    if bad:
+        raise DegenerateColumnError(bad, context="spearman")
+    denom = np.sqrt(diag)
+    # One symmetric divisor (a*b == b*a exactly) rather than two sequential
+    # divisions, which would break exact symmetry by a unit in the last place.
+    # The Gram is scratch, so it becomes the correlation in place.
+    gram /= denom[:, None] * denom[None, :]
+    np.clip(gram, -1.0, 1.0, out=gram)
+    np.fill_diagonal(gram, 1.0)
+    return gram
 
 
 def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
@@ -289,13 +283,6 @@ def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
         Positive semidefinite up to roundoff.
     """
     return SymMatrix(_covariance(p.values), p.labels)
-
-
-def pearson_matrix(p: TimeSeriesPanel) -> SymMatrix:
-    """Pearson correlation matrix: unit diagonal, entries clipped to ``[-1, 1]``."""
-    centered = p.values - p.values.mean(axis=0)
-    gram = _pairwise_gram(centered, 1.0)
-    return SymMatrix(_correlation_from_gram(gram, p.labels, "correlation"), p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:

@@ -150,6 +150,11 @@ def screen(
     )
 
 
+def _entries(regularized) -> np.ndarray:
+    """The array of a :class:`SymMatrix`, or a plain square array as given."""
+    return regularized.entries if isinstance(regularized, SymMatrix) else np.asarray(regularized)
+
+
 def nz_score(index_set, regularized) -> float:
     """Averaged non-zero score of a set: nonzero entries over set size squared.
 
@@ -160,7 +165,7 @@ def nz_score(index_set, regularized) -> float:
     idx = list(index_set)
     if not idx:
         raise ValueError("the score of an empty set is undefined")
-    entries = regularized.entries if isinstance(regularized, SymMatrix) else np.asarray(regularized)
+    entries = _entries(regularized)
     block = entries[np.ix_(idx, idx)]
     return float(np.count_nonzero(block)) / float(len(idx) ** 2)
 
@@ -175,7 +180,7 @@ def rank_by_degree(kept, regularized) -> list[int]:
     order, which in the screened layout encodes original index order.
     """
     positions = list(kept)
-    entries = regularized.entries if isinstance(regularized, SymMatrix) else np.asarray(regularized)
+    entries = _entries(regularized)
     sub = entries[np.ix_(positions, positions)]
     degrees = (sub != 0).sum(axis=1)
     resp = np.abs(entries[positions, -1])

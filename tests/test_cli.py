@@ -13,8 +13,8 @@ import covclust
 from covclust.cli import main, parse_config_file
 from covclust.crossval import CvConfig, cv_result_to_json_obj, select_threshold
 from covclust.errors import ParseError
-from covclust.ingest import ingest
-from covclust.matrices import sym_from_csv, uniformity_diagnostics
+from covclust.ingest import ingest, read_csv_matrix
+from covclust.matrices import SymMatrix, uniformity_diagnostics
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PANEL_CSV = FIXTURES / "fixture_panel.csv"
@@ -222,6 +222,31 @@ class TestErrorPaths:
         assert payload["stage"] == "run"
         assert payload["message"]
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--input", "nope.csv"), ("--config", "nope.txt"), ("--input", "")],
+        ids=["missing-input", "missing-config", "directory-input"],
+    )
+    def test_unreadable_file_is_io_error(self, tmp_path, capsys, flag, name):
+        path = tmp_path / name  # an empty name leaves the directory itself
+        out = tmp_path / "o"
+        code = run_cli("threshold", flag, path, "--out", out)
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "io-error"
+        assert payload["stage"] == "threshold"
+        assert payload["path"] == str(path)
+        assert not out.exists()
+
+    def test_unknown_response_message_is_not_quoted_twice(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("cluster", "--input", PANEL_CSV, "--response", "zz", "--out", out)
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "invalid-argument"
+        assert payload["message"] == "unknown response label 'zz'"
+        assert not out.exists()
+
     def test_unknown_transform_code_rejected(self, tmp_path, capsys):
         code = run_cli(
             "run",
@@ -290,7 +315,8 @@ class TestSimulateCommand:
         assert code == 0
         capsys.readouterr()
         model = json.loads((out / "model.json").read_text())
-        sigma = sym_from_csv(out / "truth_sigma.csv")
+        labels, entries, _ = read_csv_matrix(out / "truth_sigma.csv")
+        sigma = SymMatrix(entries, labels)
         max_diag, max_row = uniformity_diagnostics(sigma, model["uniformity"]["q"])
         assert max_diag == model["uniformity"]["M"]
         assert max_row == model["uniformity"]["c0"]

@@ -147,7 +147,7 @@ class TestEmpiricalLoss:
 
     def test_rejects_negative_threshold(self):
         p = gaussian_panel(12, 30, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold must be finite and >= 0, got -0\.5$"):
             empirical_loss(p, -0.5, [((0, 10), (10, 30))])
 
     @pytest.mark.parametrize(

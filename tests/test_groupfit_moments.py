@@ -136,8 +136,10 @@ def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
     v = rng.normal(size=(50, 1 + seed)) * rng.uniform(0.1, 10.0)
     h = rng.uniform(0.2, 2.0, size=v.shape[1])
     want = full_kernel(v, h)
-    np.testing.assert_array_equal(groupfit._kernel_matrix(v, v, h), want)
-    np.testing.assert_array_equal(groupfit._kernel_matrix(v[7:20], v, h), want[7:20])
+    sq, z = np.empty((50, 50)), np.empty((50, 50))
+    np.testing.assert_array_equal(groupfit._kernel_matrix(v, v, h, sq, z), want)
+    got = groupfit._kernel_matrix(v[7:20], v, h, sq[:13], z[:13])
+    np.testing.assert_array_equal(got, want[7:20])
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])

@@ -1,5 +1,7 @@
-"""Import-time footprint of the command-line entry point, and names the benchmark needs."""
+"""Import-time footprint of the command-line entry point, the names each module
+exports, and the names the benchmark needs."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -7,7 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "covclust"
+# __main__ runs the command line when imported, so it is parsed, never imported
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
 
 def test_cli_import_loads_no_scipy():
@@ -33,3 +40,35 @@ def test_benchmark_tracer_targets_exist():
     for module, attr, *_ in worker.WRAPPED:
         target = getattr(importlib.import_module(f"covclust.{module}"), attr, None)
         assert callable(target), f"covclust.{module}.{attr}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"covclust.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"covclust.{module}.__all__ names missing {name!r}"
+    exec(f"from covclust.{module} import *", {})
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # A private helper that only tests call belongs in the tests, not in src.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    assert private
+    assert sorted(private - used) == []

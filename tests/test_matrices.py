@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covclust.ingest import read_csv_matrix
 from covclust.matrices import (
     SymMatrix,
     UniformityParams,
@@ -8,7 +9,6 @@ from covclust.matrices import (
     hard_threshold,
     min_eigenvalue,
     operator_norm,
-    sym_from_csv,
     sym_to_csv,
     uniformity_diagnostics,
 )
@@ -85,11 +85,11 @@ class TestHardThreshold:
         np.testing.assert_array_equal(out.entries, m.entries)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold must be finite and >= 0, got -0\.1$"):
             hard_threshold(sym(np.eye(2)), -0.1)
 
     def test_nonfinite_level_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold must be finite and >= 0, got nan$"):
             hard_threshold(sym(np.eye(2)), float("nan"))
 
     def test_preserves_symmetry_and_labels(self):
@@ -185,13 +185,13 @@ class TestUniformityDiagnostics:
         assert max_row == pytest.approx(1.0 + 0.5, rel=1e-14)
 
     def test_rejects_q_out_of_range(self):
-        with pytest.raises(ValueError):
-            uniformity_diagnostics(sym(np.eye(2)), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\), got 1\.0$"):
+            uniformity_diagnostics(sym(np.eye(2)), 1)
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\), got -0\.1$"):
             uniformity_diagnostics(sym(np.eye(2)), -0.1)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\), got 1\.2$"):
             UniformityParams(q=1.2, c0=1.0, M=1.0)
         with pytest.raises(ValueError):
             UniformityParams(q=0.0, c0=-1.0, M=1.0)
@@ -205,9 +205,9 @@ class TestSerialization:
         m = random_sym(rng, 5)
         path = tmp_path / "m.csv"
         sym_to_csv(m, path)
-        back = sym_from_csv(path)
-        assert back.labels == m.labels
-        np.testing.assert_array_equal(back.entries, m.entries)
+        labels, entries, _ = read_csv_matrix(path)
+        assert labels == m.labels
+        np.testing.assert_array_equal(entries, m.entries)
 
     def test_csv_uses_shortest_round_trip_floats(self, tmp_path):
         m = sym([[0.1, 0.2], [0.2, 0.30000000000000004]], ("a", "b"))

@@ -5,12 +5,11 @@ from covclust import panel as panel_mod
 from covclust.errors import DegenerateColumnError
 from covclust.panel import (
     TimeSeriesPanel,
-    pearson_matrix,
     sample_covariance,
     spearman_matrix,
     standardize,
 )
-from oracles import midranks, naive_covariance, naive_spearman, textbook_pearson
+from oracles import midranks, naive_covariance, naive_spearman
 
 
 def make_panel(values, labels=None):
@@ -120,37 +119,6 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(a, b)
 
 
-class TestPearson:
-    def test_matches_textbook_formula(self):
-        rng = np.random.default_rng(17)
-        p = random_panel(rng, 45, 4)
-        got = pearson_matrix(p).entries
-        for a in range(4):
-            for b in range(4):
-                want = 1.0 if a == b else textbook_pearson(p.values[:, a], p.values[:, b])
-                assert got[a, b] == pytest.approx(want, abs=1e-12)
-
-    def test_unit_diagonal_and_range(self):
-        rng = np.random.default_rng(19)
-        p = random_panel(rng, 30, 6)
-        e = pearson_matrix(p).entries
-        np.testing.assert_array_equal(np.diag(e), np.ones(6))
-        assert np.all(np.abs(e) <= 1.0)
-
-    def test_perfectly_correlated_pair(self):
-        x = np.arange(10.0)
-        p = make_panel(np.column_stack([x, 2.0 * x + 1.0, -x]))
-        e = pearson_matrix(p).entries
-        assert e[0, 1] == pytest.approx(1.0, abs=1e-15)
-        assert e[0, 2] == pytest.approx(-1.0, abs=1e-15)
-
-    def test_degenerate_column_raises(self):
-        p = make_panel([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]], ("a", "b"))
-        with pytest.raises(DegenerateColumnError) as exc:
-            pearson_matrix(p)
-        assert "b" in exc.value.labels
-
-
 class TestSpearman:
     def test_matches_rank_then_correlate_oracle(self):
         rng = np.random.default_rng(21)
@@ -177,6 +145,20 @@ class TestSpearman:
         )
         after = spearman_matrix(make_panel(warped)).entries
         np.testing.assert_array_equal(before, after)
+
+    def test_unit_diagonal_and_range(self):
+        rng = np.random.default_rng(19)
+        p = random_panel(rng, 30, 6)
+        e = spearman_matrix(p).entries
+        np.testing.assert_array_equal(np.diag(e), np.ones(6))
+        assert np.all(np.abs(e) <= 1.0)
+
+    def test_perfectly_correlated_pair(self):
+        x = np.arange(10.0)
+        p = make_panel(np.column_stack([x, 2.0 * x + 1.0, -x]))
+        e = spearman_matrix(p).entries
+        assert e[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert e[0, 2] == pytest.approx(-1.0, abs=1e-15)
 
     def test_all_tied_column_raises(self):
         p = make_panel([[1.0, 7.0, 2.0, 0.0], [2.0, 7.0, 2.0, 0.0], [3.0, 7.0, 1.0, 0.0]],

@@ -5,15 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covclust.errors import DegenerateColumnError
-from covclust.panel import (
-    TimeSeriesPanel,
-    pearson_matrix,
-    sample_covariance,
-    spearman_matrix,
-)
+from covclust.panel import TimeSeriesPanel, sample_covariance, spearman_matrix
 
 
-ESTIMATORS = (sample_covariance, pearson_matrix, spearman_matrix)
+ESTIMATORS = (sample_covariance, spearman_matrix)
 
 
 @st.composite
