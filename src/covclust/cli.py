@@ -40,7 +40,7 @@ from . import __version__
 from .crossval import CvConfig, cv_result_to_json_obj, select_threshold
 from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
-from .ingest import ingest, write_panel_csv
+from .ingest import _open_utf8, ingest, write_panel_csv
 from .matrices import sym_to_csv
 from .pipeline import (
     build_model_spec,
@@ -137,12 +137,12 @@ def parse_config_file(path) -> dict:
 
     A key must name an option of some subcommand, so one file can serve
     several subcommands while a misspelled key is an error, not ignored.  A
-    key set twice, or a value its option's cast or choices refuse, is an
-    error too, reported at that line.
+    key set twice, a value its option's cast or choices refuse, or a byte
+    that is not UTF-8 is an error too, reported at that line.
     """
     options = {opt.name: opt for opt in _OPTIONS}
     out = {}
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -28,9 +28,18 @@ row range to the entries of that window, and the full-sample matrix is the
 block, handed straight to the array estimators of :mod:`covclust.panel`: a
 split copies no rows and checks no cells again.  A Spearman run ranks each
 column of the panel once, and the full-sample estimate and every segment
-read windows of those codes.  Splits are streamed: each pair of segment
-estimates is scored against the whole grid and dropped before the next
-split is estimated, so memory stays O(J^2) whatever the number of splits.
+read windows of those codes.
+
+Splits are streamed: a split's pair of segment estimates is scored against
+the whole grid and dropped before its worker estimates another split.  On
+a panel of at least ``_CV_MIN_SERIES`` series, :func:`covclust._pool.each_block`
+shares the splits among up to ``_CV_MAX_WORKERS`` threads; on a narrower
+panel one estimate is too short to pay for a thread, and every split runs
+in the calling thread.  So memory holds two workers' split estimates and
+scoring temporaries at most, whatever the number of splits.  Each split
+writes its own row of the per-split losses and the mean is taken after
+every worker has finished, so the result is the same bytes at any worker
+count, and a failure names the lowest split that fails.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import _pool
 from .errors import DegenerateColumnError, InsufficientDataError, _require_integer
 from .matrices import SymMatrix, _check_threshold
 from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
@@ -58,6 +68,15 @@ __all__ = [
 MatrixKind = Literal["covariance", "spearman"]
 
 _SEED_MASK = (1 << 63) - 1
+
+# Threads that share a run's splits, at most.  Each holds one split's two
+# J×J estimates and its scoring temporaries at a time.
+_CV_MAX_WORKERS = 2
+# Fewest series for which the splits are shared.  At T=600 and 100 splits
+# on 2 CPUs, 2 Spearman workers were slower than 1 up to J=64 (J=17: 57 ms
+# against 32), about even at J=80 and faster from J=96 on (J=125: 103 ms
+# against 144); covariance splits gained from J=64 on.
+_CV_MIN_SERIES = 96
 
 
 def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
@@ -165,12 +184,17 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     """
     mag = np.abs(e1).ravel()
     order = np.argsort(mag)
-    cuts = np.searchsorted(mag[order], grid, "left")
+    cuts = np.searchsorted(mag, grid, "left", sorter=order)
     edges = np.concatenate(([0], cuts, [mag.size]))
+    del mag
     full = edges[:-1] < edges[1:]
     starts = edges[:-1][full]
+    # the caller holds no reference to the estimates, so each is freed once
+    # gathered into sorted order
     zeroed = e2.ravel()[order]
+    del e2
     kept = e1.ravel()[order]
+    del e1, order
     kept -= zeroed
     kept *= kept
     zeroed *= zeroed
@@ -181,25 +205,29 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     return np.cumsum(zeroed_sums)[:-1] + np.cumsum(kept_sums[::-1])[::-1][1:]
 
 
-def _loss_curve(estimate, grid, splits):
+def _loss_curve(estimate, grid, splits, n_series):
     """Read-only per-split losses of the ascending ``grid``, their column
     means, and the largest grid point that attains the minimum mean.
 
-    ``estimate`` is a :func:`_window_estimator`.  Each split's pair of
-    estimates is scored and dropped before the next; a degenerate column
-    names the split and its row ranges.
+    ``estimate`` is a :func:`_window_estimator` of a panel of ``n_series``
+    series, which sets the worker count.  Each split's pair of estimates is
+    scored and dropped before its worker takes another; a degenerate
+    column names the lowest split that has one, and that split's row ranges.
     """
     splits = list(splits)
     per_split = np.empty((len(splits), len(grid)))
-    for i, (r1, r2) in enumerate(splits):
+
+    def score(i):
+        r1, r2 = splits[i]
         try:
-            e1 = estimate(*r1)
-            e2 = estimate(*r2)
+            per_split[i] = _grid_losses(estimate(*r1), estimate(*r2), grid)
         except DegenerateColumnError as exc:
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"
             ) from None
-        per_split[i] = _grid_losses(e1, e2, grid)
+
+    workers = _CV_MAX_WORKERS if n_series >= _CV_MIN_SERIES else 1
+    _pool.each_block(len(splits), lambda: score, workers)
     per_split.setflags(write=False)
     losses = per_split.mean(axis=0)
     best = np.flatnonzero(losses == losses.min())[-1]
@@ -225,7 +253,8 @@ def empirical_loss(
                 f"invalid row range [{start}, {stop}) for {t} periods; "
                 "a segment needs at least 2 rows"
             )
-    return _loss_curve(_window_estimator(panel, matrix_kind), (s,), splits)[1][0]
+    estimate = _window_estimator(panel, matrix_kind)
+    return _loss_curve(estimate, (s,), splits, panel.n_series)[1][0]
 
 
 @dataclass(frozen=True)
@@ -265,10 +294,10 @@ def select_threshold(
     t = panel.n_periods
     t1, t2 = cfg.segments(t)
     estimate = _window_estimator(panel, matrix_kind)
-    full = SymMatrix(estimate(0, t), panel.labels)
+    full = SymMatrix._frozen(estimate(0, t), panel.labels)
     grid = default_grid(full, cfg.grid_size)
     splits = [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
-    per_split, losses, selected = _loss_curve(estimate, grid, splits)
+    per_split, losses, selected = _loss_curve(estimate, grid, splits, panel.n_series)
     return CvResult(
         estimate=full,
         grid=grid,

@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import csv
 import numbers
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _pool
 from .errors import DegenerateResponseError, InsufficientDataError, _require_integer
 from .panel import TimeSeriesPanel
 from .pipeline import ModelSpec
@@ -219,72 +218,36 @@ def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ik", w, rows)
 
 
-def _available_cores() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``_weighted_sums(W, rows)`` for the T×T weights ``W = _kernel_matrix(v, v, h)``.
 
     ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time,
-    and the blocks are shared out among up to ``_KERNEL_MAX_WORKERS``
-    threads, no more than the CPUs this process may use or the blocks
-    there are.  The calling thread is one of them.  Each worker takes the
-    next block start from one shared iterator and builds that block's
-    weights in its own two preallocated block×T buffers, so a worker holds
-    2·block·T doubles whatever T is.  numpy's elementwise loops and
-    ``einsum`` release the interpreter lock, so the workers run at once.
+    and :func:`covclust._pool.each_block` shares the blocks among up to
+    ``_KERNEL_MAX_WORKERS`` threads.  Each worker builds a block's weights
+    in its own two preallocated block×T buffers, so a worker holds
+    2·block·T doubles whatever T is.
 
     Each weight is computed elementwise and each output row sums over ``j``
     on its own, with the same operations whichever worker takes the block,
     so the result is the same bytes as the full-matrix form at any worker
-    count.  An exception in a worker stops every worker taking new blocks;
-    it is raised here once all of them have finished, and no thread
-    outlives the call.
+    count.
     """
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
-    starts = iter(range(0, t, _KERNEL_BLOCK_ROWS))
-    n_blocks = -(-t // _KERNEL_BLOCK_ROWS)
-    lock = threading.Lock()
-    failures = []
+    size = _KERNEL_BLOCK_ROWS
 
-    def next_start():
-        with lock:
-            return None if failures else next(starts, None)
+    def make_worker():
+        sq, z = np.empty((min(size, t), t)), np.empty((min(size, t), t))
 
-    def work():
-        try:
-            size = min(_KERNEL_BLOCK_ROWS, t)
-            sq, z = np.empty((size, t)), np.empty((size, t))
-            for start in iter(next_start, None):
-                block = slice(start, start + _KERNEL_BLOCK_ROWS)
-                anchors = v[block]
-                n = anchors.shape[0]
-                w = _kernel_matrix(anchors, v, h, sq[:n], z[:n])
-                out[block] = _weighted_sums(w, rows)
-        except BaseException as exc:  # re-raised by the caller after every join
-            with lock:
-                failures.append(exc)
+        def block(i):
+            part = slice(i * size, (i + 1) * size)
+            anchors = v[part]
+            n = anchors.shape[0]
+            out[part] = _weighted_sums(_kernel_matrix(anchors, v, h, sq[:n], z[:n]), rows)
 
-    workers = []
-    try:
-        for _ in range(min(_available_cores(), n_blocks, _KERNEL_MAX_WORKERS) - 1):
-            worker = threading.Thread(target=work)
-            worker.start()
-            workers.append(worker)
-    except BaseException as exc:  # a thread that could not start stops the others
-        with lock:
-            failures.append(exc)
-    work()
-    for worker in workers:
-        worker.join()
-    if failures:
-        raise failures[0]
+        return block
+
+    _pool.each_block(-(-t // size), make_worker, _KERNEL_MAX_WORKERS)
     return out
 
 

@@ -9,6 +9,8 @@ lag before standardization, keeping rows aligned in time.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +82,33 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
     return v
 
 
+@contextmanager
+def _open_utf8(path, newline=None):
+    """``open(path)`` for reading UTF-8 text.
+
+    A byte that is not UTF-8 is a :class:`ParseError` naming the file and,
+    as ``row``, the 1-based line the first such byte is on.  The file is
+    read again as bytes to find it, since a decoding error gives the
+    byte's offset in a read-ahead chunk, not in the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # lines end at \n, \r or \r\n, as for the text reader; the
+            # stand-in byte counts the line the bad byte starts
+            line = len((raw[: exc.start] + b"x").splitlines())
+            raise ParseError(
+                f"{path}: line {line} is not UTF-8: byte {raw[exc.start]:#04x}, {exc.reason}",
+                row=line,
+            ) from None
+        raise ParseError(f"{path}: file is not UTF-8") from None  # it changed since
+
+
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
     """Read a labeled numeric CSV of finite values.
 
@@ -89,9 +118,10 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
     cell is at fault, its 1-based ``column``: a blank or repeated header
     label, a row of the wrong width or a non-numeric cell is a
     :class:`ParseError`, and a ``nan``, ``inf`` or overflowing cell is a
-    :class:`DataError`.
+    :class:`DataError`.  A byte that is not UTF-8 is a ``ParseError`` at
+    its line too.
     """
-    with open(path, newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         rows, lines = [], []
         for row in reader:

@@ -41,7 +41,9 @@ class SymMatrix:
     Notes
     -----
     The stored array is a read-only copy; a ``SymMatrix`` never aliases caller
-    memory and cannot be mutated in place.
+    memory and cannot be mutated in place.  The library's own estimators and
+    transforms build their result through :meth:`_frozen` instead, which
+    skips the copy and the checks their construction already guarantees.
     """
 
     entries: np.ndarray
@@ -60,11 +62,25 @@ class SymMatrix:
             raise ValueError(
                 f"{len(labels)} labels for a {arr.shape[0]}-dimensional matrix"
             )
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
+        _check_unique(labels)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _frozen(cls, arr: np.ndarray, labels: tuple[str, ...]) -> "SymMatrix":
+        """A matrix over ``arr`` itself, made read-only.
+
+        For arrays built by the library's own arithmetic: ``arr`` is a fresh,
+        C-ordered float64 square array that nothing else references and that
+        is exactly symmetric by construction, and ``labels`` is a tuple of
+        unique strings, one per row.  Nothing of that is checked again.
+        """
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", arr)
+        object.__setattr__(m, "labels", labels)
+        return m
 
     @property
     def dim(self) -> int:
@@ -73,8 +89,16 @@ class SymMatrix:
     def submatrix(self, indices) -> "SymMatrix":
         """Restriction to ``indices`` (order preserved), labels carried along."""
         idx = list(indices)
+        labels = tuple(self.labels[i] for i in idx)
         sub = self.entries[np.ix_(idx, idx)]
-        return SymMatrix(sub, tuple(self.labels[i] for i in idx))
+        return SymMatrix._frozen(sub, _check_unique(labels))
+
+
+def _check_unique(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``labels`` itself, once no label is known to repeat."""
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be unique")
+    return labels
 
 
 def _check_q(q):
@@ -131,7 +155,7 @@ def hard_threshold(m: SymMatrix, s: float) -> SymMatrix:
     """
     s = _check_threshold(s)
     kept = np.where(np.abs(m.entries) >= s, m.entries, 0.0)
-    return SymMatrix(kept, m.labels)
+    return SymMatrix._frozen(kept, m.labels)
 
 
 def _eigenvalues(m: SymMatrix) -> np.ndarray:

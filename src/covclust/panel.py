@@ -282,7 +282,7 @@ def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
     SymMatrix
         Positive semidefinite up to roundoff.
     """
-    return SymMatrix(_covariance(p.values), p.labels)
+    return SymMatrix._frozen(_covariance(p.values), p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:
@@ -293,4 +293,4 @@ def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:
     column.  A column whose values are all tied carries no rank information
     and raises :class:`DegenerateColumnError`.
     """
-    return SymMatrix(_spearman(_rank_codes(p.values), p.labels), p.labels)
+    return SymMatrix._frozen(_spearman(_rank_codes(p.values), p.labels), p.labels)

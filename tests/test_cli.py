@@ -161,6 +161,25 @@ class TestErrorPaths:
         assert "-1.0 at row 4, column 2" in payload["message"]
         assert "np.float64" not in payload["message"]
 
+    @pytest.mark.parametrize("bad_file", ["input", "config"])
+    def test_file_that_is_not_utf8_reports_parse_error_location(self, tmp_path, capsys, bad_file):
+        panel, cfg = tmp_path / "panel.csv", tmp_path / "opts.txt"
+        panel.write_bytes(b"a,b\n1,2\n3,5\n4,4\n6,7\n")
+        cfg.write_bytes(b"# options\nseed = 2\nmatrix-kind = spearman\n")
+        bad = panel if bad_file == "input" else cfg
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] += b"\xff\xfe"
+        bad.write_bytes(b"\n".join(lines))
+        code = run_cli("threshold", "--input", panel, "--config", cfg, "--out", tmp_path / "o")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "parse-error"
+        assert payload["stage"] == "threshold"
+        assert payload["row"] == 3
+        assert "column" not in payload
+        assert str(bad) in payload["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_label_reports_parse_error_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,a\n1,2,3\n4,5,6\n7,8,9\n")
@@ -449,6 +468,14 @@ class TestConfigPrecedence:
         with pytest.raises(ParseError) as err:
             parse_config_file(cfg)
         assert err.value.row == 2
+
+    def test_config_bytes_that_are_not_utf8_report_row(self, tmp_path):
+        cfg = tmp_path / "opts.txt"
+        cfg.write_bytes(b"seed = 1\n# response\nresponse = \xff\xfey\n")
+        with pytest.raises(ParseError) as err:
+            parse_config_file(cfg)
+        assert err.value.row == 3
+        assert str(err.value) == f"{cfg}: line 3 is not UTF-8: byte 0xff, invalid start byte"
 
     def _sim_seed(self, tmp_path, capsys, *extra):
         out = tmp_path / f"p{len(extra)}"

@@ -189,7 +189,7 @@ class TestSelectThreshold:
         tiny = TimeSeriesPanel(p.values * scale, p.labels)
         cfg = CvConfig(t1=20, t2=40, n_splits=4, seed=0)
         _, losses, selected = _loss_curve(
-            _window_estimator(tiny, "covariance"), (5.0, 9.0), splits_of(80, cfg)
+            _window_estimator(tiny, "covariance"), (5.0, 9.0), splits_of(80, cfg), tiny.n_series
         )
         assert losses[0] == losses[1]
         assert selected == 9.0
@@ -214,7 +214,7 @@ class TestSelectThreshold:
         p = TimeSeriesPanel(vals, ("const", "trend"))
         cfg = CvConfig(t1=10, t2=20, n_splits=2, seed=0)
         with pytest.raises(DegenerateColumnError) as exc:
-            _loss_curve(_window_estimator(p, "spearman"), (0.0,), splits_of(40, cfg))
+            _loss_curve(_window_estimator(p, "spearman"), (0.0,), splits_of(40, cfg), p.n_series)
         assert "split" in str(exc.value)
         assert "const" in exc.value.labels
 
@@ -303,7 +303,9 @@ class TestIdentityCovarianceSelection:
         for seed in range(n_seeds):
             p = gaussian_panel(1000 + seed, t, j)
             cfg = CvConfig(t1=133, t2=266, n_splits=20, seed=seed)
-            _, _, selected = _loss_curve(_window_estimator(p, "covariance"), grid, splits_of(t, cfg))
+            _, _, selected = _loss_curve(
+                _window_estimator(p, "covariance"), grid, splits_of(t, cfg), p.n_series
+            )
             est = hard_threshold(sample_covariance(p), selected)
             off = est.entries - np.diag(np.diag(est.entries))
             floor = 2.0 / np.sqrt(cfg.t1)

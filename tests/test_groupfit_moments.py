@@ -79,11 +79,6 @@ def step_inputs(x, slices, y, beta, h):
 WORKER_COUNTS = (1, 2, 3, groupfit._KERNEL_MAX_WORKERS)
 
 
-def use_workers(monkeypatch, n):
-    """Let the kernel-moment pass see ``n`` CPUs, so it runs min(n, blocks, cap) workers."""
-    monkeypatch.setattr(groupfit, "_available_cores", lambda: n)
-
-
 def full_kernel(vc, h):
     """The T×T weight matrix of one iteration, built in one piece."""
     return kernel_weight(vc[None, :, :] - vc[:, None, :], h)
@@ -145,7 +140,7 @@ def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
 @pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 @pytest.mark.parametrize("t", [2, 63, 64, 65, 130, 1200])
-def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch):
+def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch, use_workers):
     if block is not None:
         monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", block)
     rng = np.random.default_rng(t * 10 + s)
@@ -154,7 +149,7 @@ def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch):
     rows = groupfit._moment_rows(rng.normal(size=(t, 3)))
     want = groupfit._weighted_sums(full_kernel(v, h), rows)
     for workers in WORKER_COUNTS:
-        use_workers(monkeypatch, workers)
+        use_workers(workers)
         np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
 
 
@@ -270,7 +265,7 @@ def test_recorded_objective_matches_tensor_residual(make, monkeypatch):
         assert rec.objective == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
+def test_one_moment_pass_over_each_kernel_matrix(monkeypatch, use_workers):
     panel, spec = _panel_two_groups()
     # per iteration: the full kernel matrix and the (start, length) of each
     # row block summed against it
@@ -297,7 +292,7 @@ def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
         row_builds.append(moment_rows(cols))
         return row_builds[-1]
 
-    use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+    use_workers(groupfit._KERNEL_MAX_WORKERS)
     monkeypatch.setattr(groupfit, "_kernel_moments", moments_spy)
     monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
     monkeypatch.setattr(groupfit, "_moment_rows", rows_spy)
@@ -315,7 +310,7 @@ def test_one_moment_pass_over_each_kernel_matrix(monkeypatch):
     assert len(row_builds) == 1  # the moment rows are built before the loop
 
 
-def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch):
+def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch, use_workers):
     rng = np.random.default_rng(3)
     t = 20 * groupfit._KERNEL_BLOCK_ROWS
     v, h = rng.normal(size=(t, 2)), np.array([0.5, 0.7])
@@ -329,7 +324,7 @@ def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch):
             live.append(threading.active_count())
             return weighted_sums(w, rows)
 
-        use_workers(monkeypatch, cores)
+        use_workers(cores)
         monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
         before = threading.active_count()
         groupfit._kernel_moments(v, h, rows)
@@ -340,16 +335,16 @@ def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch):
             assert seen == {threading.get_ident()}
 
 
-def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch):
+def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch, use_workers):
     rng = np.random.default_rng(4)
     t = 300
     v, h = rng.normal(size=(t, 2)), np.array([0.5, 0.7])
     rows = groupfit._moment_rows(rng.normal(size=(t, 2)))
-    use_workers(monkeypatch, 1)
+    use_workers(1)
     want = groupfit._kernel_moments(v, h, rows)
     # one-row blocks, more workers than cores, a thread switch every microsecond
     monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", 1)
-    use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+    use_workers(groupfit._KERNEL_MAX_WORKERS)
     weighted_sums, summed = groupfit._weighted_sums, []
 
     def sums_spy(w, rows):
@@ -367,7 +362,7 @@ def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch):
     np.testing.assert_array_equal(got, want)
 
 
-def test_iteration_step_peak_memory_is_below_one_kernel_matrix(monkeypatch):
+def test_iteration_step_peak_memory_is_below_one_kernel_matrix(monkeypatch, use_workers):
     # T = 2000: the whole T×T weight matrix would take 32 MB
     rng = np.random.default_rng(9)
     t, sizes = 2000, (3, 2)
@@ -380,7 +375,7 @@ def test_iteration_step_peak_memory_is_below_one_kernel_matrix(monkeypatch):
     # at this machine's worker count, then at the cap (2 MB of buffers each)
     for workers in (None, groupfit._KERNEL_MAX_WORKERS):
         if workers is not None:
-            use_workers(monkeypatch, workers)
+            use_workers(workers)
         tracemalloc.start()
         try:
             groupfit._iteration_step(*args)
@@ -424,11 +419,11 @@ def test_peak_memory_does_not_grow_with_coefficients():
 
 
 @pytest.mark.parametrize("make", [_panel_two_groups, _panel_fixture], ids=["two_groups", "fixture"])
-def test_reports_are_the_same_bytes_at_one_worker_and_at_the_cap(make, monkeypatch, tmp_path):
+def test_reports_are_the_same_bytes_at_one_worker_and_at_the_cap(make, monkeypatch, use_workers, tmp_path):
     panel, spec = make()
     reports = []
     for workers in (1, groupfit._KERNEL_MAX_WORKERS):
-        use_workers(monkeypatch, workers)
+        use_workers(workers)
         res = fit(panel, spec)
         links_to_csv(res, tmp_path / "links.csv")
         reports.append((json.dumps(fit_to_json_obj(res, spec, panel.labels)),
@@ -454,11 +449,11 @@ class TestWorkerFailure:
         monkeypatch.setattr(groupfit, "_weighted_sums", failing)
         return calls
 
-    def test_fit_raises_it_and_leaves_no_thread(self, monkeypatch):
+    def test_fit_raises_it_and_leaves_no_thread(self, monkeypatch, use_workers):
         panel, spec = _panel_fixture()
         # many small blocks, so a worker that went on would be seen
         monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", 8)
-        use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+        use_workers(groupfit._KERNEL_MAX_WORKERS)
         calls = self.fail_on_third_block(monkeypatch)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="Unable to allocate"):
@@ -468,8 +463,8 @@ class TestWorkerFailure:
         assert len(calls) <= 3 + groupfit._KERNEL_MAX_WORKERS - 1
         assert len(calls) < -(-panel.n_periods // 8)
 
-    def test_run_reports_numeric_failure_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
-        use_workers(monkeypatch, groupfit._KERNEL_MAX_WORKERS)
+    def test_run_reports_numeric_failure_and_writes_nothing(self, monkeypatch, use_workers, tmp_path, capsys):
+        use_workers(groupfit._KERNEL_MAX_WORKERS)
         self.fail_on_third_block(monkeypatch)
         out = tmp_path / "o"
         code = main(["run", "--config", str(FIXTURES / "run_config.txt"),

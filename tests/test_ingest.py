@@ -178,6 +178,24 @@ class TestReadCsvMatrix:
         assert labels == ("a", "b")
         assert data.shape == (0, 2)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(newline.join([b"a,b", b"1,2", b"", b"3,\xff\xfe", b"5,6", b""]))
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(path)
+        assert err.value.row == 4
+        assert err.value.column is None
+        assert str(err.value) == f"{path}: line 4 is not UTF-8: byte 0xff, invalid start byte"
+
+    def test_not_utf8_past_the_first_read_chunk_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        body = b"".join(b"%d,%d\n" % (i, i) for i in range(20000))
+        path.write_bytes(b"a,b\n" + body + b"1,\xe9\n")
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(path)
+        assert err.value.row == 20002
+
 
 class TestIngest:
     def test_matches_spreadsheet_oracle_on_mixed_codes(self, tmp_path):
