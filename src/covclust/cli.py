@@ -30,14 +30,14 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 
 from . import __version__
-from .crossval import CvConfig, cv_result_to_json_obj, select_threshold
+from .crossval import CvConfig, MatrixKind, cv_result_to_json_obj, select_threshold
 from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
 from .ingest import _open_utf8, ingest, write_panel_csv
@@ -108,7 +108,7 @@ _OPTIONS = (
     _Option("mode", _SCREENING, "grouping scan", default="forward",
             choices=("forward", "backward")),
     _Option("matrix_kind", ("threshold",), "matrix to threshold", default="covariance",
-            choices=("covariance", "spearman")),
+            choices=get_args(MatrixKind)),
     _Option("tolerance", ("run",), "fit convergence tolerance", float, FitConfig.tolerance),
     _Option("max_iter", ("run",), "fit iteration cap", int, FitConfig.max_iter),
     _Option("t1", _ON_PANEL, "first-segment length (default max(2, 2T//9))", int),
@@ -238,14 +238,14 @@ def _write_reports(outdir: Path, reports: dict, args_echo: dict) -> None:
     _write_json(meta, outdir / "meta.json")
 
 
-def _cv_config(opts: dict) -> CvConfig:
-    fields = ("n_splits", "grid_size", "seed", "t1", "t2")
-    return CvConfig(**{name: opts[name] for name in fields})
+def _config(cls, opts: dict):
+    """A ``cls`` config dataclass with each field set from the option of its name."""
+    return cls(**{field.name: opts[field.name] for field in fields(cls)})
 
 
 def _screen_and_group(opts: dict, transforms: dict):
     """Ingest, screen and group as ``run`` and ``cluster`` share; return their reports."""
-    cv_cfg = _cv_config(opts)
+    cv_cfg = _config(CvConfig, opts)
     panel = ingest(opts["input"], transforms)
     scr = screen(panel, opts["response"], cv_cfg)
     clu = cluster_backward(scr) if opts["mode"] == "backward" else cluster_forward(scr)
@@ -261,7 +261,7 @@ def _cmd_run(opts: dict, outdir: Path) -> tuple[str, dict]:
     transforms = _parse_transforms(opts["transforms"])
     if opts["response"] not in transforms:
         raise ValueError(f"the response {opts['response']!r} must appear in the transform map")
-    fit_cfg = FitConfig(tolerance=opts["tolerance"], max_iter=opts["max_iter"])
+    fit_cfg = _config(FitConfig, opts)
     panel, scr, clu, reports = _screen_and_group(opts, transforms)
     spec = build_model_spec(scr, clu)
     result = fit(panel, spec, fit_cfg)
@@ -285,7 +285,13 @@ def _structure(opts: dict) -> Structure:
     if kind == "block":
         if not opts["block_sizes"]:
             raise ValueError("block structure requires --block-sizes, e.g. 3,3,4")
-        return Structure.block([int(b) for b in opts["block_sizes"].split(",") if b.strip()])
+        sizes = []
+        for part in filter(None, map(str.strip, opts["block_sizes"].split(","))):
+            try:
+                sizes.append(int(part))
+            except ValueError:
+                raise ValueError(f"--block-sizes entry {part!r} is not an integer") from None
+        return Structure.block(sizes)
     if kind == "banded":
         return Structure.banded(opts["bandwidth"], opts["decay"])
     return Structure.random_sparse(opts["density"])
@@ -312,7 +318,7 @@ def _cmd_simulate(opts: dict, outdir: Path) -> tuple[str, dict]:
 
 
 def _cmd_threshold(opts: dict, outdir: Path) -> tuple[str, dict]:
-    cv_cfg = _cv_config(opts)
+    cv_cfg = _config(CvConfig, opts)
     panel = ingest(opts["input"], _parse_transforms(opts["transforms"]))
     res = select_threshold(panel, cv_cfg, opts["matrix_kind"])
     reports = {"cv.json": (_write_json, cv_result_to_json_obj(res))}

@@ -43,7 +43,6 @@ cores too.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass, replace
 
@@ -51,6 +50,7 @@ import numpy as np
 
 from . import _pool
 from .errors import DegenerateResponseError, InsufficientDataError, _require_integer
+from .matrices import _write_labeled_csv
 from .panel import TimeSeriesPanel
 from .pipeline import ModelSpec
 
@@ -171,27 +171,28 @@ def kernel_weight(u, h) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or u.shape[-1] != h.shape[0]:
+    if h.ndim != 1 or not h.size or u.shape[-1] != h.size:
         raise ValueError(f"bandwidth shape {h.shape} does not match u shape {u.shape}")
     if np.any(h <= 0) or not np.all(np.isfinite(h)):
         raise ValueError("bandwidths must be positive and finite")
-    sq, z = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
-    # ``[()]`` hands a single displacement's weight back as a scalar
-    return _product_gaussian(lambda s, out: np.copyto(out, u[..., s]), h, sq, z)[()]
+    # from a zero anchor the displacements are ``v`` itself, since
+    # ``x - 0.0 == x`` bit for bit (``-0.0`` too); ``[()]`` returns one weight as a scalar
+    v = u.reshape(-1, h.size)
+    sq, z = np.empty((1, len(v))), np.empty((1, len(v)))
+    return _kernel_matrix(np.zeros((1, h.size)), v, h, sq, z).reshape(u.shape[:-1])[()]
 
 
-def _product_gaussian(displacement, h: np.ndarray, sq: np.ndarray, z: np.ndarray):
-    """``kernel_weight`` into ``sq``, one index dimension at a time.
+def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
+    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``.
 
-    ``displacement(s, out)`` writes the displacements along dimension ``s``
-    into ``out``.  The squared scaled displacements are added in order of
-    dimension, in ``sq`` and the scratch ``z`` of the same shape, so no
-    array with an index-dimension axis is built and no temporary either:
-    every step writes in place.  Returns ``sq``.
+    ``sq`` and ``z`` are ``len(anchors)×len(v)`` buffers: the weights are
+    written into ``sq`` and ``z`` is scratch.  The squared scaled displacements
+    are added in order of index dimension, each step in place, so no
+    index-dimension axis and no temporary is built.  Returns ``sq``.
     """
     for s, hs in enumerate(h):
         term = sq if s == 0 else z
-        displacement(s, term)
+        np.subtract(v[None, :, s], anchors[:, None, s], out=term)
         term /= hs
         term *= term
         if s:
@@ -200,17 +201,6 @@ def _product_gaussian(displacement, h: np.ndarray, sq: np.ndarray, z: np.ndarray
     np.exp(sq, out=sq)
     sq /= np.prod(h) * _SQRT_2PI ** h.shape[0]
     return sq
-
-
-def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
-    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``.
-
-    ``sq`` and ``z`` are ``len(anchors)×len(v)`` buffers: the weights are
-    written into ``sq`` and ``z`` is scratch.
-    """
-    return _product_gaussian(
-        lambda s, out: np.subtract(v[None, :, s], anchors[:, None, s], out=out), h, sq, z
-    )
 
 
 def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -288,18 +278,17 @@ def _initial_direction(xc: np.ndarray, yc: np.ndarray, signs: np.ndarray) -> np.
         hess = (hess + hess.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(hess)
         v = eigvecs[:, int(np.argmax(np.abs(eigvals)))]
-    out = np.where(signs != 0, signs * np.abs(v), v)
-    norm = float(np.linalg.norm(out))
-    return _equal_weight_start(signs) if norm < 1e-12 else out / norm
+    return _unit_direction(np.where(signs != 0, signs * np.abs(v), v), signs)
 
 
-def _equal_weight_start(signs: np.ndarray) -> np.ndarray:
-    """Unit vector of equal weights, each constrained coordinate on its feasible side.
-
-    A group whose direction vanishes restarts from here.
-    """
-    out = np.where(signs != 0, signs.astype(float), 1.0)
-    return out / float(np.linalg.norm(out))
+def _unit_direction(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit norm; a group whose direction vanished (norm below
+    1e-12) restarts from equal weights, each constrained one on its feasible side."""
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-12:
+        v = np.where(signs != 0, signs.astype(float), 1.0)
+        norm = float(np.linalg.norm(v))
+    return v / norm
 
 
 def _solve_with_guard(g: np.ndarray, rhs: np.ndarray, ridge: float):
@@ -451,12 +440,10 @@ def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndar
     """Per-group renormalization and orientation; returns the new concatenation."""
     out = beta_cat.copy()
     for sl in slices:
-        seg = out[sl]
         if sl.stop - sl.start == 1:
             out[sl] = 1.0
             continue
-        norm = float(np.linalg.norm(seg))
-        seg = _equal_weight_start(d[sl]) if norm < 1e-12 else seg / norm
+        seg = _unit_direction(out[sl], d[sl])
         constrained = mask[sl] & (seg != 0.0)
         if not np.any(constrained):
             # orientation is free: make the largest coefficient positive
@@ -483,9 +470,8 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     y = x[:, spec.response]
     t = panel.n_periods
     groups = [np.array(g, dtype=int) for g in spec.groups]
-    n_groups = len(groups)
+    n_groups, k_total = spec.n_groups, spec.n_coefficients
     sizes = [len(g) for g in groups]
-    k_total = sum(sizes)
     if t <= k_total:
         raise InsufficientDataError(
             f"need more periods than coefficients: T={t}, coefficients={k_total}"
@@ -748,9 +734,9 @@ def fit_to_json_obj(fit_result: GroupwiseFit, spec: ModelSpec, labels) -> dict:
 
 def links_to_csv(fit_result: GroupwiseFit, path) -> None:
     """Tabulated links, one row per grid point: ``group, v, g_hat``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "v", "g_hat"])
-        for s, (grid, vals) in enumerate(fit_result.links):
-            for gv, lv in zip(grid, vals):
-                writer.writerow([s + 1, repr(float(gv)), repr(float(lv))])
+    rows = [
+        [s + 1, gv, lv]
+        for s, (grid, vals) in enumerate(fit_result.links)
+        for gv, lv in zip(grid.tolist(), vals.tolist())
+    ]
+    _write_labeled_csv(["group", "v", "g_hat"], rows, path)

@@ -84,7 +84,7 @@ def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarra
 
 @contextmanager
 def _open_utf8(path, newline=None):
-    """``open(path)`` for reading UTF-8 text.
+    """``open(path)`` for reading UTF-8 text, a leading byte-order mark skipped.
 
     A byte that is not UTF-8 is a :class:`ParseError` naming the file and,
     as ``row``, the 1-based line the first such byte is on.  The file is
@@ -92,7 +92,7 @@ def _open_utf8(path, newline=None):
     byte's offset in a read-ahead chunk, not in the file.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         raw = Path(path).read_bytes()
@@ -225,4 +225,4 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
 
 def write_panel_csv(panel: TimeSeriesPanel, path) -> None:
     """Write a panel as a labeled CSV, losslessly (shortest round-trip floats)."""
-    _write_labeled_csv(panel.labels, panel.values, path)
+    _write_labeled_csv(panel.labels, (row.tolist() for row in panel.values), path)

@@ -205,14 +205,14 @@ def uniformity_diagnostics(m: SymMatrix, q: float) -> tuple[float, float]:
 
 
 def _write_labeled_csv(labels, rows, path) -> None:
-    """Write a header row of ``labels``, then one CSV row of ``repr`` floats per row."""
+    """Write a header row of ``labels``, then each row's Python numbers (array rows
+    as ``.tolist()``) as ``repr`` cells: floats round-trip, ints get no decimal point."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(labels)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 def sym_to_csv(m: SymMatrix, path) -> None:
     """Write ``m`` as CSV: a header row of labels, then the square block."""
-    _write_labeled_csv(m.labels, m.entries, path)
+    _write_labeled_csv(m.labels, (row.tolist() for row in m.entries), path)

@@ -202,12 +202,14 @@ def _midranks(codes: np.ndarray) -> np.ndarray:
 
     ``codes`` are the ``J x T`` :func:`_rank_codes` of a ``T x J`` block, or a
     window ``codes[:, a:b]`` of them, which ranks the rows ``a:b``.  In sorted order
-    (:func:`_sort_window`), a tie group spans positions ``start..end``; each
-    member gets ``(start + end) / 2 + 1``, the same value
-    ``scipy.stats.rankdata(method="average")`` gives.  With no ties at all,
-    the ranks are the inverse of the sort order plus one, which skips the
-    tie-group scans.  One flat scatter fills in every rank of the ``J x t``
-    block, returned as a ``t x J`` view.
+    (:func:`_sort_window`), a tie group of ``size`` members starts at position
+    ``start``; each member gets ``start + (size + 1) / 2``, the mean of the
+    ranks it spans and the value ``scipy.stats.rankdata(method="average")``
+    gives.  With no ties at all, the ranks are the inverse of the sort order
+    plus one.  Otherwise the tie pass reads every group's flat start and size
+    off the flattened sorted codes (each row opens a group, so none crosses
+    rows) and repeats each group's exact midrank ``size`` times.  One flat
+    scatter fills in every rank of the ``J x t`` block, returned as a ``t x J`` view.
     """
     n, t = codes.shape
     order, srt = _sort_window(codes)
@@ -217,12 +219,9 @@ def _midranks(codes: np.ndarray) -> np.ndarray:
     if new.all():
         ranks[order] = np.arange(1.0, t + 1.0)
     else:
-        pos = np.arange(t)
-        start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
-        last = np.ones(srt.shape, dtype=bool)
-        last[:, :-1] = new[:, 1:]
-        end = np.minimum.accumulate(np.where(last, pos, t - 1)[:, ::-1], axis=1)[:, ::-1]
-        ranks[order] = (start + end) / 2.0 + 1.0
+        first = np.flatnonzero(new)
+        size = np.diff(first, append=n * t)
+        ranks[order] = np.repeat(first % t + (size + 1) / 2.0, size).reshape(n, t)
     return ranks.reshape(n, t).T
 
 

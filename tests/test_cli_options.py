@@ -384,6 +384,25 @@ class TestVarRadiusChecked:
         assert not (out / "panel.csv").exists()
 
 
+class TestBlockSizesChecked:
+    @pytest.mark.parametrize("entry", ["x", "2.0"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_bad_entry_is_invalid_argument_naming_it(self, route, entry, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["simulate", "--j", 6, "--t", 20, "--structure", "block", "--out", out]
+        if route == "flag":
+            args += ["--block-sizes", f"3,{entry}"]
+        else:
+            config = tmp_path / "sim.txt"
+            config.write_text(f"block_sizes = 3,{entry}\n")
+            args += ["--config", config]
+        assert run_cli(*args) == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert payload["message"] == f"--block-sizes entry {entry!r} is not an integer"
+        assert not out.exists()
+
+
 class TestNumericFailure:
     @pytest.mark.parametrize(
         "error", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate")]

@@ -35,14 +35,13 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_reports_match_golden_bytes(name, tmp_path):
+def assert_reports_match_golden(name, argv, out):
+    """Run ``covclust *argv`` into ``out`` and compare every report with ``golden/name``."""
     src = str(Path(covclust.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = tmp_path / name
     proc = subprocess.run(
-        [sys.executable, "-m", "covclust", *COMMANDS[name], "--out", str(out)],
+        [sys.executable, "-m", "covclust", *argv, "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
@@ -58,3 +57,21 @@ def test_reports_match_golden_bytes(name, tmp_path):
             f"{report} differs from its golden copy under numpy {numpy.__version__}, "
             f"SIMD extensions {simd}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_reports_match_golden_bytes(name, tmp_path):
+    assert_reports_match_golden(name, COMMANDS[name], tmp_path / name)
+
+
+@pytest.mark.parametrize("flag,fixture", [
+    ("--input", "fixture_panel.csv"),
+    ("--config", "run_config.txt"),
+])
+def test_file_with_byte_order_mark_gives_golden_run(flag, fixture, tmp_path):
+    # spreadsheet programs save UTF-8 with the mark EF BB BF in front
+    marked = tmp_path / fixture
+    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / fixture).read_bytes())
+    argv = list(COMMANDS["run"])
+    argv[argv.index(flag) + 1] = str(marked)
+    assert_reports_match_golden("run", argv, tmp_path / "run")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covclust import groupfit
 from covclust.errors import DegenerateResponseError, InsufficientDataError
 from covclust.groupfit import (
     FitConfig,
@@ -73,6 +74,25 @@ class TestKernelWeight:
             kernel_weight([0.0], [-1.0])
         with pytest.raises(ValueError):
             kernel_weight([0.0, 0.0], [1.0])
+
+
+class TestDirectionRestart:
+    # a direction that vanishes restarts from equal weights, each constrained
+    # coordinate on its feasible side
+    SIGNS = np.array([-1.0, 0.0, 1.0])
+    RESTART = np.array([-1.0, 1.0, 1.0]) / np.sqrt(3.0)
+
+    def test_initial_direction_of_flat_columns(self):
+        yc = np.linspace(-1.0, 1.0, 10)
+        got = groupfit._initial_direction(np.zeros((10, 3)), yc, self.SIGNS)
+        np.testing.assert_array_equal(got, self.RESTART)
+
+    def test_renormalizing_a_vanished_group(self):
+        got = groupfit._normalize_groups(
+            np.array([1e-13, 0.0, 0.0, 0.7]), [slice(0, 3), slice(3, 4)],
+            np.append(self.SIGNS, 0.0), np.array([True, False, True, False]),
+        )
+        np.testing.assert_array_equal(got, np.append(self.RESTART, 1.0))
 
 
 class TestFitConfig:

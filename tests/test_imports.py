@@ -3,7 +3,6 @@ exports, and the names the benchmark needs."""
 
 import ast
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -30,14 +29,19 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_benchmark_tracer_targets_exist():
-    # The benchmark's tracer wraps these functions by name; a missing one
-    # would break a traced run.
-    path = SRC.parent / "benchmark" / "worker.py"
-    spec = importlib.util.spec_from_file_location("benchmark_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    assert worker.WRAPPED
-    for module, attr, *_ in worker.WRAPPED:
+    # A traced benchmark run (benchmark/run.py --trace 1) wraps each
+    # (module, function) of the worker's WRAPPED table by name; a missing
+    # one would break it.  The worker is parsed, not imported.
+    tree = ast.parse((SRC.parent / "benchmark" / "worker.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    targets = [tuple(ast.literal_eval(cell) for cell in row.elts[:2]) for row in table.elts]
+    assert targets
+    for module, attr in targets:
         target = getattr(importlib.import_module(f"covclust.{module}"), attr, None)
         assert callable(target), f"covclust.{module}.{attr}"
 

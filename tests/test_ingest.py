@@ -188,6 +188,14 @@ class TestReadCsvMatrix:
         assert err.value.column is None
         assert str(err.value) == f"{path}: line 4 is not UTF-8: byte 0xff, invalid start byte"
 
+    def test_not_utf8_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(path)
+        assert err.value.row == 3
+        assert str(err.value) == f"{path}: line 3 is not UTF-8: byte 0xff, invalid start byte"
+
     def test_not_utf8_past_the_first_read_chunk_names_its_line(self, tmp_path):
         path = tmp_path / "panel.csv"
         body = b"".join(b"%d,%d\n" % (i, i) for i in range(20000))
@@ -279,9 +287,18 @@ class TestPanelCsvRoundTrip:
         np.testing.assert_array_equal(values, panel.values)
 
     def test_writes_shortest_round_trip_floats(self, tmp_path):
-        panel = TimeSeriesPanel([[0.1, 0.2], [0.3, 0.30000000000000004]], ("a", "b"))
+        panel = TimeSeriesPanel(
+            [[0.1, 0.2], [0.3, 0.30000000000000004], [-0.0, 5e-324], [1e16, -1e16]], ("a", "b")
+        )
         path = tmp_path / "p.csv"
         write_panel_csv(panel, path)
-        text = path.read_text()
-        assert "0.30000000000000004" in text
-        assert text.splitlines()[1] == "0.1,0.2"
+        assert path.read_text().splitlines() == [
+            "a,b",
+            "0.1,0.2",
+            "0.3,0.30000000000000004",
+            "-0.0,5e-324",
+            "1e+16,-1e+16",
+        ]
+        _, values, _ = read_csv_matrix(path)
+        # array_equal cannot tell -0.0 from 0.0; the bit patterns can
+        np.testing.assert_array_equal(values.view(np.int64), panel.values.view(np.int64))

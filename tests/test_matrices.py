@@ -210,9 +210,20 @@ class TestSerialization:
         np.testing.assert_array_equal(entries, m.entries)
 
     def test_csv_uses_shortest_round_trip_floats(self, tmp_path):
-        m = sym([[0.1, 0.2], [0.2, 0.30000000000000004]], ("a", "b"))
+        # -0.0 keeps its sign, 5e-324 is the smallest subnormal and 1e16 the
+        # first power of ten that repr writes with an exponent
+        m = sym(
+            [[0.1, -0.0, 5e-324], [-0.0, 0.30000000000000004, 1e16], [5e-324, 1e16, 0.2]],
+            ("a", "b", "c"),
+        )
         path = tmp_path / "m.csv"
         sym_to_csv(m, path)
-        text = path.read_text()
-        assert "0.1" in text
-        assert "0.30000000000000004" in text
+        assert path.read_text().splitlines() == [
+            "a,b,c",
+            "0.1,-0.0,5e-324",
+            "-0.0,0.30000000000000004,1e+16",
+            "5e-324,1e+16,0.2",
+        ]
+        _, entries, _ = read_csv_matrix(path)
+        # array_equal cannot tell -0.0 from 0.0; the bit patterns can
+        np.testing.assert_array_equal(entries.view(np.int64), m.entries.view(np.int64))
