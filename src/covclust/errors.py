@@ -11,6 +11,19 @@ from __future__ import annotations
 
 import numbers
 
+__all__ = [
+    "CovclustError",
+    "DegenerateColumnError",
+    "InsufficientDataError",
+    "EmptyScreenError",
+    "InfeasibleDependenceError",
+    "NotApplicableError",
+    "InternalConsistencyError",
+    "DegenerateResponseError",
+    "DataError",
+    "ParseError",
+]
+
 
 class CovclustError(Exception):
     """Base class for all data-dependent failures raised by covclust."""

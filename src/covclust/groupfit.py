@@ -339,10 +339,10 @@ def _sign_constrained_solve(
     zeta = solve_free(set())
     release_tol = 1e-12 * (1.0 + float(np.max(np.abs(c))) if k else 1.0)
     active: set = set()
-    beta = zeta
     lam = np.zeros(k)
     for _ in range(_ACTIVE_SET_STEPS_PER_COEF * k + _ACTIVE_SET_EXTRA_STEPS):
-        beta = solve_free(active)
+        # with no coordinate pinned, the system is the unconstrained one
+        beta = solve_free(active) if active else zeta
         signed = d * beta
         violators = [
             i for i in range(k) if mask[i] and i not in active and signed[i] < 0.0

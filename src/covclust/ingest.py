@@ -59,27 +59,36 @@ def transform_lag(code: str) -> int:
 def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarray:
     """Apply one transform to one column; length shrinks by :func:`transform_lag`.
 
-    Logarithmic codes require strictly positive input and report the first
-    offending row (0-based within the column) on failure; :func:`ingest`
-    turns that into the cell's file coordinates.
+    The input must be finite.  A non-positive input under a logarithmic
+    code, or a difference that overflows, is a :class:`DataError` whose
+    ``row`` is the offending cell's 0-based row within the column (for a
+    difference, the cell that ends it); :func:`ingest` turns that into the
+    cell's file coordinates.
     """
     take_log, lag = _transform(code)
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
         raise ValueError("apply_transform expects a 1-D column")
+    v = x
     if take_log:
-        bad = np.flatnonzero(v <= 0.0)
+        bad = np.flatnonzero(x <= 0.0)
         if bad.size:
-            raise DataError(
-                f"log transform of column {label!r} hit a non-positive value "
-                f"{float(v[bad[0]])!r} at row {int(bad[0])}",
-                row=int(bad[0]),
-                column=label,
-            )
-        v = np.log(v)
-    v = np.diff(v, n=lag)
-    assert len(v) == len(values) - lag
+            raise _cell_error(code, label, "hit the non-positive cell", x, int(bad[0]))
+        v = np.log(x)
+    if lag:
+        with np.errstate(over="ignore"):
+            v = np.diff(v, n=lag)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise _cell_error(code, label, "overflows at the cell", x, int(bad[0]) + lag)
+    assert len(v) == len(x) - lag
     return v
+
+
+def _cell_error(code, label, what, x, row) -> DataError:
+    return DataError(
+        f"{code} transform of column {label!r} {what} {float(x[row])!r}", row=row, column=label
+    )
 
 
 @contextmanager
@@ -192,8 +201,8 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
     stay at ``level``.  Every column is trimmed from the front to the longest
     requested lag so rows stay aligned, then the panel is standardized.
     Fewer than two surviving rows is an error, and a non-positive cell under
-    a log transform is a :class:`DataError` at its file line and 1-based
-    column.
+    a log transform, or a difference that overflows, is a :class:`DataError`
+    at its file line and 1-based column.
     """
     transform_map = dict(transform_map or {})
     labels, data, lines = read_csv_matrix(path)
@@ -214,8 +223,7 @@ def ingest(path, transform_map: dict | None = None) -> TimeSeriesPanel:
             col = apply_transform(data[:, j], code, label)
         except DataError as exc:
             raise DataError(
-                f"{path}: {code} transform of column {label!r} hit the non-positive "
-                f"cell {float(data[exc.row, j])!r} at row {lines[exc.row]}, column {j + 1}",
+                f"{path}: {exc} at row {lines[exc.row]}, column {j + 1}",
                 row=lines[exc.row],
                 column=j + 1,
             ) from None

@@ -112,14 +112,21 @@ def standardize(p: TimeSeriesPanel) -> TimeSeriesPanel:
 
     The scale uses the ``T - 1`` divisor.  A constant column has no scale and
     raises :class:`DegenerateColumnError` naming every offending label.
+
+    Each column is first multiplied by the power of two that brings its
+    largest magnitude into ``[0.5, 1)``, so the squares cannot overflow for
+    a finite column of any size.  The product is exact unless it leaves a
+    cell subnormal, and the mean and the standard deviation scale with it,
+    so an ordinary column standardizes to the same bytes as unscaled.
     """
     constant = np.all(p.values == p.values[0], axis=0)
     if constant.any():
         bad = [p.labels[j] for j in np.flatnonzero(constant)]
         raise DegenerateColumnError(bad, context="standardize")
-    mean = p.values.mean(axis=0)
-    sd = p.values.std(axis=0, ddof=1)
-    return TimeSeriesPanel((p.values - mean) / sd, p.labels)
+    x = np.ldexp(p.values, -np.frexp(np.abs(p.values).max(axis=0))[1])
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0, ddof=1)
+    return TimeSeriesPanel((x - mean) / sd, p.labels)
 
 
 def _pairwise_gram(z: np.ndarray, scale: float) -> np.ndarray:

@@ -40,6 +40,18 @@ def cluster_label_sets(clusters_obj):
     return sorted(sorted(s["labels"]) for s in clusters_obj["sets"])
 
 
+def overflow_panel(tmp_path, cells=("1e+308", "-1e+308")):
+    """The fixture with column 8 (s1) set to ``cells`` on file lines 7 and 8."""
+    lines = PANEL_CSV.read_text().splitlines()
+    for line, cell in zip((7, 8), cells):
+        row = lines[line - 1].split(",")
+        row[7] = cell
+        lines[line - 1] = ",".join(row)
+    path = tmp_path / "overflow.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_run")
@@ -160,6 +172,17 @@ class TestErrorPaths:
         assert payload["column"] == 2
         assert "-1.0 at row 4, column 2" in payload["message"]
         assert "np.float64" not in payload["message"]
+
+    def test_overflowing_difference_reports_file_location(self, tmp_path, capsys):
+        code = run_cli("run", "--config", RUN_CONFIG, "--input", overflow_panel(tmp_path),
+                       "--transforms", "y=level,s1=diff1", "--out", tmp_path / "o")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "data-error"
+        assert payload["stage"] == "run"
+        assert payload["row"] == 8
+        assert payload["column"] == 8
+        assert "diff1 transform of column 's1' overflows" in payload["message"]
 
     @pytest.mark.parametrize("bad_file", ["input", "config"])
     def test_file_that_is_not_utf8_reports_parse_error_location(self, tmp_path, capsys, bad_file):
@@ -495,18 +518,50 @@ class TestConfigPrecedence:
         assert self._sim_seed(tmp_path, capsys, "--j", 5) == 0
 
 
+def run_module(*args):
+    src = str(Path(covclust.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "covclust", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
-        src = str(Path(covclust.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "covclust", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "covclust" in proc.stdout
         assert "simulate" in proc.stdout
+
+
+class TestQuietStderr:
+    # A run writes its outcome to stdout and its reports to files; nothing,
+    # numpy's floating-point warnings included, goes to stderr.
+
+    @pytest.mark.parametrize(
+        "args, cells, exit_code",
+        [
+            ((), None, 0),
+            (("--transforms", "y=level,s1=diff1"), ("1e+308", "-1e+308"), 1),
+            ((), ("1e+308", "-1e+308"), 0),
+            ((), ("1e+308", "1e+308"), 1),
+        ],
+        ids=["fixture", "diff1-overflow", "level-at-float-limit", "two-equal-extremes"],
+    )
+    def test_run_writes_nothing_to_stderr(self, tmp_path, args, cells, exit_code):
+        panel = PANEL_CSV if cells is None else overflow_panel(tmp_path, cells)
+        proc = run_module("run", "--config", RUN_CONFIG, "--input", panel, *args,
+                          "--out", tmp_path / "o")
+        assert proc.returncode == exit_code, proc.stdout
+        assert proc.stderr == ""
+
+    def test_threshold_at_float_limit_writes_nothing_to_stderr(self, tmp_path):
+        proc = run_module("threshold", "--matrix-kind", "covariance",
+                          "--input", overflow_panel(tmp_path), "--out", tmp_path / "o")
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stderr == ""

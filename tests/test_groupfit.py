@@ -225,6 +225,33 @@ class TestSignConstraintActivation:
         np.testing.assert_allclose(last.beta_raw, oracle, atol=1e-8)
 
 
+class TestConstrainedSolveCount:
+    # The unconstrained solve also serves every step whose active set is empty.
+
+    @pytest.mark.parametrize(
+        "g, c, solves",
+        [
+            (np.eye(2), np.array([1.0, 2.0]), 1),  # no sign violated
+            (np.array([[2.0, 1.8], [1.8, 2.0]]), np.array([1.0, -0.5]), 2),  # one pinned
+        ],
+        ids=["feasible", "one-pinned"],
+    )
+    def test_each_distinct_system_is_solved_once(self, monkeypatch, g, c, solves):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        solve = groupfit._solve_with_guard
+        monkeypatch.setattr(groupfit, "_solve_with_guard", counted)
+        beta, *_, capped = groupfit._sign_constrained_solve(
+            g, c, np.ones(2), np.ones(2, dtype=bool), 0.0
+        )
+        assert not capped and np.all(beta >= 0.0)
+        assert len(calls) == solves
+
+
 @pytest.fixture(scope="module")
 def singleton_fitted():
     rng = np.random.default_rng(7)

@@ -1,8 +1,9 @@
 """Import-time footprint of the command-line entry point, the names each module
-exports, and the names the benchmark needs."""
+and the package export, and the names the benchmark needs."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "covclust"
 # __main__ runs the command line when imported, so it is parsed, never imported
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
+# the modules whose public names the package re-exports
+LIBRARY = ("crossval", "errors", "groupfit", "ingest", "matrices", "panel", "pipeline", "simulate")
 
 
 def test_cli_import_loads_no_scipy():
@@ -52,6 +55,38 @@ def test_every_exported_name_resolves(module):
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"covclust.{module}.__all__ names missing {name!r}"
     exec(f"from covclust.{module} import *", {})
+
+
+def test_package_exports_exactly_the_library_modules_names():
+    import covclust
+
+    owners = {}
+    for module in LIBRARY:
+        mod = importlib.import_module(f"covclust.{module}")
+        for name in mod.__all__:
+            assert name not in owners, f"{name!r} is in {owners.get(name)} and {module}"
+            owners[name] = mod
+    public = {
+        name
+        for name, value in vars(covclust).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(owners)
+    for name, mod in owners.items():
+        assert getattr(covclust, name) is getattr(mod, name), name
+
+
+def test_errors_exports_every_public_error_class():
+    from covclust import errors
+
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if inspect.isclass(value)
+        and issubclass(value, errors.CovclustError)
+        and not name.startswith("_")
+    }
+    assert classes == set(errors.__all__)
 
 
 def test_every_private_definition_is_used_in_the_package():

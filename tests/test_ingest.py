@@ -82,6 +82,14 @@ class TestApplyTransform:
         with pytest.raises(DataError):
             apply_transform(np.array([1.0, 0.0]), "log_diff1", label="z")
 
+    @pytest.mark.parametrize("code", ["diff1", "diff2"])
+    def test_overflowing_difference_names_the_cell_that_ends_it(self, code):
+        with pytest.raises(DataError) as exc:
+            apply_transform(np.array([1.0, 2.0, 1e308, -1e308, 3.0]), code, label="s")
+        assert exc.value.row == 3
+        assert exc.value.column == "s"
+        assert f"{code} transform of column 's' overflows" in str(exc.value)
+
 
 class TestReadCsvMatrix:
     def test_reads_labels_and_data(self, tmp_path):
@@ -274,6 +282,18 @@ class TestIngest:
         assert exc.value.column == 2
         assert "'a'" in str(exc.value)
         assert "-3.0 at row 3, column 2" in str(exc.value)
+
+    @pytest.mark.parametrize("code", ["diff1", "diff2"])
+    def test_overflowing_difference_is_a_data_error_at_its_cell(self, tmp_path, code):
+        path = write(tmp_path, "b,a\n1,2\n\n4,1e+308\n5,-1e+308\n6,7\n7,8\n")
+        with pytest.raises(DataError) as exc:
+            ingest(path, {"a": code})
+        assert exc.value.row == 5
+        assert exc.value.column == 2
+        assert str(exc.value) == (
+            f"{path}: {code} transform of column 'a' overflows at the cell -1e+308 "
+            "at row 5, column 2"
+        )
 
 
 class TestPanelCsvRoundTrip:

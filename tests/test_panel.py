@@ -68,6 +68,22 @@ class TestStandardize:
         z2 = standardize(z)
         np.testing.assert_allclose(z2.values, z.values, atol=1e-12)
 
+    def test_column_at_the_float_limit_standardizes(self):
+        col = np.linspace(-3.0, 3.0, 60)
+        col[[5, 6]] = [1e308, -1e308]
+        z = standardize(make_panel(np.column_stack([col, np.arange(60.0)]), ("s", "t")))
+        assert np.all(np.isfinite(z.values))
+        np.testing.assert_allclose(z.values.std(axis=0, ddof=1), 1.0, rtol=1e-12)
+        assert len(np.unique(z.values[:, 0])) == 60
+
+    def test_power_of_two_scale_keeps_the_bytes(self):
+        # the scale that keeps the squares finite is exact, so columns of any
+        # ordinary magnitude standardize to the unscaled formula's bytes
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=(90, 5)) * 10.0 ** np.array([-100.0, -7.0, 0.0, 9.0, 100.0])
+        want = (v - v.mean(axis=0)) / v.std(axis=0, ddof=1)
+        assert standardize(make_panel(v)).values.tobytes() == want.tobytes()
+
     def test_reports_every_constant_column(self):
         p = make_panel([[1.0, 5.0, 2.0], [1.0, 6.0, 2.0], [1.0, 7.0, 2.0]], ("a", "b", "c"))
         with pytest.raises(DegenerateColumnError) as exc:
