@@ -179,16 +179,22 @@ def kernel_weight(u, h) -> np.ndarray:
     # ``x - 0.0 == x`` bit for bit (``-0.0`` too); ``[()]`` returns one weight as a scalar
     v = u.reshape(-1, h.size)
     sq, z = np.empty((1, len(v))), np.empty((1, len(v)))
-    return _kernel_matrix(np.zeros((1, h.size)), v, h, sq, z).reshape(u.shape[:-1])[()]
+    w = _kernel_matrix(np.zeros((1, h.size)), v, h, sq, z) / _kernel_norm(h)
+    return w.reshape(u.shape[:-1])[()]
+
+
+def _kernel_norm(h: np.ndarray) -> float:
+    """``prod(h) (2 pi)^(S/2)``, over which :func:`_kernel_matrix`'s weights are a density."""
+    return np.prod(h) * _SQRT_2PI ** h.shape[0]
 
 
 def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
-    """Weights ``kernel_weight(v[j] - anchors[i], h)``, one anchor row per row of ``anchors``.
+    """``kernel_weight(v[j] - anchors[i], h) * _kernel_norm(h)``, one row per anchor.
 
     ``sq`` and ``z`` are ``len(anchors)×len(v)`` buffers: the weights are
-    written into ``sq`` and ``z`` is scratch.  The squared scaled displacements
-    are added in order of index dimension, each step in place, so no
-    index-dimension axis and no temporary is built.  Returns ``sq``.
+    written into ``sq`` and ``z`` is scratch (unwritten for one dimension).  The
+    squared scaled displacements are added in order of index dimension, in
+    place, so no index-dimension axis and no temporary is built.  Returns ``sq``.
     """
     for s, hs in enumerate(h):
         term = sq if s == 0 else z
@@ -199,7 +205,6 @@ def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
             sq += z
     sq *= -0.5
     np.exp(sq, out=sq)
-    sq /= np.prod(h) * _SQRT_2PI ** h.shape[0]
     return sq
 
 
@@ -209,7 +214,7 @@ def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_weighted_sums(W, rows)`` for the T×T weights ``W = _kernel_matrix(v, v, h)``.
+    """``_weighted_sums(W, rows)`` for ``W = _kernel_matrix(v, v, h) / _kernel_norm(h)``.
 
     ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time,
     and :func:`covclust._pool.each_block` shares the blocks among up to
@@ -225,15 +230,16 @@ def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarra
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
     size = _KERNEL_BLOCK_ROWS
+    norm = _kernel_norm(h)
 
     def make_worker():
         sq, z = np.empty((min(size, t), t)), np.empty((min(size, t), t))
 
         def block(i):
-            part = slice(i * size, (i + 1) * size)
-            anchors = v[part]
-            n = anchors.shape[0]
-            out[part] = _weighted_sums(_kernel_matrix(anchors, v, h, sq[:n], z[:n]), rows)
+            part, n = slice(i * size, (i + 1) * size), min(size, t - i * size)
+            w = _kernel_matrix(v[part], v, h, sq[:n], z[:n])
+            w /= norm
+            out[part] = _weighted_sums(w, rows)
 
         return block
 
@@ -325,38 +331,34 @@ def _sign_constrained_solve(
     k = len(c)
     used_ridge = False
 
-    def solve_free(active: set):
+    def solve_free(active: np.ndarray):
         nonlocal used_ridge
         beta = np.zeros(k)
-        free = [i for i in range(k) if i not in active]
-        if free:
-            sub = g[np.ix_(free, free)]
-            sol, r = _solve_with_guard(sub, c[free], ridge)
+        free = np.flatnonzero(~active)
+        if free.size:
+            sol, r = _solve_with_guard(g[np.ix_(free, free)], c[free], ridge)
             used_ridge = used_ridge or r
             beta[free] = sol
         return beta
 
-    zeta = solve_free(set())
+    active = np.zeros(k, dtype=bool)
+    zeta = solve_free(active)
     release_tol = 1e-12 * (1.0 + float(np.max(np.abs(c))) if k else 1.0)
-    active: set = set()
     lam = np.zeros(k)
     for _ in range(_ACTIVE_SET_STEPS_PER_COEF * k + _ACTIVE_SET_EXTRA_STEPS):
         # with no coordinate pinned, the system is the unconstrained one
-        beta = solve_free(active) if active else zeta
+        beta = solve_free(active) if active.any() else zeta
+        # pin the worst violator, else release the most negative multiplier;
+        # argmin returns the first minimum, so ties go to the lowest index
         signed = d * beta
-        violators = [
-            i for i in range(k) if mask[i] and i not in active and signed[i] < 0.0
-        ]
-        if violators:
-            active.add(min(violators, key=lambda i: signed[i]))
+        violators = mask & ~active & (signed < 0.0)
+        if violators.any():
+            active[np.argmin(np.where(violators, signed, np.inf))] = True
             continue
-        grad = g @ beta - c
-        lam = np.zeros(k)
-        for i in active:
-            lam[i] = d[i] * grad[i]
-        negative = [i for i in active if lam[i] < -release_tol]
-        if negative:
-            active.remove(min(negative, key=lambda i: lam[i]))
+        lam = np.where(active, d * (g @ beta - c), 0.0)
+        negative = lam < -release_tol
+        if negative.any():
+            active[np.argmin(np.where(negative, lam, np.inf))] = False
             continue
         lam[lam < 0.0] = 0.0
         return beta, lam, zeta, used_ridge, False
@@ -568,13 +570,12 @@ def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray) -> np.nd
     Row ``i`` holds the weights that give the fitted value at ``v_eval[i]``
     from targets observed at ``v_train``: ``sum_m (s2 - s1 d_im) w_im / det``
     with ``d_im = v_train[m] - v_eval[i]``, or the local-constant weights
-    ``w_im / s0`` where the local-linear system is near-singular.
+    ``w_im / s0`` where the local-linear system is near-singular.  The weights
+    are the iterations' un-normalized :func:`_kernel_matrix`: the norm cancels.
     """
     dcol = v_train[None, :] - v_eval[:, None]
-    w = dcol / h
-    w *= w
-    w *= -0.5
-    np.exp(w, out=w)
+    sq, z = np.empty(dcol.shape), np.empty(dcol.shape)
+    w = _kernel_matrix(v_eval[:, None], v_train[:, None], np.array([h]), sq, z)
     s0 = w.sum(axis=1)
     s1 = np.einsum("ij,ij->i", w, dcol)
     s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)

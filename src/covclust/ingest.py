@@ -9,6 +9,7 @@ lag before standardization, keeping rows aligned in time.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -59,16 +60,19 @@ def transform_lag(code: str) -> int:
 def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarray:
     """Apply one transform to one column; length shrinks by :func:`transform_lag`.
 
-    The input must be finite.  A non-positive input under a logarithmic
-    code, or a difference that overflows, is a :class:`DataError` whose
-    ``row`` is the offending cell's 0-based row within the column (for a
-    difference, the cell that ends it); :func:`ingest` turns that into the
-    cell's file coordinates.
+    A non-finite input cell, a non-positive input under a logarithmic code,
+    or a difference that overflows, is a :class:`DataError` whose ``row`` is
+    the offending cell's 0-based row within the column (for a difference,
+    the cell that ends it); :func:`ingest` turns that into the cell's file
+    coordinates.
     """
     take_log, lag = _transform(code)
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("apply_transform expects a 1-D column")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise _cell_error(code, label, "hit the non-finite cell", x, int(bad[0]))
     v = x
     if take_log:
         bad = np.flatnonzero(x <= 0.0)
@@ -122,13 +126,13 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
     """Read a labeled numeric CSV of finite values.
 
     Returns the labels, the ``T x J`` data block and the 1-based file line
-    of each data row.  Blank lines are skipped.  Every failure carries the
+    of each data row.  Blank lines are skipped.  A failure carries the
     1-based line of the file as ``row`` (blank lines counted) and, where one
-    cell is at fault, its 1-based ``column``: a blank or repeated header
-    label, a row of the wrong width or a non-numeric cell is a
-    :class:`ParseError`, and a ``nan``, ``inf`` or overflowing cell is a
-    :class:`DataError`.  A byte that is not UTF-8 is a ``ParseError`` at
-    its line too.
+    cell is at fault, its 1-based ``column``.  A byte that is not UTF-8 is
+    reported first, then a blank or repeated header label, then the first
+    faulty row: its wrong width, else its first cell that is non-numeric
+    (all these are a :class:`ParseError`) or ``nan``, ``inf`` or
+    overflowing (a :class:`DataError`).
     """
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -154,43 +158,38 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
                 column=j,
             )
         first_seen[label] = j
-    width = len(labels)
     body, lines = rows[1:], lines[1:]
-    for row, line in zip(body, lines):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {line} has {len(row)} cells, expected {width}", row=line
-            )
     try:
-        data = np.array(body, dtype=float).reshape(len(body), width)
+        data = np.array(body, dtype=float).reshape(len(body), len(labels))
     except ValueError:
-        data = _parse_cells(path, labels, body, lines)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise DataError(
-            f"{path}: non-finite cell {body[i][j]!r} at row {lines[i]}, column {j + 1} "
-            f"({labels[j]!r})",
-            row=lines[i],
-            column=j + 1,
-        )
+        data = None
+    if data is None or not np.isfinite(data).all():
+        data = _parse_rows(path, labels, body, lines)
     return labels, data, tuple(lines)
 
 
-def _parse_cells(path, labels, body, lines) -> np.ndarray:
-    """Cell-by-cell ``float()``, to name the first cell the block parse rejected."""
+def _parse_rows(path, labels, body, lines) -> np.ndarray:
+    """Cell-by-cell ``float()`` in file order, raising at the first faulty row."""
     data = np.empty((len(body), len(labels)))
     for i, (row, line) in enumerate(zip(body, lines)):
+        if len(row) != len(labels):
+            raise ParseError(
+                f"{path}: row {line} has {len(row)} cells, expected {len(labels)}", row=line
+            )
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {line}, column {j + 1} "
-                    f"({labels[j]!r})",
-                    row=line,
-                    column=j + 1,
-                ) from None
+                error, what = ParseError, "non-numeric"
+            else:
+                if math.isfinite(data[i, j]):
+                    continue
+                error, what = DataError, "non-finite"
+            raise error(
+                f"{path}: {what} cell {cell!r} at row {line}, column {j + 1} ({labels[j]!r})",
+                row=line,
+                column=j + 1,
+            )
     return data
 
 

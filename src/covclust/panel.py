@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InsufficientDataError
+from .errors import DataError, DegenerateColumnError, InsufficientDataError
 from .matrices import SymMatrix
 
 __all__ = [
@@ -283,12 +283,23 @@ def _spearman(codes: np.ndarray, labels) -> np.ndarray:
 def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
     """Averaged outer products of demeaned rows, normalized by ``T`` (not ``T - 1``).
 
+    A panel whose products overflow (values near the float limit that are
+    not :func:`standardize`-d) raises :class:`DataError` naming the labels
+    of the first non-finite entry in row-major order.
+
     Returns
     -------
     SymMatrix
         Positive semidefinite up to roundoff.
     """
-    return SymMatrix._frozen(_covariance(p.values), p.labels)
+    entries = _covariance(p.values)
+    if not np.isfinite(entries).all():
+        a, b = np.argwhere(~np.isfinite(entries))[0]
+        raise DataError(
+            f"sample covariance entry ({p.labels[a]!r}, {p.labels[b]!r}) is not finite; "
+            "standardize the panel first"
+        )
+    return SymMatrix._frozen(entries, p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:

@@ -22,6 +22,7 @@ from covclust.ingest import write_panel_csv
 from covclust.panel import TimeSeriesPanel
 
 J = crossval._CV_MIN_SERIES + 5
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def wide_panel(seed, t=80, j=J, tied=False):
@@ -133,7 +134,9 @@ def test_no_thread_starts_below_the_gate(monkeypatch, use_workers):
 
 
 def test_wide_cluster_screen_is_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    # two CV workers each call the exact rank Gram's BLAS product at once
+    # two CV workers each call the exact rank Gram's BLAS product at once; the
+    # Spearman screen and a covariance threshold on the pooled CV path match
+    # the committed reports (tests/test_golden.py says which numpy they hold for)
     rng = np.random.default_rng(11)
     t = 200
     y = rng.normal(size=t)
@@ -143,16 +146,20 @@ def test_wide_cluster_screen_is_the_same_bytes_at_one_and_two_blas_threads(tmp_p
     panel = tmp_path / "panel.csv"
     write_panel_csv(TimeSeriesPanel(values, labels), panel)
     src = str(Path(covclust.__file__).resolve().parent.parent)
-    screens = []
+    commands = {
+        ("cluster_wide", "screen.json"): ("cluster", "--response", "y"),
+        ("threshold_wide", "cv.json"): ("threshold", "--matrix-kind", "covariance"),
+    }
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "covclust", "cluster", "--input", str(panel),
-             "--response", "y", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        screens.append((out / "screen.json").read_bytes())
-    assert screens[0] == screens[1]
+        for (golden, report), argv in commands.items():
+            out = tmp_path / f"threads{threads}" / golden
+            proc = subprocess.run(
+                [sys.executable, "-m", "covclust", *argv, "--input", str(panel),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            want = (GOLDEN / golden / report).read_bytes()
+            assert (out / report).read_bytes() == want, (threads, golden)

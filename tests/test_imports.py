@@ -1,5 +1,5 @@
 """Import-time footprint of the command-line entry point, the names each module
-and the package export, and the names the benchmark needs."""
+and the package export, the names the benchmark needs, and the one ``np.exp``."""
 
 import ast
 import importlib
@@ -111,3 +111,21 @@ def test_every_private_definition_is_used_in_the_package():
     }
     assert private
     assert sorted(private - used) == []
+
+
+def test_the_fit_kernel_is_the_one_exp_call():
+    # The iterations and the link smoothers take their Gaussian weights from
+    # one routine, so a change to how the kernel is computed lands everywhere.
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "exp"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                ):
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("groupfit", "_kernel_matrix")]

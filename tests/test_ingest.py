@@ -90,6 +90,14 @@ class TestApplyTransform:
         assert exc.value.column == "s"
         assert f"{code} transform of column 's' overflows" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("code", ["level", "log", "diff1"])
+    def test_non_finite_cell_is_refused_at_its_row(self, code, cell):
+        with pytest.raises(DataError) as exc:
+            apply_transform(np.array([3.0, 1.0, cell, np.nan]), code, label="s")
+        assert (exc.value.row, exc.value.column) == (2, "s")
+        assert str(exc.value) == f"{code} transform of column 's' hit the non-finite cell {cell!r}"
+
 
 class TestReadCsvMatrix:
     def test_reads_labels_and_data(self, tmp_path):
@@ -169,6 +177,24 @@ class TestReadCsvMatrix:
         with pytest.raises(DataError) as exc:
             read_csv_matrix(path)
         assert (exc.value.row, exc.value.column) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "text, error, row, column",
+        [
+            ("a,b\n1,2\n3,oops\n4\n", ParseError, 3, 2),
+            ("a,b\nnan,2\n3,oops\n", DataError, 2, 1),
+            ("a,b\n1\nnan,2\n", ParseError, 2, None),
+            ("a,b\n1,2\nnan,oops\n", DataError, 3, 1),
+            ("a,b\n1,2\noops,inf\n", ParseError, 3, 1),
+        ],
+        ids=["non-numeric-before-ragged", "non-finite-before-non-numeric",
+             "ragged-before-non-finite", "non-finite-cell-first", "non-numeric-cell-first"],
+    )
+    def test_first_faulty_row_in_file_order_is_reported(self, tmp_path, text, error, row, column):
+        # a row's fault is its width, else its first non-numeric or non-finite cell
+        with pytest.raises(error) as exc:
+            read_csv_matrix(write(tmp_path, text))
+        assert (exc.value.row, exc.value.column) == (row, column)
 
     def test_block_parse_matches_float_bitwise(self, tmp_path):
         rng = np.random.default_rng(8)

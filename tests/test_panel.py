@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covclust import panel as panel_mod
-from covclust.errors import DegenerateColumnError
+from covclust.errors import DataError, DegenerateColumnError
 from covclust.panel import (
     TimeSeriesPanel,
     sample_covariance,
@@ -133,6 +133,15 @@ class TestSampleCovariance:
         a = sample_covariance(p).entries
         b = sample_covariance(make_panel(p.values.copy())).entries
         np.testing.assert_array_equal(a, b)
+
+    def test_overflowing_panel_is_a_data_error_naming_its_entry(self):
+        values = np.random.default_rng(17).normal(size=(20, 3))
+        values[[4, 11], 1] = 1e308, -1e308
+        p = make_panel(values, ("a", "b", "c"))
+        # (b, b) overflows too; row-major order names (a, b) first
+        with pytest.raises(DataError, match=r"entry \('a', 'b'\) is not finite"):
+            sample_covariance(p)
+        assert np.isfinite(sample_covariance(standardize(p)).entries).all()
 
 
 class TestSpearman:
