@@ -25,10 +25,10 @@ get the same float and an exact tie still goes to the larger threshold.
 One window estimator (:func:`_window_estimator`) serves a run: it maps a
 row range to the entries of that window, and the full-sample matrix is the
 ``(0, T)`` window.  A window is a row view of the panel's already validated
-block, handed straight to the array estimators of :mod:`covclust.panel`: a
-split copies no rows and checks no cells again.  A Spearman run ranks each
-column of the panel once, and the full-sample estimate and every segment
-read windows of those codes.
+block, handed straight to the array estimators of :mod:`covclust.panel`,
+which raise their data errors: a split copies no rows and checks no cells
+again.  A Spearman run ranks each column of the panel once, and the
+full-sample estimate and every segment read windows of those codes.
 
 Splits are streamed: a split's pair of segment estimates is scored against
 the whole grid and dropped before its worker estimates another split.  On
@@ -87,11 +87,11 @@ def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
     its window of those codes.  Kernels are looked up per call, so a wrapper
     installed on a module-level name sees every estimate.
     """
-    values = panel.values
+    values, labels = panel.values, panel.labels
     if matrix_kind == "covariance":
-        return lambda start, stop: _covariance(values[start:stop])
+        return lambda start, stop: _covariance(values[start:stop], labels)
     if matrix_kind == "spearman":
-        codes, labels = _rank_codes(values), panel.labels
+        codes = _rank_codes(values)
         return lambda start, stop: _spearman(codes[:, start:stop], labels)
     raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
 

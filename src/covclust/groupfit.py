@@ -32,13 +32,16 @@ O(workers·block·T + T·K²) for K coefficients, and the link backfit keeps
 one T×T smoother matrix per group, O(S·T²) for S groups.
 The same moments give the pooled step's weighted sum of squared targets, so
 each iteration's objective is read off the normal equations as
-``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  No sum
-over observations goes to BLAS, whose blocking and summation order depend
-on its thread count: such sums are ``np.einsum`` calls without ``optimize``,
-which run numpy's own loops, so results are the same bytes at any BLAS
-thread count.  Every block of kernel rows gets the same operations on
-whichever thread sums it, so they are the same bytes at any number of
-cores too.
+``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  Inside
+the iteration no sum over observations goes to BLAS, whose blocking and
+summation order depend on its thread count: such sums are ``np.einsum``
+calls without ``optimize``, which run numpy's own loops, so results are the
+same bytes at any BLAS thread count.  The one exception is the starting
+direction: :func:`_initial_direction` sums over observations with the BLAS
+products ``xc.T @ yc`` and ``(xc * yc[:, None]).T @ xc``, and swapping them
+for ``einsum`` would move the reports (ROADMAP item 6 lists this call).
+Every block of kernel rows gets the same operations on whichever thread
+sums it, so they are the same bytes at any number of cores too.
 """
 
 from __future__ import annotations
@@ -399,43 +402,36 @@ def _local_linear_surface(m0, m1, m2, vc, b):
     return coef[:, 0], coef[:, 1:]
 
 
-def _pooled_normal_equations(m0, m1, m2, xc, a, level):
-    """``G``, ``c``, ``e0`` and ``sum(w)`` of the pooled step, from the same moments.
-
-    The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``, where ``a_ik``
-    is anchor ``i``'s slope for the group holding coefficient ``k``, with
-    weights ``w_ij`` and targets ``y_j - level_i``.  ``G = sum_i (a_i a_i')
-    ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c`` and the
-    weighted sum of squared targets ``e0`` follow from the same moments, so
-    the pooled criterion at any ``b`` is ``(b'Gb - 2c'b + e0) / sum(w)``.
-    """
-    k = xc.shape[1]
-    spread = _spread_about_anchors(m0, m1[:, :k], m2[:, :k, :k], xc)
-    g = np.einsum("ik,il,ikl->kl", a, a, spread)
-    g = (g + g.T) / 2.0
-    first = m1[:, :k] - m0[:, None] * xc
-    wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
-    c = np.einsum("ik,ik->k", a, wxy - level[:, None] * first)
-    e0 = float(np.sum(m2[:, k, k] - 2.0 * level * m1[:, k] + level * level * m0))
-    return g, c, e0, float(np.sum(m0))
-
-
 def _iteration_step(vc, h, rows, xc, b, group_of):
     """Level, slopes and the pooled ``G``, ``c``, ``e0``, ``sum(w)`` at indices ``vc = xc b``.
 
-    One pass of the kernel weights (bandwidths ``h``) over ``rows``, the
-    ``_moment_rows`` of the centred ``[xc, y]``, gives ``M0``, ``M1`` and
+    One pass of the kernel weights ``w`` (bandwidths ``h``) over ``rows``,
+    the ``_moment_rows`` of the centred ``[xc, y]``, gives ``M0``, ``M1`` and
     ``M2`` (each product pair summed once and mirrored, so ``M2`` is exactly
-    symmetric).
+    symmetric).  The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``,
+    where ``a_ik`` is anchor ``i``'s slope for the group holding coefficient
+    ``k``, with weights ``w_ij`` and targets ``y_j - level_i``.  ``G = sum_i
+    (a_i a_i') ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c``
+    and the weighted sum of squared targets ``e0`` follow from the same
+    moments, so the pooled criterion at any ``b`` is
+    ``(b'Gb - 2c'b + e0) / sum(w)``.
     """
-    t, d = vc.shape[0], xc.shape[1] + 1
+    t, k = xc.shape
+    d = k + 1
     upper = np.triu_indices(d)
     m = _kernel_moments(vc, h, rows)
     m0, m1, m2 = m[:, 0], m[:, 1 : d + 1], np.empty((t, d, d))
     m2[:, upper[0], upper[1]] = m2[:, upper[1], upper[0]] = m[:, d + 1 :]
     level, slope = _local_linear_surface(m0, m1, m2, vc, b)
-    g, c, e0, weight_sum = _pooled_normal_equations(m0, m1, m2, xc, slope[:, group_of], level)
-    return level, slope, g, c, e0, weight_sum
+    a = slope[:, group_of]
+    spread = _spread_about_anchors(m0, m1[:, :k], m2[:, :k, :k], xc)
+    # (k, l) and (l, k) sum the same products in order: G is exactly symmetric
+    g = np.einsum("ik,il,ikl->kl", a, a, spread)
+    first = m1[:, :k] - m0[:, None] * xc
+    wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
+    c = np.einsum("ik,ik->k", a, wxy - level[:, None] * first)
+    e0 = float(np.sum(m2[:, k, k] - 2.0 * level * m1[:, k] + level * level * m0))
+    return level, slope, g, c, e0, float(np.sum(m0))
 
 
 def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndarray):

@@ -26,10 +26,11 @@ ranks do not depend on how a sort breaks ties.
 
 The array kernels return ``J x J`` entries, and the public estimators wrap
 them in a :class:`SymMatrix`.  :func:`_covariance` takes a ``T x J`` block
-and :func:`_spearman` a ``J x T`` block of codes.  Cross-validation ranks
-the panel once and feeds them windows of an already validated panel: row
-slices of the values or column slices of the codes, so a window neither
-copies nor re-validates its cells, nor sorts its values again.
+and :func:`_spearman` a ``J x T`` block of codes, each with its labels for
+its own data check.  Cross-validation ranks the panel once and feeds them
+windows of an already validated panel: row slices of the values or column
+slices of the codes, so a window neither copies nor re-validates its cells,
+nor sorts its values again.
 """
 
 from __future__ import annotations
@@ -249,12 +250,19 @@ def _rank_gram(centered: np.ndarray) -> np.ndarray:
     return centered.T @ centered
 
 
-def _covariance(values: np.ndarray) -> np.ndarray:
-    """Entries of :func:`sample_covariance` for a ``T x J`` block."""
+def _covariance(values: np.ndarray, labels) -> np.ndarray:
+    """Entries of :func:`sample_covariance` for a ``T x J`` block with column ``labels``."""
     t = values.shape[0]
     if t < 2:
         raise InsufficientDataError(f"sample covariance needs T >= 2, got {t}")
-    return _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
+    entries = _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
+    if not np.isfinite(entries).all():
+        a, b = np.argwhere(~np.isfinite(entries))[0]
+        raise DataError(
+            f"sample covariance entry ({labels[a]!r}, {labels[b]!r}) is not finite; "
+            "standardize the panel first"
+        )
+    return entries
 
 
 def _spearman(codes: np.ndarray, labels) -> np.ndarray:
@@ -292,14 +300,7 @@ def sample_covariance(p: TimeSeriesPanel) -> SymMatrix:
     SymMatrix
         Positive semidefinite up to roundoff.
     """
-    entries = _covariance(p.values)
-    if not np.isfinite(entries).all():
-        a, b = np.argwhere(~np.isfinite(entries))[0]
-        raise DataError(
-            f"sample covariance entry ({p.labels[a]!r}, {p.labels[b]!r}) is not finite; "
-            "standardize the panel first"
-        )
-    return SymMatrix._frozen(entries, p.labels)
+    return SymMatrix._frozen(_covariance(p.values, p.labels), p.labels)
 
 
 def spearman_matrix(p: TimeSeriesPanel) -> SymMatrix:

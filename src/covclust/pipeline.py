@@ -203,7 +203,7 @@ def _greedy_sets(reg: SymMatrix, k: int, overlapping: bool):
         # evaluated in exact integer arithmetic.
         return (count + 1 + 2 * cand_links) * size * size >= count * (size + 1) * (size + 1)
 
-    initial_order = rank_by_degree(range(k), reg)
+    initial_order = rank_by_degree(range(k), reg) if overlapping else []
     unassigned = set(range(k))
     assigned: list[int] = []
     sets, scores, admissions = [], [], []

@@ -303,10 +303,10 @@ def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> Dependen
         rng = np.random.default_rng([draw_seed & _SEED_MASK, 0xA151])
         raw = rng.standard_normal((j, j))
         top = float(np.max(np.abs(np.linalg.eigvals(raw))))
-        dep = DependenceSpec.var1(raw * (radius / top))
+        coeff = raw * (radius / top)
         try:
-            _innovation_factor(model.sigma.entries, dep.coeff)
-            return dep
+            _innovation_factor(model.sigma.entries, coeff)
+            return DependenceSpec.var1(coeff)
         except InfeasibleDependenceError as exc:
             last_exc = exc
     raise last_exc

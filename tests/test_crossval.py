@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from covclust.crossval import (
     _loss_curve,
     _window_estimator,
 )
-from covclust.errors import DegenerateColumnError
+from covclust import crossval
+from covclust.errors import DataError, DegenerateColumnError
 from covclust.matrices import SymMatrix, hard_threshold
 from covclust.panel import TimeSeriesPanel, sample_covariance, spearman_matrix
 
@@ -289,6 +291,33 @@ class TestSelectThreshold:
         p = gaussian_panel(25, 90, 4)
         res = select_threshold(p, CvConfig(n_splits=5, grid_size=10, seed=2), "spearman")
         assert 0.0 <= res.selected <= res.grid[-1]
+
+
+class TestOverflowingPanel:
+    """A 20×3 panel with ±1e308 in column ``b``: its covariance products overflow."""
+
+    def panel(self):
+        values = np.random.default_rng(17).normal(size=(20, 3))
+        values[[4, 11], 1] = 1e308, -1e308
+        return TimeSeriesPanel(values, ("a", "b", "c"))
+
+    def test_select_threshold_is_a_data_error_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid or loss was computed")
+
+        monkeypatch.setattr(crossval, "default_grid", no_grid)
+        monkeypatch.setattr(crossval, "_grid_losses", no_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"entry \('a', 'b'\) is not finite"):
+                select_threshold(self.panel(), CvConfig(n_splits=10, grid_size=5), "covariance")
+
+    def test_empirical_loss_is_a_data_error(self):
+        # the first segment holds both extremes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"entry \('a', 'b'\) is not finite"):
+                empirical_loss(self.panel(), 0.1, [((0, 12), (12, 20))], "covariance")
 
 
 class TestIdentityCovarianceSelection:

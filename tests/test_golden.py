@@ -32,6 +32,12 @@ COMMANDS = {
     "run": ("run", *ON_FIXTURE),
     "threshold": ("threshold", "--matrix-kind", "covariance", *ON_FIXTURE),
     "simulate": ("simulate", "--j", "12", "--t", "80", "--dependence", "var1", "--seed", "3"),
+    # the block, banded, iid and m-dependent generator paths
+    "simulate_block": ("simulate", "--j", "14", "--t", "120", "--structure", "block",
+                       "--block-sizes", "3,4,7", "--dependence", "m_dependent", "--m", "2",
+                       "--seed", "3"),
+    "simulate_banded": ("simulate", "--j", "12", "--t", "80", "--structure", "banded",
+                        "--bandwidth", "2", "--decay", "0.5", "--seed", "4"),
 }
 
 

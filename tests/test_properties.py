@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covclust.crossval import _grid_losses
+from covclust import groupfit
 from covclust.groupfit import _sign_constrained_solve
 from covclust.matrices import SymMatrix, hard_threshold
 from covclust.pipeline import ScreenResult, cluster_backward, cluster_forward, nz_score
@@ -170,3 +171,31 @@ class TestSignConstrainedKkt:
         assert np.all(d[mask] * beta[mask] >= 0.0)
         scale = 1.0 + np.max(np.abs(c))
         np.testing.assert_allclose(g @ beta - c, lam * d, rtol=0.0, atol=1e-9 * scale)
+
+
+@st.composite
+def iteration_steps(draw):
+    """``_iteration_step`` arguments for 1 to 12 coefficients in 1 to 4 groups."""
+    n_groups = draw(st.integers(1, 4))
+    k = draw(st.integers(n_groups, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, k), n_groups - 1, replace=False))
+    group_of = np.searchsorted(cuts, np.arange(k), side="right")
+    t = int(rng.integers(20, 80))
+    xc = rng.normal(size=(t, k)) * rng.uniform(0.5, 3.0, size=k)
+    xc -= xc.mean(axis=0)
+    yc = np.sin(xc.sum(axis=1)) + 0.3 * rng.normal(size=t)
+    yc -= yc.mean()
+    b = np.zeros((k, n_groups))
+    b[np.arange(k), group_of] = rng.normal(size=k)
+    vc = np.einsum("tk,ks->ts", xc, b)
+    rows = groupfit._moment_rows(np.column_stack([xc, yc]))
+    return vc, groupfit._bandwidths(vc), rows, xc, b, group_of
+
+
+@SETTINGS
+@given(iteration_steps())
+def test_pooled_g_is_exactly_symmetric_without_averaging(args):
+    # G's (k, l) and (l, k) entries sum the same products in the same order
+    g = groupfit._iteration_step(*args)[2]
+    np.testing.assert_array_equal(g, g.T)

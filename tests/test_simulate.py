@@ -258,6 +258,27 @@ class TestRandomVar1:
         with pytest.raises(InfeasibleDependenceError):
             random_var1(model, 0.9, seed=3)
 
+    def test_rejected_draws_are_eigensolved_once_each(self, monkeypatch):
+        model = make_sparse_cov(6, Structure.random_sparse(0.3), seed=3)
+        # the last of the 50 draws, scaled as random_var1 scales it
+        raw = np.random.default_rng([3 + 1000 + 48, 0xA151]).standard_normal((6, 6))
+        last = raw * (0.9 / float(np.max(np.abs(np.linalg.eigvals(raw)))))
+        with pytest.raises(InfeasibleDependenceError) as want:
+            simulate._innovation_factor(model.sigma.entries, last)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        with pytest.raises(InfeasibleDependenceError) as got:
+            random_var1(model, 0.9, seed=3)
+        # one radius per draw; no draw builds a DependenceSpec, which would solve again
+        assert calls == [(6, 6)] * 50
+        assert str(got.value) == str(want.value)
+
 
 class TestFractionalCoverSize:
     def test_iid_is_one(self):
