@@ -50,7 +50,7 @@ from typing import Literal
 import numpy as np
 
 from . import _pool
-from .errors import DegenerateColumnError, InsufficientDataError, _require_integer
+from .errors import DataError, DegenerateColumnError, InsufficientDataError, _require_integer
 from .matrices import SymMatrix, _check_threshold
 from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
 
@@ -212,7 +212,8 @@ def _loss_curve(estimate, grid, splits, n_series):
     ``estimate`` is a :func:`_window_estimator` of a panel of ``n_series``
     series, which sets the worker count.  Each split's pair of estimates is
     scored and dropped before its worker takes another; a degenerate
-    column names the lowest split that has one, and that split's row ranges.
+    column or a non-finite entry names the lowest split that has one, and
+    that split's row ranges.
     """
     splits = list(splits)
     per_split = np.empty((len(splits), len(grid)))
@@ -224,6 +225,10 @@ def _loss_curve(estimate, grid, splits, n_series):
         except DegenerateColumnError as exc:
             raise DegenerateColumnError(
                 exc.labels, context=f"split {i}, rows {r1}/{r2}"
+            ) from None
+        except DataError as exc:
+            raise DataError(
+                f"{exc} (split {i}, rows {r1}/{r2})", row=exc.row, column=exc.column
             ) from None
 
     workers = _CV_MAX_WORKERS if n_series >= _CV_MIN_SERIES else 1

@@ -146,7 +146,9 @@ class GroupwiseFit:
     constraint sign).  ``final_g``/``final_c`` are the last pooled
     normal-equation pieces, kept so the constrained step can be audited.
     ``backfit_converged`` is false when the link backfit stopped at its sweep
-    cap; ``constraint_solver_capped`` is true when any sign-constrained step
+    cap; ``link_fallback_rows`` counts, per group, the training and grid
+    points where a link smoother fell back to local-constant weights;
+    ``constraint_solver_capped`` is true when any sign-constrained step
     stopped at its step cap and returned its last iterate.
     """
 
@@ -162,6 +164,7 @@ class GroupwiseFit:
     final_g: np.ndarray
     final_c: np.ndarray
     backfit_converged: bool = True
+    link_fallback_rows: tuple[int, ...] = ()
     constraint_solver_capped: bool = False
 
 
@@ -539,7 +542,7 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
 
     v = np.column_stack([_group_index(x, g, beta_cat[sl]) for g, sl in zip(groups, slices)])
     h = _bandwidths(v)
-    links, backfit_converged = _backfit_links(v, y, h, _LINK_GRID_SIZE)
+    links, backfit_converged, fallback_rows = _backfit_links(v, y, h, _LINK_GRID_SIZE)
 
     provisional = GroupwiseFit(
         beta=tuple(beta_cat[sl].copy() for sl in slices),
@@ -554,14 +557,16 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         final_g=g_mat,
         final_c=c_vec,
         backfit_converged=backfit_converged,
+        link_fallback_rows=fallback_rows,
         constraint_solver_capped=solver_capped,
     )
     r2 = explained_variation(provisional, panel, spec)
     return replace(provisional, r_squared=float(r2))
 
 
-def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray) -> np.ndarray:
-    """Local-linear smoother (Gaussian weights, bandwidth ``h``) as a matrix.
+def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray):
+    """Local-linear smoother (Gaussian weights, bandwidth ``h``) as a matrix,
+    and the number of its rows that fell back to local-constant weights.
 
     Row ``i`` holds the weights that give the fitted value at ``v_eval[i]``
     from targets observed at ``v_train``: ``sum_m (s2 - s1 d_im) w_im / det``
@@ -582,7 +587,7 @@ def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray) -> np.nd
     dcol /= np.where(safe, det, 1.0)[:, None]
     dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
     w *= dcol
-    return w
+    return w, int(np.count_nonzero(~safe))
 
 
 def _smooth(smoother: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -597,13 +602,16 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
     mean is spread evenly across groups so the tabulated links sum to the
     fitted value without a separate intercept.  Each group's smoother matrix
     is built once, so a sweep is one matrix-vector product per group.
-    Returns the links and whether the sweeps converged before the cap.
+    Returns the links, whether the sweeps converged before the cap, and each
+    group's local-constant fallback rows over training and grid points.
     """
     t, s = v.shape
     ybar = float(y.mean())
     resid = y - ybar
     m = np.zeros((t, s))
-    smoothers = [_smoother_matrix(v[:, j], float(h[j]), v[:, j]) for j in range(s)]
+    built = [_smoother_matrix(v[:, j], float(h[j]), v[:, j]) for j in range(s)]
+    smoothers = [smoother for smoother, _ in built]
+    fallback_rows = [n for _, n in built]
     converged = False
     for _ in range(_BACKFIT_MAX_SWEEPS):
         delta = 0.0
@@ -621,11 +629,13 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
         partial = resid - m.sum(axis=1) + m[:, j]
         mu = float(_smooth(smoothers[j], partial).mean())
         grid = np.linspace(float(v[:, j].min()), float(v[:, j].max()), grid_size)
-        vals = _smooth(_smoother_matrix(v[:, j], float(h[j]), grid), partial) - mu + ybar / s
+        on_grid, grid_fallback_rows = _smoother_matrix(v[:, j], float(h[j]), grid)
+        fallback_rows[j] += grid_fallback_rows
+        vals = _smooth(on_grid, partial) - mu + ybar / s
         grid.setflags(write=False)
         vals.setflags(write=False)
         links.append((grid, vals))
-    return tuple(links), converged
+    return tuple(links), converged, tuple(fallback_rows)
 
 
 def _group_index(rows: np.ndarray, cols, beta: np.ndarray) -> np.ndarray:
@@ -725,6 +735,7 @@ def fit_to_json_obj(fit_result: GroupwiseFit, spec: ModelSpec, labels) -> dict:
         "r_squared": float(fit_result.r_squared),
         "ridge_flagged": bool(fit_result.ridge_flagged),
         "backfit_converged": bool(fit_result.backfit_converged),
+        "link_fallback_rows": [int(n) for n in fit_result.link_fallback_rows],
         "constraint_solver_capped": bool(fit_result.constraint_solver_capped),
     }
 

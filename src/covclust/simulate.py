@@ -289,27 +289,27 @@ def gen_panel(
 def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> DependenceSpec:
     """VAR(1) dependence with a random coefficient of spectral radius ``radius``.
 
-    The coefficient is a standard normal ``J x J`` draw scaled to ``radius``.
-    A draw can leave no valid innovation covariance for ``model.sigma``; it is
-    then redrawn, 50 draws in all, before the last
-    :class:`InfeasibleDependenceError` is raised.  Identical
-    ``(model, radius, seed)`` always yields an identical coefficient.
-    ``radius`` must lie in ``[0, 1)``.
+    ``A = radius * S Q S^-1``, with ``S`` the symmetric square root of
+    ``model.sigma`` and ``Q`` a Haar-random orthogonal matrix.  Every
+    eigenvalue of ``A`` has modulus ``radius`` and the innovation covariance
+    ``sigma - A sigma A'`` is ``(1 - radius**2) sigma``, so one draw is
+    feasible for any positive definite target and any ``radius`` in
+    ``[0, 1)``; any other target raises :class:`InfeasibleDependenceError`.
+    Identical ``(model, radius, seed)`` always yields an identical coefficient.
     """
     if not 0.0 <= radius < 1.0:
         raise ValueError(f"var1 spectral radius must be in [0, 1), got {radius}")
-    j = model.sigma.dim
-    for draw_seed in [seed] + [seed + 1000 + k for k in range(49)]:
-        rng = np.random.default_rng([draw_seed & _SEED_MASK, 0xA151])
-        raw = rng.standard_normal((j, j))
-        top = float(np.max(np.abs(np.linalg.eigvals(raw))))
-        coeff = raw * (radius / top)
-        try:
-            _innovation_factor(model.sigma.entries, coeff)
-            return DependenceSpec.var1(coeff)
-        except InfeasibleDependenceError as exc:
-            last_exc = exc
-    raise last_exc
+    lam, vec = np.linalg.eigh(model.sigma.entries)
+    if lam[0] <= 0.0:
+        raise InfeasibleDependenceError(
+            f"var1 target covariance is not positive definite: min eigenvalue {lam[0]:.3g}"
+        )
+    rng = np.random.default_rng([seed & _SEED_MASK, 0xA151])
+    # QR of a Gaussian draw, R's diagonal signs folded into Q, is Haar-distributed
+    q, r = np.linalg.qr(rng.standard_normal((model.sigma.dim,) * 2))
+    q *= np.sign(np.diag(r))
+    root = np.sqrt(lam)
+    return DependenceSpec.var1(radius * ((vec * root) @ vec.T @ q @ (vec / root) @ vec.T))
 
 
 def model_to_json_obj(model: SparseCovModel, dep: DependenceSpec, t: int, seed: int) -> dict:

@@ -244,8 +244,17 @@ def direct_smooth1d(v_train, target, h, v_eval):
     )
 
 
+def direct_local_constant_rows(v_train, h, v_eval):
+    """How many points of ``v_eval`` take ``direct_smooth1d``'s local-constant branch."""
+    dcol = v_train[None, :] - v_eval[:, None]
+    w = np.exp(-0.5 * (dcol / h) ** 2)
+    s0, s1, s2 = ((w * dcol**p).sum(axis=1) for p in range(3))
+    return int(np.sum(s0 * s2 - s1 * s1 <= 1e-12 * (s0 * s0 * h * h + 1e-300)))
+
+
 def direct_backfit_links(v, y, h, grid_size):
-    """Backfitted links, every sweep re-smoothing with ``direct_smooth1d``."""
+    """Backfitted links, every sweep re-smoothing with ``direct_smooth1d``, and
+    each group's local-constant rows over training and grid points."""
     t, s = v.shape
     ybar = float(y.mean())
     resid = y - ybar
@@ -262,11 +271,15 @@ def direct_backfit_links(v, y, h, grid_size):
         if delta < 1e-9 * (1.0 + float(np.std(y))):
             converged = True
             break
-    links = []
+    links, fallback_rows = [], []
     for j in range(s):
         partial = resid - m.sum(axis=1) + m[:, j]
         mu = float(direct_smooth1d(v[:, j], partial, float(h[j]), v[:, j]).mean())
         grid = np.linspace(float(v[:, j].min()), float(v[:, j].max()), grid_size)
         vals = direct_smooth1d(v[:, j], partial, float(h[j]), grid) - mu + ybar / s
         links.append((grid, vals))
-    return tuple(links), converged
+        fallback_rows.append(
+            direct_local_constant_rows(v[:, j], float(h[j]), v[:, j])
+            + direct_local_constant_rows(v[:, j], float(h[j]), grid)
+        )
+    return tuple(links), converged, tuple(fallback_rows)

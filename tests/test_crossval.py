@@ -319,6 +319,18 @@ class TestOverflowingPanel:
             with pytest.raises(DataError, match=r"entry \('a', 'b'\) is not finite"):
                 empirical_loss(self.panel(), 0.1, [((0, 12), (12, 20))], "covariance")
 
+    def test_window_error_names_its_split(self):
+        # the window holds only the 1e308, so its first bad entry is ('b', 'b')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                empirical_loss(self.panel(), 0.1, [((2, 8), (8, 20))], "covariance")
+        assert str(err.value) == (
+            "sample covariance entry ('b', 'b') is not finite; standardize the panel first "
+            "(split 0, rows (2, 8)/(8, 20))"
+        )
+        assert (err.value.row, err.value.column) == (None, None)
+
 
 class TestIdentityCovarianceSelection:
     def test_mostly_selects_diagonal_support(self):

@@ -32,6 +32,7 @@ from covclust.panel import TimeSeriesPanel
 from covclust.pipeline import ModelSpec
 from oracles import (
     direct_backfit_links,
+    direct_local_constant_rows,
     direct_smooth1d,
     tensor_local_linear_surface,
     tensor_pooled_normal_equations,
@@ -165,8 +166,37 @@ def test_smoother_matrix_matches_direct_smoother(seed):
     # the local-linear system near-singular, where any two orderings of the
     # arithmetic differ by its conditioning, so the grid is left out there
     for h, v_eval in ((0.02, v), (0.4, v), (1.0, grid), (5.0, v), (5.0, grid)):
-        got = groupfit._smooth(groupfit._smoother_matrix(v, h, v_eval), target)
+        smoother, fallback_rows = groupfit._smoother_matrix(v, h, v_eval)
+        got = groupfit._smooth(smoother, target)
         assert_close_to_scale(got, direct_smooth1d(v, target, h, v_eval))
+        assert fallback_rows == direct_local_constant_rows(v, h, v_eval)
+
+
+def test_smoother_counts_its_local_constant_rows():
+    # alone in its window, the point at 0 has s1 = s2 = 0: no local-linear fit
+    smoother, fallback_rows = groupfit._smoother_matrix(
+        np.array([0.0, 10.0]), 0.1, np.array([0.0])
+    )
+    assert fallback_rows == 1
+    np.testing.assert_array_equal(smoother, [[1.0, 0.0]])
+
+
+def test_backfit_sums_training_and_grid_fallback_rows():
+    # a cluster of points plus one far outlier: the outlier and the grid
+    # points in the gap have no neighbours within the bandwidth
+    rng = np.random.default_rng(5)
+    v = np.column_stack([np.append(np.linspace(0.0, 0.5, 51), 10.0), rng.normal(size=52)])
+    y = rng.normal(size=52)
+    h = np.array([0.1, 0.5])
+    _, _, fallback_rows = groupfit._backfit_links(v, y, h, 100)
+    grids = [np.linspace(col.min(), col.max(), 100) for col in v.T]
+    want = tuple(
+        groupfit._smoother_matrix(v[:, j], h[j], v[:, j])[1]
+        + groupfit._smoother_matrix(v[:, j], h[j], grids[j])[1]
+        for j in range(2)
+    )
+    assert fallback_rows == want
+    assert fallback_rows[0] > 1 and fallback_rows[1] == 0
 
 
 def _tensor_form(monkeypatch):
@@ -232,6 +262,7 @@ def test_fit_matches_tensor_form(make, monkeypatch):
         want = fit(panel, spec)
     assert got.iterations == want.iterations
     assert got.converged == want.converged
+    assert got.link_fallback_rows == want.link_fallback_rows
     for b_got, b_want in zip(got.beta, want.beta):
         np.testing.assert_allclose(b_got, b_want, rtol=0.0, atol=1e-9)
     assert_close_to_scale(got.final_g, want.final_g)
@@ -531,6 +562,12 @@ class TestCapsAreReported:
         obj = fit_to_json_obj(res, spec, panel.labels)
         assert obj["backfit_converged"] is True
         assert obj["constraint_solver_capped"] is False
+
+    def test_fixture_links_need_no_fallback(self):
+        panel, spec = _panel_fixture()
+        res = fit(panel, spec)
+        assert res.link_fallback_rows == (0, 0)
+        assert fit_to_json_obj(res, spec, panel.labels)["link_fallback_rows"] == [0, 0]
 
     def test_backfit_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(groupfit, "_BACKFIT_MAX_SWEEPS", 1)

@@ -6,6 +6,7 @@ import pytest
 from covclust import simulate
 from covclust.cli import main
 from covclust.errors import InfeasibleDependenceError, NotApplicableError
+from covclust.ingest import read_csv_matrix
 from covclust.matrices import (
     SymMatrix,
     UniformityParams,
@@ -228,7 +229,7 @@ class TestGenPanel:
 
 
 class TestRandomVar1:
-    # at this seed the first coefficient draw is infeasible and the second is not
+    # a positive definite target, so the first and only draw is feasible
     MODEL = make_sparse_cov(6, Structure.random_sparse(0.3), seed=1)
 
     def test_feasibility_check_builds_no_panel(self, monkeypatch):
@@ -239,45 +240,55 @@ class TestRandomVar1:
         assert built == []
         assert dep.spectral_radius() == pytest.approx(0.5)
 
-    def test_redrawn_coefficient_generates_a_panel(self):
+    def test_drawn_coefficient_generates_a_panel(self):
         dep = random_var1(self.MODEL, 0.5, seed=1)
         panel = gen_panel(self.MODEL, dep, 20, seed=0)
         assert panel.values.shape == (20, 6)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -0.5, 1.0])
     def test_radius_outside_unit_interval_rejected_before_any_draw(self, radius, monkeypatch):
-        def eigvals(a):
+        def eigen(a):
             raise AssertionError("eigen-decomposition before the radius check")
 
-        monkeypatch.setattr(simulate.np.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(simulate.np.linalg, "eigh", eigen)
+        monkeypatch.setattr(simulate.np.linalg, "eigvals", eigen)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             random_var1(self.MODEL, radius, seed=1)
 
-    def test_no_feasible_draw_is_infeasible(self):
-        model = make_sparse_cov(6, Structure.random_sparse(0.3), seed=3)
-        with pytest.raises(InfeasibleDependenceError):
-            random_var1(model, 0.9, seed=3)
+    @pytest.mark.parametrize("j", [6, 40, 200])
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 0.9, 0.99])
+    def test_one_draw_is_feasible_at_any_size_and_radius(self, j, radius):
+        # sigma - A sigma A' = (1 - r^2) sigma, so its smallest eigenvalue is known
+        model = make_sparse_cov(j, Structure.random_sparse(0.1), seed=5)
+        dep = random_var1(model, radius, seed=5)
+        assert abs(dep.spectral_radius() - radius) <= 1e-12
+        sigma = model.sigma.entries
+        lmin = float(np.linalg.eigvalsh(sigma)[0])
+        noise = sigma - dep.coeff @ sigma @ dep.coeff.T
+        assert float(np.linalg.eigvalsh((noise + noise.T) / 2.0)[0]) >= (
+            0.99 * (1.0 - radius**2) * lmin
+        )
 
-    def test_rejected_draws_are_eigensolved_once_each(self, monkeypatch):
-        model = make_sparse_cov(6, Structure.random_sparse(0.3), seed=3)
-        # the last of the 50 draws, scaled as random_var1 scales it
-        raw = np.random.default_rng([3 + 1000 + 48, 0xA151]).standard_normal((6, 6))
-        last = raw * (0.9 / float(np.max(np.abs(np.linalg.eigvals(raw)))))
-        with pytest.raises(InfeasibleDependenceError) as want:
-            simulate._innovation_factor(model.sigma.entries, last)
-        calls = []
-        eigvals = np.linalg.eigvals
+    def test_indefinite_target_is_infeasible_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a coefficient was drawn")
 
-        def counting(a):
-            calls.append(a.shape)
-            return eigvals(a)
+        monkeypatch.setattr(simulate.np.random, "default_rng", no_draw)
+        model = SparseCovModel(
+            sigma=SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), ("a", "b")),
+            params=UniformityParams(q=0.0, c0=2.0, M=1.0),
+            structure=Structure.random_sparse(1.0),
+        )
+        with pytest.raises(InfeasibleDependenceError, match="not positive definite"):
+            random_var1(model, 0.5, seed=1)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        with pytest.raises(InfeasibleDependenceError) as got:
-            random_var1(model, 0.9, seed=3)
-        # one radius per draw; no draw builds a DependenceSpec, which would solve again
-        assert calls == [(6, 6)] * 50
-        assert str(got.value) == str(want.value)
+    def test_forty_series_simulate_writes_its_panel(self, tmp_path, capsys):
+        out = tmp_path / "var1"
+        assert main(["simulate", "--j", "40", "--t", "300", "--dependence", "var1",
+                     "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        labels, block, _ = read_csv_matrix(out / "panel.csv")
+        assert len(labels) == 40 and block.shape == (300, 40)
 
 
 class TestFractionalCoverSize:
@@ -323,6 +334,13 @@ class TestRateExperiment:
         a = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=7)
         b = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=7)
         assert a.rows == b.rows
+
+    def test_var1_at_forty_series_reports_its_radius(self):
+        model = make_sparse_cov(40, Structure.random_sparse(0.1), seed=5)
+        report = rate_experiment(model, random_var1(model, 0.5, 5), [80], 1)
+        (t, level, rep, op, frob), = report.rows
+        assert (t, rep) == (80, 0) and abs(level - 0.5) <= 1e-12
+        assert np.isfinite(op) and np.isfinite(frob)
 
     def test_json_output(self):
         model = make_sparse_cov(5, Structure.diagonal(), seed=34)
