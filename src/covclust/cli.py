@@ -52,8 +52,10 @@ from .pipeline import (
     screen_to_json_obj,
 )
 from .simulate import (
+    DependenceKind,
     DependenceSpec,
     Structure,
+    StructureKind,
     gen_panel,
     make_sparse_cov,
     model_to_json_obj,
@@ -118,13 +120,13 @@ _OPTIONS = (
     _Option("j", _SIM, "number of series", int, 20),
     _Option("t", _SIM, "number of periods", int, 200),
     _Option("structure", _SIM, "covariance structure", default="random_sparse",
-            choices=("diagonal", "block", "banded", "random_sparse")),
+            choices=get_args(StructureKind)),
     _Option("block_sizes", _SIM, "e.g. 3,3,4"),
     _Option("bandwidth", _SIM, "band width of the banded structure", int, 2),
     _Option("decay", _SIM, "decay of the banded structure", float, 0.5),
     _Option("density", _SIM, "density of the random_sparse structure", float, 0.1),
     _Option("dependence", _SIM, "temporal dependence", default="iid",
-            choices=("iid", "m_dependent", "var1")),
+            choices=get_args(DependenceKind)),
     _Option("m", _SIM, "dependence order", int, 1),
     _Option("var_radius", _SIM, "spectral radius of the var1 coefficient", float, 0.5),
     _Option("seed", _ALL, f"RNG seed (or ${_SEED_ENV})", int, 0, env=_SEED_ENV),

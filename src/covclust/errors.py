@@ -110,11 +110,12 @@ class ParseError(_FileLocatedError):
     slug = "parse-error"
 
 
-def _require_integer(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer.
+def _require_integer(name: str, value) -> int:
+    """``value`` as a Python ``int``; ``ValueError`` naming ``name`` unless it is an integer.
 
     Python and numpy integers pass; ``bool``, floats (even integral ones)
     and strings do not, so a config holds a count only when it is one.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

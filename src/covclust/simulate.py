@@ -11,23 +11,25 @@ the stationary row covariance equals the requested target.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import Literal, get_args
 
 import numpy as np
 
 from .crossval import _SEED_MASK, CvConfig, select_threshold
-from .errors import InfeasibleDependenceError, NotApplicableError
+from .errors import InfeasibleDependenceError, NotApplicableError, _require_integer
 from .matrices import (
     SymMatrix,
     UniformityParams,
     frobenius_norm,
     hard_threshold,
-    min_eigenvalue,
     operator_norm,
     uniformity_diagnostics,
 )
 from .panel import TimeSeriesPanel
 
 __all__ = [
+    "StructureKind",
+    "DependenceKind",
     "Structure",
     "SparseCovModel",
     "DependenceSpec",
@@ -46,20 +48,39 @@ _MIN_EIG_TARGET = 0.1
 
 _BURN_IN = 500
 
+StructureKind = Literal["diagonal", "block", "banded", "random_sparse"]
+DependenceKind = Literal["iid", "m_dependent", "var1"]
+
 
 @dataclass(frozen=True)
 class Structure:
     """Support pattern for a generated covariance matrix.
 
-    Use the classmethod constructors; ``kind`` is one of ``diagonal``,
-    ``block``, ``banded``, ``random_sparse``.
+    ``kind`` is one of :data:`StructureKind`; construction checks the fields it uses.
     """
 
-    kind: str
+    kind: StructureKind
     block_sizes: tuple[int, ...] = ()
     bandwidth: int = 0
     decay: float = 0.0
     density: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in get_args(StructureKind):
+            raise ValueError(f"unknown structure kind {self.kind!r}")
+        sizes = tuple(_require_integer("block size", b) for b in self.block_sizes)
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "bandwidth", _require_integer("bandwidth", self.bandwidth))
+        object.__setattr__(self, "decay", float(self.decay))
+        object.__setattr__(self, "density", float(self.density))
+        if self.kind == "block" and (not self.block_sizes or min(self.block_sizes) < 1):
+            raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
+        if self.kind == "banded" and self.bandwidth < 1:
+            raise ValueError(f"bandwidth must be >= 1, got {self.bandwidth}")
+        if self.kind == "banded" and not 0.0 < self.decay < 1.0:
+            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
+        if self.kind == "random_sparse" and not 0.0 < self.density <= 1.0:
+            raise ValueError(f"density must lie in (0, 1], got {self.density}")
 
     @classmethod
     def diagonal(cls) -> "Structure":
@@ -67,24 +88,15 @@ class Structure:
 
     @classmethod
     def block(cls, block_sizes) -> "Structure":
-        sizes = tuple(int(b) for b in block_sizes)
-        if not sizes or any(b < 1 for b in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        return cls(kind="block", block_sizes=sizes)
+        return cls(kind="block", block_sizes=block_sizes)
 
     @classmethod
     def banded(cls, bandwidth: int, decay: float) -> "Structure":
-        if bandwidth < 1:
-            raise ValueError(f"bandwidth must be >= 1, got {bandwidth}")
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must lie in (0, 1), got {decay}")
-        return cls(kind="banded", bandwidth=int(bandwidth), decay=float(decay))
+        return cls(kind="banded", bandwidth=bandwidth, decay=decay)
 
     @classmethod
     def random_sparse(cls, density: float) -> "Structure":
-        if not 0.0 < density <= 1.0:
-            raise ValueError(f"density must lie in (0, 1], got {density}")
-        return cls(kind="random_sparse", density=float(density))
+        return cls(kind="random_sparse", density=density)
 
 
 @dataclass(frozen=True)
@@ -108,14 +120,15 @@ class DependenceSpec:
     drives every kind but ``var1``.
     """
 
-    kind: str
+    kind: DependenceKind
     m: int = 0
     coeff: np.ndarray | None = None
     _radius: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("iid", "m_dependent", "var1"):
+        if self.kind not in get_args(DependenceKind):
             raise ValueError(f"unknown dependence kind {self.kind!r}")
+        object.__setattr__(self, "m", _require_integer("m", self.m))
         if self.m < 0 or (self.kind == "iid" and self.m != 0):
             raise ValueError(f"m must be >= 0, and 0 for iid, got {self.m}")
         if self.kind == "var1":
@@ -135,7 +148,7 @@ class DependenceSpec:
 
     @classmethod
     def m_dependent(cls, m: int) -> "DependenceSpec":
-        return cls(kind="m_dependent", m=int(m))
+        return cls(kind="m_dependent", m=m)
 
     @classmethod
     def var1(cls, coeff) -> "DependenceSpec":
@@ -150,71 +163,57 @@ def _rescale_to_unit_diag(base: np.ndarray) -> np.ndarray:
     """Lift the spectrum to ``_MIN_EIG_TARGET`` while keeping the unit diagonal.
 
     Adding ``delta * I`` and rescaling by ``1 / (1 + delta)`` preserves zeros
-    and the diagonal; ``delta = (target - lmin) / (1 - target)`` lands the
-    smallest eigenvalue exactly on the target.
+    and the diagonal (each diagonal entry is ``(1 + delta) / (1 + delta)``,
+    exactly 1 in floating point); ``delta = (target - lmin) / (1 - target)``
+    lands the smallest eigenvalue exactly on the target.
     """
     lmin = float(np.linalg.eigvalsh(base)[0])
     if lmin >= _MIN_EIG_TARGET:
         return base
     delta = (_MIN_EIG_TARGET - lmin) / (1.0 - _MIN_EIG_TARGET)
-    fixed = (base + delta * np.eye(base.shape[0])) / (1.0 + delta)
-    np.fill_diagonal(fixed, 1.0)
-    return fixed
+    return (base + delta * np.eye(base.shape[0])) / (1.0 + delta)
 
 
 def make_sparse_cov(j: int, structure: Structure, seed: int = 0) -> SparseCovModel:
     """Draw a positive definite covariance with unit diagonal and the given support.
 
-    Off-diagonal magnitudes are drawn from ``[0.2, 0.5]`` (block entries
-    positive, random-sparse entries with random sign).  Whenever the raw draw
-    is not comfortably positive definite it is shifted and rescaled so the
-    smallest eigenvalue is at least 0.1 with the diagonal still exactly 1 and
-    the support unchanged.  The returned model carries measured sparsity-class
-    parameters at ``q = 0``: ``c0`` is the largest per-row nonzero count and
-    ``M`` the largest variance.
+    Block entries are uniform on ``[0.2, 0.5]``, random-sparse entries the
+    same with a random sign, banded entries ``decay ** lag`` up to the
+    bandwidth.  One stream fills the upper triangle in row-major pair order:
+    a block target draws a uniform for every same-block pair; a random-sparse
+    target draws a keep uniform for every pair, then a magnitude for every
+    kept pair, then a sign uniform for every kept pair.  A draw that is not
+    comfortably positive definite is shifted and rescaled so its smallest
+    eigenvalue is 0.1, with the diagonal still exactly 1 and the support
+    unchanged.  The model carries its measured sparsity class at ``q = 0``:
+    ``c0`` is the largest per-row nonzero count and ``M`` the largest variance.
     """
+    _require_integer("j", j)
     if j < 1:
         raise ValueError(f"dimension must be >= 1, got {j}")
+    if structure.kind == "block" and sum(structure.block_sizes) != j:
+        raise ValueError(f"block sizes {structure.block_sizes} do not sum to {j}")
     rng = np.random.default_rng([seed & _SEED_MASK, 0x5C0])
-    base = np.eye(j)
-    if structure.kind == "diagonal":
-        pass
-    elif structure.kind == "block":
-        if sum(structure.block_sizes) != j:
-            raise ValueError(
-                f"block sizes {structure.block_sizes} do not sum to {j}"
-            )
-        start = 0
-        for b in structure.block_sizes:
-            for a in range(start, start + b):
-                for c in range(a + 1, start + b):
-                    v = float(rng.uniform(0.2, 0.5))
-                    base[a, c] = v
-                    base[c, a] = v
-            start += b
+    rows, cols = np.triu_indices(j, 1)
+    keep, values = np.zeros(rows.size, dtype=bool), np.empty(0)
+    if structure.kind == "block":
+        block = np.repeat(np.arange(len(structure.block_sizes)), structure.block_sizes)
+        keep = block[rows] == block[cols]
+        values = rng.uniform(0.2, 0.5, np.count_nonzero(keep))
     elif structure.kind == "banded":
-        for a in range(j):
-            for c in range(a + 1, min(j, a + structure.bandwidth + 1)):
-                v = structure.decay ** (c - a)
-                base[a, c] = v
-                base[c, a] = v
+        lag = cols - rows
+        keep = lag <= structure.bandwidth
+        # Python's pow, as the pair loop had it: np.power can round the last bit otherwise
+        values = np.array([structure.decay**k for k in range(j)])[lag[keep]]
     elif structure.kind == "random_sparse":
-        for a in range(j):
-            for c in range(a + 1, j):
-                if rng.random() < structure.density:
-                    v = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)
-                    base[a, c] = v
-                    base[c, a] = v
-    else:  # pragma: no cover - Structure constructor already validates
-        raise ValueError(f"unknown structure kind {structure.kind!r}")
-
-    fixed = _rescale_to_unit_diag(base)
-    labels = tuple(f"x{k + 1}" for k in range(j))
-    sigma = SymMatrix(fixed, labels)
+        keep = rng.random(rows.size) < structure.density
+        n = np.count_nonzero(keep)
+        values = rng.uniform(0.2, 0.5, n) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    base = np.eye(j)
+    base[rows[keep], cols[keep]] = base[cols[keep], rows[keep]] = values
+    sigma = SymMatrix._frozen(_rescale_to_unit_diag(base), tuple(f"x{k + 1}" for k in range(j)))
     max_diag, max_row = uniformity_diagnostics(sigma, 0.0)
     params = UniformityParams(q=0.0, c0=max_row, M=max_diag)
-    if min_eigenvalue(sigma) <= 0:
-        raise RuntimeError("generated covariance is not positive definite")
     return SparseCovModel(sigma=sigma, params=params, structure=structure)
 
 
@@ -275,6 +274,7 @@ def gen_panel(
     Identical ``(model, dep, t, seed)`` always yields an identical panel, and
     ``m_dependent(0)`` reproduces the independent generator exactly.
     """
+    _require_integer("t", t)
     if t < 2:
         raise ValueError(f"panel length must be >= 2, got {t}")
     rng = np.random.default_rng([seed & _SEED_MASK, 0x9A7E1])
@@ -379,16 +379,15 @@ def rate_experiment(
     ``cover`` the fractional cover size (taken as 1 for var1 dependence,
     where covers do not apply).
     """
-    t_list = [int(t) for t in t_list]
-    if not t_list or any(t < 6 for t in t_list):
+    t_list = [_require_integer("sample size", t) for t in t_list]
+    _require_integer("n_reps", n_reps)
+    if not t_list or min(t_list) < 6:
         raise ValueError(f"every sample size must be >= 6, got {t_list}")
     if n_reps < 1:
         raise ValueError(f"n_reps must be positive, got {n_reps}")
     j = model.sigma.dim
     dep_level = dep.spectral_radius() if dep.kind == "var1" else float(dep.m)
-    rows = []
-    medians = {}
-    theory = {}
+    rows, medians, theory = [], {}, {}
     for ti, t in enumerate(t_list):
         op_errors = []
         for rep in range(n_reps):
@@ -398,7 +397,7 @@ def rate_experiment(
             panel = gen_panel(model, dep, t, seed=panel_seed)
             res = select_threshold(panel, replace(cv, seed=panel_seed), "covariance")
             est = hard_threshold(res.estimate, res.selected)
-            diff = SymMatrix(est.entries - model.sigma.entries, est.labels)
+            diff = SymMatrix._frozen(est.entries - model.sigma.entries, est.labels)
             op = operator_norm(diff)
             frob = frobenius_norm(diff) / np.sqrt(j)
             rows.append((t, dep_level, rep, op, frob))

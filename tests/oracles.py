@@ -283,3 +283,30 @@ def direct_backfit_links(v, y, h, grid_size):
             + direct_local_constant_rows(v[:, j], float(h[j]), grid)
         )
     return tuple(links), converged, tuple(fallback_rows)
+
+
+def loop_block_base(block_sizes, rng):
+    """Unit-diagonal block matrix before any rescaling, one uniform from ``rng``
+    per same-block pair, drawn pair by pair in row-major order."""
+    j = sum(block_sizes)
+    base = np.eye(j)
+    start = 0
+    for b in block_sizes:
+        for a in range(start, start + b):
+            for c in range(a + 1, start + b):
+                v = float(rng.uniform(0.2, 0.5))
+                base[a, c] = v
+                base[c, a] = v
+        start += b
+    return base
+
+
+def loop_banded_base(j, bandwidth, decay):
+    """Unit-diagonal banded matrix before any rescaling: ``decay ** lag`` up to the bandwidth."""
+    base = np.eye(j)
+    for a in range(j):
+        for c in range(a + 1, min(j, a + bandwidth + 1)):
+            v = decay ** (c - a)
+            base[a, c] = v
+            base[c, a] = v
+    return base

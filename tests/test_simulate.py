@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
 
+import covclust
 from covclust import simulate
 from covclust.cli import main
+from covclust.crossval import _SEED_MASK
 from covclust.errors import InfeasibleDependenceError, NotApplicableError
 from covclust.ingest import read_csv_matrix
 from covclust.matrices import (
@@ -25,6 +32,7 @@ from covclust.simulate import (
     rate_experiment,
     rate_report_to_json_obj,
 )
+from oracles import loop_banded_base, loop_block_base
 
 
 class TestStructure:
@@ -71,6 +79,106 @@ class TestStructure:
             Structure.random_sparse(0.0)
         with pytest.raises(ValueError):
             Structure.block(())
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            Structure(kind="banded")
+        with pytest.raises(ValueError, match="unknown structure kind 'bogus'"):
+            Structure(kind="bogus")
+        with pytest.raises(ValueError, match="block sizes"):
+            Structure(kind="block")
+        with pytest.raises(ValueError, match="density"):
+            Structure(kind="random_sparse")
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        structure = Structure(kind="block", block_sizes=np.array([2, 3]))
+        assert structure.block_sizes == (2, 3)
+        assert all(type(b) is int for b in structure.block_sizes)
+        assert type(Structure(kind="banded", bandwidth=np.int64(2), decay=0.5).bandwidth) is int
+        assert type(DependenceSpec(kind="m_dependent", m=np.int64(2)).m) is int
+
+    def test_cli_offers_every_kind(self, tmp_path, capsys):
+        for kind in get_args(simulate.StructureKind):
+            out = tmp_path / kind
+            assert main(["simulate", "--j", "4", "--t", "10", "--structure", kind,
+                         "--block-sizes", "2,2", "--out", str(out)]) == 0
+            assert json.loads((out / "model.json").read_text())["structure"]["kind"] == kind
+        for kind in get_args(simulate.DependenceKind):
+            out = tmp_path / kind
+            assert main(["simulate", "--j", "4", "--t", "10", "--dependence", kind,
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "model.json").read_text())["dependence"]["kind"] == kind
+        capsys.readouterr()
+
+
+def _model():
+    return make_sparse_cov(4, Structure.diagonal(), seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Structure.block([2.5, 3]),
+    lambda: Structure.block([True, 2]),
+    lambda: Structure.banded(1.5, 0.5),
+    lambda: DependenceSpec.m_dependent(1.7),
+    lambda: DependenceSpec(kind="m_dependent", m=1.5),
+    lambda: make_sparse_cov(3.0, Structure.diagonal()),
+    lambda: gen_panel(_model(), DependenceSpec.iid(), 10.0),
+    lambda: rate_experiment(_model(), DependenceSpec.iid(), [10.9], 1),
+    lambda: rate_experiment(_model(), DependenceSpec.iid(), [10], 1.0),
+], ids=["float_block", "bool_block", "bandwidth", "m_classmethod", "m_direct", "j", "t",
+        "t_list", "n_reps"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+class TestWholeArrayFill:
+    """The upper-triangle fill against the pair-by-pair loops it replaced."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1), (3, 4, 7), (1, 5, 1, 2), (10, 1), (40, 60)])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_block_matches_loop_bit_for_bit(self, sizes, seed):
+        rng = np.random.default_rng([seed & _SEED_MASK, 0x5C0])
+        expected = simulate._rescale_to_unit_diag(loop_block_base(sizes, rng))
+        got = make_sparse_cov(sum(sizes), Structure.block(sizes), seed=seed).sigma.entries
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("j", [1, 2, 5, 12, 60])
+    @pytest.mark.parametrize("bandwidth,decay", [(1, 0.4), (2, 0.5), (3, 0.9), (100, 0.3)])
+    def test_banded_matches_loop_bit_for_bit(self, j, bandwidth, decay):
+        expected = simulate._rescale_to_unit_diag(loop_banded_base(j, bandwidth, decay))
+        got = make_sparse_cov(j, Structure.banded(bandwidth, decay), seed=4).sigma.entries
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("density", [0.05, 0.3])
+    def test_random_sparse_keeps_a_binomial_share_with_both_signs(self, density):
+        j = 200
+        entries = make_sparse_cov(j, Structure.random_sparse(density), seed=9).sigma.entries
+        upper = entries[np.triu_indices(j, 1)]
+        pairs = upper.size
+        sd = np.sqrt(pairs * density * (1.0 - density))
+        assert abs(np.count_nonzero(upper) - pairs * density) <= 5.0 * sd
+        assert np.any(upper > 0) and np.any(upper < 0)
+        assert np.all(np.diag(entries) == 1.0)
+
+    @pytest.mark.parametrize("j,dependence", [(100, "iid"), (80, "var1")])
+    def test_simulate_is_the_same_bytes_at_one_and_two_threads(self, tmp_path, j, dependence):
+        # from about J=100 (var1) and J=150 (iid) the bytes depend on the BLAS thread count
+        src = str(Path(covclust.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "covclust", "simulate", "--j", str(j), "--t", "300",
+                 "--dependence", dependence, "--seed", "5", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            outs.append(out)
+        for name in ("panel.csv", "truth_sigma.csv", "model.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestMakeSparseCov:
