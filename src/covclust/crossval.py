@@ -79,6 +79,15 @@ _CV_MAX_WORKERS = 2
 _CV_MIN_SERIES = 96
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of ``(seed, *key)``, from which every draw in covclust is taken.
+
+    ``seed`` must be an integer (``ValueError`` naming it otherwise), and
+    only its low 63 bits count, so a negative seed is a valid one.
+    """
+    return np.random.default_rng([_require_integer("seed", seed) & _SEED_MASK, *key])
+
+
 def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
     """``estimate(start, stop)``: the ``matrix_kind`` entries of rows ``start:stop``.
 
@@ -113,7 +122,7 @@ class CvConfig:
 
     def __post_init__(self):
         for name in ("n_splits", "grid_size", "seed"):
-            _require_integer(name, getattr(self, name))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.n_splits < 1:
             raise ValueError(f"n_splits must be positive, got {self.n_splits}")
         if self.grid_size < 1:
@@ -121,7 +130,8 @@ class CvConfig:
         for name, size in (("t1", self.t1), ("t2", self.t2)):
             if size is None:
                 continue
-            _require_integer(name, size)
+            size = _require_integer(name, size)
+            object.__setattr__(self, name, size)
             if size < 2:
                 raise ValueError(f"{name} must be >= 2, got {size}")
 
@@ -146,6 +156,7 @@ class CvConfig:
 
 def default_grid(estimate: SymMatrix, size: int) -> tuple[float, ...]:
     """Equally spaced thresholds from 0 to the largest off-diagonal magnitude of ``estimate``."""
+    size = _require_integer("size", size)
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
     est = estimate.entries
@@ -164,11 +175,12 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
     split_index)``, so a split can be re-drawn independently of every other
     split.
     """
+    t = _require_integer("t", t)
+    split_index = _require_integer("split_index", split_index)
     if split_index < 0:
         raise ValueError(f"split_index must be >= 0, got {split_index}")
     t1, t2 = cfg.segments(t)
-    rng = np.random.default_rng([cfg.seed & _SEED_MASK, split_index])
-    offset = int(rng.integers(0, t - t1 - t2 + 1))
+    offset = int(_stream(cfg.seed, split_index).integers(0, t - t1 - t2 + 1))
     return (offset, offset + t1), (offset + t1, offset + t1 + t2)
 
 

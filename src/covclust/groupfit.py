@@ -106,7 +106,7 @@ class FitConfig:
     def __post_init__(self):
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
             raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
-        _require_integer("max_iter", self.max_iter)
+        object.__setattr__(self, "max_iter", _require_integer("max_iter", self.max_iter))
         if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 1:

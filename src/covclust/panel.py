@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateColumnError, InsufficientDataError
-from .matrices import SymMatrix
+from .errors import DataError, DegenerateColumnError
+from .matrices import SymMatrix, _check_unique
 
 __all__ = [
     "TimeSeriesPanel",
@@ -86,8 +86,7 @@ class TimeSeriesPanel:
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != j:
             raise ValueError(f"{len(labels)} labels for {j} columns")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
+        _check_unique(labels)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", labels)
@@ -252,10 +251,7 @@ def _rank_gram(centered: np.ndarray) -> np.ndarray:
 
 def _covariance(values: np.ndarray, labels) -> np.ndarray:
     """Entries of :func:`sample_covariance` for a ``T x J`` block with column ``labels``."""
-    t = values.shape[0]
-    if t < 2:
-        raise InsufficientDataError(f"sample covariance needs T >= 2, got {t}")
-    entries = _pairwise_gram(values - values.mean(axis=0), 1.0 / t)
+    entries = _pairwise_gram(values - values.mean(axis=0), 1.0 / values.shape[0])
     if not np.isfinite(entries).all():
         a, b = np.argwhere(~np.isfinite(entries))[0]
         raise DataError(

@@ -10,12 +10,12 @@ the stationary row covariance equals the requested target.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal, get_args
 
 import numpy as np
 
-from .crossval import _SEED_MASK, CvConfig, select_threshold
+from .crossval import _SEED_MASK, CvConfig, _stream, select_threshold
 from .errors import InfeasibleDependenceError, NotApplicableError, _require_integer
 from .matrices import (
     SymMatrix,
@@ -51,12 +51,21 @@ _BURN_IN = 500
 StructureKind = Literal["diagonal", "block", "banded", "random_sparse"]
 DependenceKind = Literal["iid", "m_dependent", "var1"]
 
+# the Structure fields each kind uses; the others must keep their defaults
+_STRUCTURE_FIELDS = {
+    "diagonal": (),
+    "block": ("block_sizes",),
+    "banded": ("bandwidth", "decay"),
+    "random_sparse": ("density",),
+}
+
 
 @dataclass(frozen=True)
 class Structure:
     """Support pattern for a generated covariance matrix.
 
-    ``kind`` is one of :data:`StructureKind`; construction checks the fields it uses.
+    ``kind`` is one of :data:`StructureKind`; construction checks the fields
+    it uses and rejects any other field set away from its default.
     """
 
     kind: StructureKind
@@ -73,6 +82,14 @@ class Structure:
         object.__setattr__(self, "bandwidth", _require_integer("bandwidth", self.bandwidth))
         object.__setattr__(self, "decay", float(self.decay))
         object.__setattr__(self, "density", float(self.density))
+        used = ("kind", *_STRUCTURE_FIELDS[self.kind])
+        stray = [
+            f.name
+            for f in fields(self)
+            if f.name not in used and getattr(self, f.name) != f.default
+        ]
+        if stray:
+            raise ValueError(f"a {self.kind} structure takes no {', '.join(stray)}")
         if self.kind == "block" and (not self.block_sizes or min(self.block_sizes) < 1):
             raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
         if self.kind == "banded" and self.bandwidth < 1:
@@ -193,7 +210,7 @@ def make_sparse_cov(j: int, structure: Structure, seed: int = 0) -> SparseCovMod
         raise ValueError(f"dimension must be >= 1, got {j}")
     if structure.kind == "block" and sum(structure.block_sizes) != j:
         raise ValueError(f"block sizes {structure.block_sizes} do not sum to {j}")
-    rng = np.random.default_rng([seed & _SEED_MASK, 0x5C0])
+    rng = _stream(seed, 0x5C0)
     rows, cols = np.triu_indices(j, 1)
     keep, values = np.zeros(rows.size, dtype=bool), np.empty(0)
     if structure.kind == "block":
@@ -277,7 +294,7 @@ def gen_panel(
     _require_integer("t", t)
     if t < 2:
         raise ValueError(f"panel length must be >= 2, got {t}")
-    rng = np.random.default_rng([seed & _SEED_MASK, 0x9A7E1])
+    rng = _stream(seed, 0x9A7E1)
     sigma = model.sigma.entries
     if dep.kind == "var1":
         values = _gen_var1(sigma, dep.coeff, t, rng)
@@ -304,7 +321,7 @@ def random_var1(model: SparseCovModel, radius: float, seed: int = 0) -> Dependen
         raise InfeasibleDependenceError(
             f"var1 target covariance is not positive definite: min eigenvalue {lam[0]:.3g}"
         )
-    rng = np.random.default_rng([seed & _SEED_MASK, 0xA151])
+    rng = _stream(seed, 0xA151)
     # QR of a Gaussian draw, R's diagonal signs folded into Q, is Haar-distributed
     q, r = np.linalg.qr(rng.standard_normal((model.sigma.dim,) * 2))
     q *= np.sign(np.diag(r))
@@ -391,9 +408,7 @@ def rate_experiment(
     for ti, t in enumerate(t_list):
         op_errors = []
         for rep in range(n_reps):
-            panel_seed = int(
-                np.random.default_rng([seed & _SEED_MASK, ti, rep]).integers(_SEED_MASK)
-            )
+            panel_seed = int(_stream(seed, ti, rep).integers(_SEED_MASK))
             panel = gen_panel(model, dep, t, seed=panel_seed)
             res = select_threshold(panel, replace(cv, seed=panel_seed), "covariance")
             est = hard_threshold(res.estimate, res.selected)

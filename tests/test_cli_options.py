@@ -403,6 +403,35 @@ class TestBlockSizesChecked:
         assert not out.exists()
 
 
+class TestTransformsChecked:
+    def test_entry_without_code_is_invalid_argument(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("threshold", "--input", PANEL_CSV, "--transforms", "y",
+                       "--out", out) == 1
+        payload = error_payload(capsys)
+        assert payload["error"] == "invalid-argument"
+        assert payload["message"] == "transform entry 'y' is not LABEL=CODE"
+        assert not out.exists()
+
+    def test_trailing_empty_entry_is_skipped(self, tmp_path, capsys):
+        for name, transforms in (("plain", "y=level"), ("trailing", "y=level,")):
+            assert run_cli("threshold", "--input", PANEL_CSV, "--transforms", transforms,
+                           "--n-splits", 5, "--out", tmp_path / name) == 0
+        capsys.readouterr()
+        assert (tmp_path / "trailing" / "cv.json").read_bytes() == (
+            tmp_path / "plain" / "cv.json"
+        ).read_bytes()
+
+
+def test_block_structure_without_sizes_is_invalid_argument(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--j", 6, "--t", 20, "--structure", "block", "--out", out) == 1
+    payload = error_payload(capsys)
+    assert payload["error"] == "invalid-argument"
+    assert payload["message"] == "block structure requires --block-sizes, e.g. 3,3,4"
+    assert not out.exists()
+
+
 class TestNumericFailure:
     @pytest.mark.parametrize(
         "error", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate")]

@@ -63,6 +63,8 @@ class TestCvConfig:
         cfg = CvConfig(n_splits=np.int32(3), grid_size=np.int64(5), seed=np.int64(-2),
                        t1=np.int16(4), t2=np.uint8(4))
         assert splits_of(20, cfg) == splits_of(20, CvConfig(n_splits=3, seed=-2, t1=4, t2=4))
+        for name in ("n_splits", "grid_size", "seed", "t1", "t2"):
+            assert type(getattr(cfg, name)) is int, name
 
     def test_segment_is_a_third_and_two_thirds(self):
         p = gaussian_panel(31, 540, 4)
@@ -130,6 +132,29 @@ class TestDrawSplit:
         cfg = CvConfig(t1=30, t2=30)
         with pytest.raises(ValueError, match="exceeds"):
             draw_split(59, cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: draw_split(100.5, CvConfig(), 0), "t"),
+        (lambda: draw_split(True, CvConfig(), 0), "t"),
+        (lambda: draw_split(100, CvConfig(), 1.5), "split_index"),
+        (lambda: draw_split(100, CvConfig(), "0"), "split_index"),
+        (lambda: default_grid(sample_covariance(gaussian_panel(2, 20, 3)), True), "size"),
+        (lambda: default_grid(sample_covariance(gaussian_panel(2, 20, 3)), 2.5), "size"),
+    ],
+    ids=["t_float", "t_bool", "split_float", "split_str", "size_bool", "size_float"],
+)
+def test_cv_helpers_take_integers_only(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_arguments_draw_the_same_splits():
+    cfg = CvConfig(seed=3)
+    assert draw_split(np.int64(100), cfg, np.int32(4)) == draw_split(100, cfg, 4)
+    assert all(type(v) is int for r in draw_split(np.int64(100), cfg, 4) for v in r)
 
 
 class TestEmpiricalLoss:

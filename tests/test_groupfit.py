@@ -113,7 +113,7 @@ class TestFitConfig:
 
     def test_accepts_numpy_numbers(self):
         cfg = FitConfig(tolerance=np.float64(1e-4), max_iter=np.int64(3))
-        assert cfg.max_iter == 3
+        assert cfg.max_iter == 3 and type(cfg.max_iter) is int
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +250,29 @@ class TestConstrainedSolveCount:
         )
         assert not capped and np.all(beta >= 0.0)
         assert len(calls) == solves
+
+
+class TestRidgeFallback:
+    # A singular pooled system is solved with the ridge added to its diagonal.
+
+    def test_singular_system_takes_the_ridge(self):
+        x, used_ridge = groupfit._solve_with_guard(
+            np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]), 1e-8
+        )
+        assert used_ridge and np.all(np.isfinite(x))
+
+    def test_duplicated_column_flags_the_fit(self):
+        rng = np.random.default_rng(3)
+        t = 300
+        a, b, c = rng.normal(size=(3, t))
+        y = np.sin(0.8 * a + 0.6 * b) + 0.5 * c + 0.05 * rng.normal(size=t)
+        panel = panel_from([y, a, a, b, c], ["y", "a", "a2", "b", "c"])
+        spec = ModelSpec(response=0, response_label="y", groups=((1, 2, 3), (4,)))
+        res = fit(panel, spec)
+        assert res.ridge_flagged
+        assert res.trace and all(rec.ridge_used for rec in res.trace)
+        assert all(np.all(np.isfinite(beta)) for beta in res.beta)
+        assert fit_to_json_obj(res, spec, panel.labels)["ridge_flagged"] is True
 
 
 @pytest.fixture(scope="module")

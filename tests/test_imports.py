@@ -1,5 +1,6 @@
 """Import-time footprint of the command-line entry point, the names each module
-and the package export, the names the benchmark needs, and the one ``np.exp``."""
+and the package export, the names the benchmark needs, the one ``np.exp`` and
+the one ``np.random.default_rng``."""
 
 import ast
 import importlib
@@ -129,3 +130,22 @@ def test_the_fit_kernel_is_the_one_exp_call():
                 ):
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("groupfit", "_kernel_matrix")]
+
+
+def test_every_draw_comes_from_the_one_stream():
+    # Split offsets and simulated targets, panels and coefficients all read
+    # crossval._stream, so the seed is checked and masked in one place.
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "default_rng":
+                    sites.append((path.stem, getattr(top, "name", None)))
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.BitAnd)
+                    and isinstance(node.right, ast.Name)
+                    and node.right.id == "_SEED_MASK"
+                ):
+                    sites.append((path.stem, getattr(top, "name", None), "mask"))
+    assert sorted(sites) == [("crossval", "_stream"), ("crossval", "_stream", "mask")]

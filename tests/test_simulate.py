@@ -11,7 +11,7 @@ import pytest
 import covclust
 from covclust import simulate
 from covclust.cli import main
-from covclust.crossval import _SEED_MASK
+from covclust.crossval import _SEED_MASK, CvConfig
 from covclust.errors import InfeasibleDependenceError, NotApplicableError
 from covclust.ingest import read_csv_matrix
 from covclust.matrices import (
@@ -97,6 +97,19 @@ class TestStructure:
         assert type(Structure(kind="banded", bandwidth=np.int64(2), decay=0.5).bandwidth) is int
         assert type(DependenceSpec(kind="m_dependent", m=np.int64(2)).m) is int
 
+    @pytest.mark.parametrize("kwargs, stray", [
+        (dict(kind="diagonal", bandwidth=3, density=0.7), "bandwidth, density"),
+        (dict(kind="diagonal", block_sizes=(2, 2)), "block_sizes"),
+        (dict(kind="block", block_sizes=(2, 2), decay=0.5), "decay"),
+        (dict(kind="banded", bandwidth=2, decay=0.5, density=0.3), "density"),
+        (dict(kind="banded", bandwidth=2, decay=0.5, block_sizes=(4,)), "block_sizes"),
+        (dict(kind="random_sparse", density=0.3, bandwidth=1, decay=0.2), "bandwidth, decay"),
+    ], ids=["diagonal", "diagonal_sizes", "block", "banded", "banded_sizes", "random_sparse"])
+    def test_fields_outside_the_kind_are_rejected_by_name(self, kwargs, stray):
+        assert set(simulate._STRUCTURE_FIELDS) == set(get_args(simulate.StructureKind))
+        with pytest.raises(ValueError, match=f"structure takes no {stray}$"):
+            Structure(**kwargs)
+
     def test_cli_offers_every_kind(self, tmp_path, capsys):
         for kind in get_args(simulate.StructureKind):
             out = tmp_path / kind
@@ -130,6 +143,33 @@ def _model():
 def test_counts_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+# each simulation function that takes a seed, returning the bytes it draws
+_SEEDED = {
+    "make_sparse_cov": lambda seed: make_sparse_cov(
+        5, Structure.random_sparse(0.5), seed=seed
+    ).sigma.entries.tobytes(),
+    "gen_panel": lambda seed: gen_panel(
+        _model(), DependenceSpec.m_dependent(1), 12, seed=seed
+    ).values.tobytes(),
+    "random_var1": lambda seed: random_var1(_model(), 0.5, seed=seed).coeff.tobytes(),
+    "rate_experiment": lambda seed: repr(rate_experiment(
+        _model(), DependenceSpec.iid(), [12], 2, CvConfig(n_splits=2), seed=seed
+    ).rows).encode(),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seed_must_be_an_integer(name, seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_numpy_integer_seed_draws_the_same_bytes(name):
+    assert _SEEDED[name](np.int64(5)) == _SEEDED[name](5)
 
 
 class TestWholeArrayFill:
@@ -329,6 +369,14 @@ class TestGenPanel:
         np.testing.assert_array_equal(a.values, b.values)
         c = gen_panel(model, DependenceSpec.m_dependent(2), 150, seed=15)
         assert not np.array_equal(a.values, c.values)
+
+    def test_var1_coefficient_must_match_the_target(self):
+        model = make_sparse_cov(3, Structure.diagonal(), seed=0)
+        dep = DependenceSpec.var1(0.5 * np.eye(4))
+        with pytest.raises(
+            ValueError, match=r"var1 coefficient shape \(4, 4\) != covariance shape \(3, 3\)"
+        ):
+            gen_panel(model, dep, 20, seed=0)
 
     def test_labels_carried_from_model(self):
         model = make_sparse_cov(3, Structure.diagonal(), seed=28)
