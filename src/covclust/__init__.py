@@ -6,8 +6,8 @@ thresholding at a cross-validated level, screen predictors against a
 response, pack the survivors into variable groups by a greedy sparsity-score
 scan, and fit a groupwise index model with sign-constrained coefficients.
 Simulation helpers generate sparse covariance targets and temporally
-dependent panels for error-scaling studies.  Every name in a module's
-``__all__`` can be imported from the package as well.
+dependent panels with a known truth.  Every name in a module's ``__all__``
+can be imported from the package as well.
 """
 
 from .crossval import *

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _pool
 from .errors import DataError, DegenerateColumnError, InsufficientDataError, _require_integer
-from .matrices import SymMatrix, _check_threshold
+from .matrices import SymMatrix
 from .panel import TimeSeriesPanel, _covariance, _rank_codes, _spearman
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "CvResult",
     "default_grid",
     "draw_split",
-    "empirical_loss",
     "select_threshold",
     "cv_result_to_json_obj",
 ]
@@ -249,29 +248,6 @@ def _loss_curve(estimate, grid, splits, n_series):
     losses = per_split.mean(axis=0)
     best = np.flatnonzero(losses == losses.min())[-1]
     return per_split, tuple(float(v) for v in losses), float(grid[best])
-
-
-def empirical_loss(
-    panel: TimeSeriesPanel, s: float, splits, matrix_kind: str = "covariance"
-) -> float:
-    """Mean squared-Frobenius validation loss of threshold ``s`` over ``splits``.
-
-    ``splits`` holds at least one ``((start, stop), (start, stop))`` pair of
-    row ranges; each range must cover at least 2 rows of the panel.
-    """
-    s = _check_threshold(s)
-    splits = list(splits)
-    if not splits:
-        raise ValueError("empirical_loss needs at least one split")
-    t = panel.n_periods
-    for start, stop in (r for pair in splits for r in pair):
-        if start < 0 or stop > t or stop - start < 2:
-            raise ValueError(
-                f"invalid row range [{start}, {stop}) for {t} periods; "
-                "a segment needs at least 2 rows"
-            )
-    estimate = _window_estimator(panel, matrix_kind)
-    return _loss_curve(estimate, (s,), splits, panel.n_series)[1][0]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ __all__ = [
     "InsufficientDataError",
     "EmptyScreenError",
     "InfeasibleDependenceError",
-    "NotApplicableError",
     "InternalConsistencyError",
     "DegenerateResponseError",
     "DataError",
@@ -69,12 +68,6 @@ class InfeasibleDependenceError(CovclustError):
     """The requested dependence structure is incompatible with the target covariance."""
 
     slug = "infeasible-dependence"
-
-
-class NotApplicableError(CovclustError):
-    """The requested quantity is undefined for the given configuration."""
-
-    slug = "not-applicable"
 
 
 class InternalConsistencyError(CovclustError):

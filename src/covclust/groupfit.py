@@ -467,6 +467,11 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     ``r_squared`` is computed from the tabulated model's predictions on the
     training panel.
     """
+    if not 0 <= spec.response < panel.n_series:
+        raise ValueError(f"response column index out of range: {spec.response}")
+    for g in spec.groups:
+        if min(g) < 0 or max(g) >= panel.n_series:
+            raise ValueError(f"group column index out of range: {list(g)}")
     x = panel.values
     y = x[:, spec.response]
     t = panel.n_periods
@@ -482,9 +487,6 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     yc = y - y.mean()
     if float(np.sum(yc**2)) == 0.0:
         raise DegenerateResponseError("response has zero variation")
-    for g in groups:
-        if np.any(g < 0) or np.any(g >= panel.n_series):
-            raise ValueError(f"group column index out of range: {g.tolist()}")
 
     offsets = np.cumsum([0] + sizes)
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(n_groups)]

@@ -21,7 +21,6 @@ from .panel import TimeSeriesPanel, standardize
 
 __all__ = [
     "TRANSFORM_CODES",
-    "transform_lag",
     "apply_transform",
     "read_csv_matrix",
     "ingest",
@@ -52,13 +51,8 @@ def _transform(code: str, label: str = "") -> tuple[bool, int]:
         ) from None
 
 
-def transform_lag(code: str) -> int:
-    """Number of leading periods the transform consumes."""
-    return _transform(code)[1]
-
-
 def apply_transform(values: np.ndarray, code: str, label: str = "") -> np.ndarray:
-    """Apply one transform to one column; length shrinks by :func:`transform_lag`.
+    """Apply one transform to one column; length shrinks by the transform's lag.
 
     A non-finite input cell, a non-positive input under a logarithmic code,
     or a difference that overflows, is a :class:`DataError` whose ``row`` is

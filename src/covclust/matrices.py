@@ -1,9 +1,7 @@
-"""Labeled symmetric matrices: thresholding, spectral queries, sparsity diagnostics.
+"""Labeled symmetric matrices: thresholding, sparsity diagnostics, CSV output.
 
 The central primitive is entrywise hard thresholding, ``m_ij * 1(|m_ij| >= s)``,
-applied to *every* entry including the diagonal.  All spectral quantities are
-defined through the symmetric eigendecomposition, so operator norm here always
-means the largest absolute eigenvalue.
+applied to *every* entry including the diagonal.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ __all__ = [
     "SymMatrix",
     "UniformityParams",
     "hard_threshold",
-    "operator_norm",
-    "frobenius_norm",
-    "min_eigenvalue",
     "uniformity_diagnostics",
     "sym_to_csv",
 ]
@@ -156,27 +151,6 @@ def hard_threshold(m: SymMatrix, s: float) -> SymMatrix:
     s = _check_threshold(s)
     kept = np.where(np.abs(m.entries) >= s, m.entries, 0.0)
     return SymMatrix._frozen(kept, m.labels)
-
-
-def _eigenvalues(m: SymMatrix) -> np.ndarray:
-    # LAPACK symmetric eigensolver; tests cross-check it against an
-    # independent Jacobi-rotation implementation.
-    return np.linalg.eigvalsh(m.entries)
-
-
-def operator_norm(m: SymMatrix) -> float:
-    """Spectral norm: the largest absolute eigenvalue of ``m``."""
-    return float(np.max(np.abs(_eigenvalues(m))))
-
-
-def frobenius_norm(m: SymMatrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(m.entries ** 2)))
-
-
-def min_eigenvalue(m: SymMatrix) -> float:
-    """Smallest (signed) eigenvalue of ``m``."""
-    return float(_eigenvalues(m)[0])
 
 
 def uniformity_diagnostics(m: SymMatrix, q: float) -> tuple[float, float]:

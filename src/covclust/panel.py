@@ -99,13 +99,6 @@ class TimeSeriesPanel:
     def n_series(self) -> int:
         return self.values.shape[1]
 
-    def column(self, label: str) -> np.ndarray:
-        try:
-            j = self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-        return self.values[:, j]
-
 
 def standardize(p: TimeSeriesPanel) -> TimeSeriesPanel:
     """Center each column and scale it to unit sample standard deviation.

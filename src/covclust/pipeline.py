@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossval import CvConfig, CvResult, cv_result_to_json_obj, select_threshold
-from .errors import EmptyScreenError, InternalConsistencyError
+from .errors import EmptyScreenError, InternalConsistencyError, _require_integer
 from .matrices import SymMatrix, hard_threshold
 from .panel import TimeSeriesPanel
 
@@ -27,7 +27,6 @@ __all__ = [
     "ClusterResult",
     "ModelSpec",
     "screen",
-    "nz_score",
     "rank_by_degree",
     "cluster_forward",
     "cluster_backward",
@@ -87,15 +86,19 @@ class ModelSpec:
     sign_constraints: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "response", _require_integer("response", self.response))
         if not self.groups or any(len(g) == 0 for g in self.groups):
             raise ValueError("groups must be nonempty")
-        groups = tuple(tuple(int(v) for v in g) for g in self.groups)
+        groups = tuple(tuple(_require_integer("group member", v) for v in g) for g in self.groups)
         for g in groups:
             if self.response in g:
                 raise ValueError("the response cannot appear in a group")
             if len(set(g)) != len(g):
                 raise ValueError(f"duplicate variable within a group: {g}")
-        signs = {int(k): int(v) for k, v in self.sign_constraints.items()}
+        signs = {
+            _require_integer("sign constraint column", k): _require_integer("sign constraint", v)
+            for k, v in self.sign_constraints.items()
+        }
         if any(v not in (-1, 0, 1) for v in signs.values()):
             raise ValueError("sign constraints must be -1, 0, or +1")
         object.__setattr__(self, "groups", groups)
@@ -150,26 +153,6 @@ def screen(
     )
 
 
-def _entries(regularized) -> np.ndarray:
-    """The array of a :class:`SymMatrix`, or a plain square array as given."""
-    return regularized.entries if isinstance(regularized, SymMatrix) else np.asarray(regularized)
-
-
-def nz_score(index_set, regularized) -> float:
-    """Averaged non-zero score of a set: nonzero entries over set size squared.
-
-    ``index_set`` holds row/column positions into ``regularized`` (a
-    :class:`SymMatrix` or a plain square array); the diagonal counts, so a
-    fully dense block scores exactly 1.
-    """
-    idx = list(index_set)
-    if not idx:
-        raise ValueError("the score of an empty set is undefined")
-    entries = _entries(regularized)
-    block = entries[np.ix_(idx, idx)]
-    return float(np.count_nonzero(block)) / float(len(idx) ** 2)
-
-
 def rank_by_degree(kept, regularized) -> list[int]:
     """Sort positions by nonzero-degree over their own sub-block, descending.
 
@@ -180,7 +163,7 @@ def rank_by_degree(kept, regularized) -> list[int]:
     order, which in the screened layout encodes original index order.
     """
     positions = list(kept)
-    entries = _entries(regularized)
+    entries = regularized.entries
     sub = entries[np.ix_(positions, positions)]
     degrees = (sub != 0).sum(axis=1)
     resp = np.abs(entries[positions, -1])

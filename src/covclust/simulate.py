@@ -1,5 +1,5 @@
-"""Synthetic sparse covariance targets, dependent panel generators, and
-error-scaling experiments for the thresholded estimator.
+"""Synthetic sparse covariance targets and dependent panel generators: what
+``covclust simulate`` draws and describes in its reports.
 
 Three dependence regimes are supported.  Independent rows and moving-average
 dependence of order ``m`` share one code path (``m = 0`` *is* the independent
@@ -10,21 +10,14 @@ the stationary row covariance equals the requested target.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Literal, get_args
 
 import numpy as np
 
-from .crossval import _SEED_MASK, CvConfig, _stream, select_threshold
-from .errors import InfeasibleDependenceError, NotApplicableError, _require_integer
-from .matrices import (
-    SymMatrix,
-    UniformityParams,
-    frobenius_norm,
-    hard_threshold,
-    operator_norm,
-    uniformity_diagnostics,
-)
+from .crossval import _stream
+from .errors import InfeasibleDependenceError, _require_integer
+from .matrices import SymMatrix, UniformityParams, uniformity_diagnostics
 from .panel import TimeSeriesPanel
 
 __all__ = [
@@ -37,10 +30,6 @@ __all__ = [
     "random_var1",
     "gen_panel",
     "model_to_json_obj",
-    "fractional_cover_size",
-    "RateReport",
-    "rate_experiment",
-    "rate_report_to_json_obj",
 ]
 
 #: smallest eigenvalue every generated covariance is pushed up to
@@ -338,110 +327,9 @@ def model_to_json_obj(model: SparseCovModel, dep: DependenceSpec, t: int, seed: 
         dependence["radius"] = dep.spectral_radius()
     return {
         "j": model.sigma.dim,
-        "t": t,
-        "seed": seed,
+        "t": _require_integer("t", t),
+        "seed": _require_integer("seed", seed),
         "structure": asdict(model.structure),
         "dependence": dependence,
         "uniformity": asdict(model.params),
-    }
-
-
-def fractional_cover_size(dep: DependenceSpec, t: int) -> int:
-    """Effective dependence multiplier of a length-``t`` sample.
-
-    Independent rows give 1; ``m``-dependent rows give ``m + 1`` capped at the
-    sample length.  The quantity is undefined for autoregressive dependence,
-    whose influence never truncates.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if dep.kind == "var1":
-        raise NotApplicableError("fractional cover size is undefined for var1 dependence")
-    return min(dep.m + 1, t)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-repetition errors plus medians and the theoretical error curve.
-
-    ``rows`` holds ``(t, dep_level, rep, op_error, frob_error)`` tuples where
-    ``dep_level`` is ``m`` for moving-average dependence and the spectral
-    radius for var1; ``frob_error`` is the dimension-normalized Frobenius
-    error ``sqrt(||.||_F^2 / J)``.
-    """
-
-    rows: tuple[tuple, ...]
-    medians: dict = field(default_factory=dict)
-    theory: dict = field(default_factory=dict)
-    j: int = 0
-    q: float = 0.0
-    c0: float = 0.0
-
-
-def rate_experiment(
-    model: SparseCovModel,
-    dep: DependenceSpec,
-    t_list,
-    n_reps: int,
-    cv: CvConfig = CvConfig(n_splits=20),
-    seed: int = 0,
-) -> RateReport:
-    """Measure thresholded-estimator error across sample sizes.
-
-    For every ``t`` and repetition: generate a panel, select a threshold by
-    cross-validation under ``cv`` (its seed replaced by the panel's), and
-    record operator-norm and normalized-Frobenius distances between the
-    thresholded sample covariance and the truth.  The
-    theoretical curve is ``c0 * (log(J) * cover / t) ** ((1 - q) / 2)`` with
-    ``cover`` the fractional cover size (taken as 1 for var1 dependence,
-    where covers do not apply).
-    """
-    t_list = [_require_integer("sample size", t) for t in t_list]
-    _require_integer("n_reps", n_reps)
-    if not t_list or min(t_list) < 6:
-        raise ValueError(f"every sample size must be >= 6, got {t_list}")
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be positive, got {n_reps}")
-    j = model.sigma.dim
-    dep_level = dep.spectral_radius() if dep.kind == "var1" else float(dep.m)
-    rows, medians, theory = [], {}, {}
-    for ti, t in enumerate(t_list):
-        op_errors = []
-        for rep in range(n_reps):
-            panel_seed = int(_stream(seed, ti, rep).integers(_SEED_MASK))
-            panel = gen_panel(model, dep, t, seed=panel_seed)
-            res = select_threshold(panel, replace(cv, seed=panel_seed), "covariance")
-            est = hard_threshold(res.estimate, res.selected)
-            diff = SymMatrix._frozen(est.entries - model.sigma.entries, est.labels)
-            op = operator_norm(diff)
-            frob = frobenius_norm(diff) / np.sqrt(j)
-            rows.append((t, dep_level, rep, op, frob))
-            op_errors.append((op, frob))
-        medians[t] = tuple(float(np.median(errors)) for errors in zip(*op_errors))
-        cover = 1 if dep.kind == "var1" else fractional_cover_size(dep, t)
-        theory[t] = float(
-            model.params.c0
-            * (np.log(j) * cover / t) ** ((1.0 - model.params.q) / 2.0)
-        )
-    return RateReport(
-        rows=tuple(rows),
-        medians=medians,
-        theory=theory,
-        j=j,
-        q=model.params.q,
-        c0=model.params.c0,
-    )
-
-
-def rate_report_to_json_obj(report: RateReport) -> dict:
-    """Summary medians and the theoretical curve, keyed by sample size."""
-    return {
-        "j": int(report.j),
-        "q": float(report.q),
-        "c0": float(report.c0),
-        "medians": {
-            str(t): {"op_error": float(op), "frob_error": float(fr)}
-            for t, (op, fr) in sorted(report.medians.items())
-        },
-        "theory": {str(t): float(v) for t, v in sorted(report.theory.items())},
     }

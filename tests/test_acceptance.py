@@ -13,25 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from oracles import jacobi_eigenvalues, naive_spearman
+from rates import frobenius_norm, min_eigenvalue, operator_norm, rate_medians
 from covclust.cli import main as cli_main
 from covclust.crossval import CvConfig, select_threshold
 from covclust.groupfit import FitConfig, fit
-from covclust.matrices import (
-    SymMatrix,
-    frobenius_norm,
-    hard_threshold,
-    min_eigenvalue,
-    operator_norm,
-)
+from covclust.matrices import SymMatrix, hard_threshold
 from covclust.panel import TimeSeriesPanel, spearman_matrix, standardize
 from covclust.pipeline import ModelSpec, ScreenResult, cluster_backward, cluster_forward, screen
-from covclust.simulate import (
-    DependenceSpec,
-    Structure,
-    gen_panel,
-    make_sparse_cov,
-    rate_experiment,
-)
+from covclust.simulate import DependenceSpec, Structure, gen_panel, make_sparse_cov
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -89,10 +78,10 @@ def test_c1_threshold_invariants():
         off = np.abs(pd_m.entries[~np.eye(j, dtype=bool)])
         s_pd = float(np.quantile(off, 0.25)) if off.size else 0.01
         thr = hard_threshold(pd_m, s_pd)
-        perturbation = operator_norm(_sym(thr.entries - pd_m.entries))
-        if perturbation < min_eigenvalue(pd_m):
+        perturbation = operator_norm(thr.entries - pd_m.entries)
+        if perturbation < min_eigenvalue(pd_m.entries):
             pd_checked += 1
-            if min_eigenvalue(thr) <= 0.0:
+            if min_eigenvalue(thr.entries) <= 0.0:
                 violations.append((i, "PD preservation"))
     elapsed = time.perf_counter() - start
     ok = not violations and pd_checked >= 800 and elapsed < budget
@@ -114,8 +103,8 @@ def test_c2_norms_match_jacobi_oracle():
     for _ in range(200):
         j = int(rng.integers(2, 9))
         a = rng.normal(size=(j, j))
-        m = _sym((a + a.T) / 2.0)
-        ev = jacobi_eigenvalues(m.entries)
+        m = (a + a.T) / 2.0
+        ev = jacobi_eigenvalues(m)
         worst = max(
             worst,
             abs(operator_norm(m) - max(abs(ev[0]), abs(ev[-1]))),
@@ -186,9 +175,7 @@ def test_c4_cv_threshold_near_best_grid_point():
         sig_hat = res.estimate
         errors = np.array(
             [
-                frobenius_norm(
-                    _sym(hard_threshold(sig_hat, g).entries - model.sigma.entries)
-                )
+                frobenius_norm(hard_threshold(sig_hat, g).entries - model.sigma.entries)
                 for g in res.grid
             ]
         )
@@ -211,13 +198,12 @@ def test_c5_error_rate_scaling():
     start = time.perf_counter()
     model = make_sparse_cov(30, Structure.random_sparse(0.1), seed=1)
 
-    rep = rate_experiment(model, DependenceSpec.iid(), [150, 600], 20, seed=1)
-    ratio = rep.medians[150][0] / rep.medians[600][0]
+    iid = rate_medians(model, DependenceSpec.iid(), [150, 600], 20, seed=1)
+    ratio = iid[150] / iid[600]
 
     medians = []
     for m in (0, 2, 8):
-        dep_rep = rate_experiment(model, DependenceSpec.m_dependent(m), [500], 20, seed=2)
-        medians.append(dep_rep.medians[500][0])
+        medians.append(rate_medians(model, DependenceSpec.m_dependent(m), [500], 20, seed=2)[500])
     nondecreasing = medians[0] <= medians[1] <= medians[2]
 
     elapsed = time.perf_counter() - start

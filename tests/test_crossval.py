@@ -9,7 +9,6 @@ from covclust.crossval import (
     cv_result_to_json_obj,
     default_grid,
     draw_split,
-    empirical_loss,
     select_threshold,
     _grid_losses,
     _loss_curve,
@@ -32,6 +31,22 @@ def gaussian_panel(seed, t, j, sigma=None):
 
 def splits_of(t, cfg):
     return [draw_split(t, cfg, i) for i in range(cfg.n_splits)]
+
+
+def loss_curve(p, grid, splits):
+    """Mean losses of the ascending ``grid`` over hand-picked covariance ``splits``."""
+    return _loss_curve(_window_estimator(p, "covariance"), grid, splits, p.n_series)[1]
+
+
+def direct_mean_loss(p, s, splits):
+    """Mean over ``splits`` of ``||hard_threshold(e1, s) - e2||_F^2``, each window estimated anew."""
+    direct = []
+    for r1, r2 in splits:
+        e1 = sample_covariance(TimeSeriesPanel(p.values[r1[0]:r1[1]], p.labels))
+        e2 = sample_covariance(TimeSeriesPanel(p.values[r2[0]:r2[1]], p.labels))
+        d = hard_threshold(e1, s).entries - e2.entries
+        direct.append(float(np.sum(d * d)))
+    return float(np.mean(direct))
 
 
 class TestCvConfig:
@@ -161,29 +176,8 @@ class TestEmpiricalLoss:
     def test_matches_direct_recomputation(self):
         p = gaussian_panel(11, 60, 4)
         splits = [((0, 20), (20, 60)), ((5, 25), (25, 60))]
-        s = 0.15
-        direct = []
-        for r1, r2 in splits:
-            e1 = sample_covariance(TimeSeriesPanel(p.values[r1[0]:r1[1]], p.labels))
-            e2 = sample_covariance(TimeSeriesPanel(p.values[r2[0]:r2[1]], p.labels))
-            d = hard_threshold(e1, s).entries - e2.entries
-            direct.append(float(np.sum(d * d)))
-        want = float(np.mean(direct))
-        got = empirical_loss(p, s, splits, "covariance")
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_rejects_negative_threshold(self):
-        p = gaussian_panel(12, 30, 3)
-        with pytest.raises(ValueError, match=r"^threshold must be finite and >= 0, got -0\.5$"):
-            empirical_loss(p, -0.5, [((0, 10), (10, 30))])
-
-    @pytest.mark.parametrize(
-        "split", [((0, 10), (10, 31)), ((-1, 10), (10, 30)), ((0, 10), (10, 11)), ((5, 5), (5, 30))]
-    )
-    def test_rejects_row_ranges_outside_the_panel_or_too_short(self, split):
-        p = gaussian_panel(12, 30, 3)
-        with pytest.raises(ValueError, match="row range"):
-            empirical_loss(p, 0.1, [split])
+        (got,) = loss_curve(p, (0.15,), splits)
+        assert got == pytest.approx(direct_mean_loss(p, 0.15, splits), rel=1e-14)
 
     def test_thresholding_beats_no_thresholding_under_independence(self):
         # Columns are independent, so zeroing small spurious cross terms
@@ -192,7 +186,8 @@ class TestEmpiricalLoss:
         for seed in range(20):
             p = gaussian_panel(100 + seed, 600, 10)
             splits = [draw_split(600, CvConfig(t1=200, t2=400, seed=seed), i) for i in range(20)]
-            if empirical_loss(p, 0.5, splits) < empirical_loss(p, 0.0, splits):
+            unthresholded, thresholded = loss_curve(p, (0.0, 0.5), splits)
+            if thresholded < unthresholded:
                 wins += 1
         assert wins >= 18
 
@@ -206,7 +201,7 @@ class TestSelectThreshold:
         np.testing.assert_allclose(res.losses, res.per_split_losses.mean(axis=0), rtol=1e-15)
         splits = [draw_split(90, cfg, i) for i in range(8)]
         for gi, s in enumerate(res.grid):
-            assert res.losses[gi] == pytest.approx(empirical_loss(p, s, splits), rel=1e-14)
+            assert res.losses[gi] == pytest.approx(direct_mean_loss(p, s, splits), rel=1e-14)
 
     def test_ties_resolve_to_larger_threshold(self):
         # All entries of every segment estimate sit far below the two top
@@ -342,14 +337,14 @@ class TestOverflowingPanel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"entry \('a', 'b'\) is not finite"):
-                empirical_loss(self.panel(), 0.1, [((0, 12), (12, 20))], "covariance")
+                loss_curve(self.panel(), (0.1,), [((0, 12), (12, 20))])
 
     def test_window_error_names_its_split(self):
         # the window holds only the 1e308, so its first bad entry is ('b', 'b')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError) as err:
-                empirical_loss(self.panel(), 0.1, [((2, 8), (8, 20))], "covariance")
+                loss_curve(self.panel(), (0.1,), [((2, 8), (8, 20))])
         assert str(err.value) == (
             "sample covariance entry ('b', 'b') is not finite; standardize the panel first "
             "(split 0, rows (2, 8)/(8, 20))"

@@ -5,7 +5,7 @@ it with the selection, so callers threshold the matrix the grid was built on."""
 import numpy as np
 import pytest
 
-from covclust.crossval import CvConfig, empirical_loss, select_threshold
+from covclust.crossval import CvConfig, select_threshold
 from covclust.errors import InsufficientDataError
 from covclust.ingest import ingest
 from covclust.matrices import hard_threshold
@@ -50,8 +50,6 @@ def test_unknown_kind_fails_before_any_estimate(kind, estimated_rows):
     panel = random_panel(60)
     with pytest.raises(ValueError, match="unknown matrix_kind"):
         select_threshold(panel, CvConfig(n_splits=2), kind)
-    with pytest.raises(ValueError, match="unknown matrix_kind"):
-        empirical_loss(panel, 0.1, [((0, 10), (10, 30))], kind)
     assert estimated_rows == []
 
 
@@ -73,9 +71,3 @@ def test_split_sizes_fail_before_any_estimate(t, cfg, error, message, estimated_
         screen(panel, "x1", cfg)
     assert estimated_rows == []
 
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_empirical_loss_without_splits_fails_before_any_estimate(kind, estimated_rows):
-    with pytest.raises(ValueError, match="needs at least one split"):
-        empirical_loss(random_panel(60), 0.1, [], kind)
-    assert estimated_rows == []

@@ -1,5 +1,5 @@
 """Each job estimates the full-sample matrix once: the CV grid and the
-screen (or the error measurement) share it."""
+screen share it."""
 
 import sys
 from pathlib import Path
@@ -13,7 +13,6 @@ from covclust.crossval import CvConfig, select_threshold
 from covclust.ingest import ingest
 from covclust.panel import TimeSeriesPanel
 from covclust.pipeline import screen
-from covclust.simulate import DependenceSpec, Structure, make_sparse_cov, rate_experiment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PANEL_CSV = FIXTURES / "fixture_panel.csv"
@@ -78,13 +77,6 @@ def test_one_full_sample_estimate_per_cli_job(command, estimated_rows, tmp_path,
     capsys.readouterr()
     assert estimated_rows.count(t) == 1
     assert len(estimated_rows) == 1 + 2 * 3
-
-
-def test_one_full_sample_estimate_per_rate_repetition(estimated_rows):
-    model = make_sparse_cov(6, Structure.banded(1, 0.4), seed=3)
-    rate_experiment(model, DependenceSpec.iid(), [60, 90], n_reps=2, seed=4)
-    assert estimated_rows.count(60) == 2
-    assert estimated_rows.count(90) == 2
 
 
 def test_unknown_response_fails_before_any_estimate(estimated_rows):

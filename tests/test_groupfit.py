@@ -428,6 +428,14 @@ class TestDegenerateCases:
         with pytest.raises(ValueError, match="out of range"):
             fit(panel, spec)
 
+    @pytest.mark.parametrize("response", [-1, 5])
+    def test_response_column_out_of_range(self, response):
+        rng = np.random.default_rng(16)
+        panel = TimeSeriesPanel(rng.normal(size=(30, 3)), ("y", "a", "b"))
+        spec = ModelSpec(response=response, response_label="y", groups=((1, 2),))
+        with pytest.raises(ValueError, match=f"^response column index out of range: {response}$"):
+            fit(panel, spec)
+
 
 class TestExplainedVariation:
     def test_perfect_fit_is_one(self):

@@ -58,6 +58,19 @@ def test_every_exported_name_resolves(module):
     exec(f"from covclust.{module} import *", {})
 
 
+def public_names():
+    """The package's names that are neither private nor modules, sorted."""
+    import covclust
+
+    return tuple(
+        sorted(
+            name
+            for name, value in vars(covclust).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        )
+    )
+
+
 def test_package_exports_exactly_the_library_modules_names():
     import covclust
 
@@ -67,14 +80,31 @@ def test_package_exports_exactly_the_library_modules_names():
         for name in mod.__all__:
             assert name not in owners, f"{name!r} is in {owners.get(name)} and {module}"
             owners[name] = mod
-    public = {
-        name
-        for name, value in vars(covclust).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert public == set(owners)
+    assert set(public_names()) == set(owners)
     for name, mod in owners.items():
         assert getattr(covclust, name) is getattr(mod, name), name
+
+
+# The package's public names.  A change that grows or shrinks the API shows here.
+PUBLIC = (
+    "ClusterResult", "CovclustError", "CvConfig", "CvResult", "DataError",
+    "DegenerateColumnError", "DegenerateResponseError", "DependenceKind", "DependenceSpec",
+    "EmptyScreenError", "FitConfig", "GroupwiseFit", "InfeasibleDependenceError",
+    "InsufficientDataError", "InternalConsistencyError", "IterationRecord", "MatrixKind",
+    "ModelSpec", "ParseError", "ScreenResult", "SparseCovModel", "Structure", "StructureKind",
+    "SymMatrix", "TRANSFORM_CODES", "TimeSeriesPanel", "UniformityParams", "apply_transform",
+    "build_model_spec", "cluster_backward", "cluster_forward", "clusters_to_json_obj",
+    "clusters_to_text", "cv_result_to_json_obj", "default_grid", "draw_split",
+    "explained_variation", "fit", "fit_to_json_obj", "gen_panel", "hard_threshold", "ingest",
+    "kernel_weight", "links_to_csv", "make_sparse_cov", "model_to_json_obj", "predict",
+    "random_var1", "rank_by_degree", "read_csv_matrix", "sample_covariance", "screen",
+    "screen_to_json_obj", "select_threshold", "spearman_matrix", "standardize", "sym_to_csv",
+    "uniformity_diagnostics", "write_panel_csv",
+)
+
+
+def test_public_names_are_pinned():
+    assert public_names() == PUBLIC
 
 
 def test_errors_exports_every_public_error_class():

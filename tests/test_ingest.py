@@ -12,7 +12,6 @@ from covclust.ingest import (
     apply_transform,
     ingest,
     read_csv_matrix,
-    transform_lag,
     write_panel_csv,
 )
 from covclust.panel import TimeSeriesPanel
@@ -27,17 +26,15 @@ def write(tmp_path, text, name="panel.csv"):
 
 class TestTransformLag:
     def test_known_codes(self):
-        assert transform_lag("level") == 0
-        assert transform_lag("log") == 0
-        assert transform_lag("diff1") == 1
-        assert transform_lag("log_diff1") == 1
-        assert transform_lag("diff2") == 2
-        assert transform_lag("log_diff2") == 2
+        # each transform shortens a column by its lag
+        column = np.arange(1.0, 7.0)
+        lags = {code: 6 - len(apply_transform(column, code)) for code in TRANSFORM_CODES}
+        assert lags == {"level": 0, "log": 0, "diff1": 1, "log_diff1": 1, "diff2": 2, "log_diff2": 2}
 
     def test_unknown_code(self):
         want = f"unknown transform code 'boxcox'; expected one of {TRANSFORM_CODES}"
         with pytest.raises(ValueError) as exc:
-            transform_lag("boxcox")
+            apply_transform(np.ones(3), "boxcox")
         assert str(exc.value) == want
 
     def test_registry_is_complete(self):

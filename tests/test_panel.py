@@ -41,12 +41,6 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             p.values[0, 0] = 9.0
 
-    def test_column_lookup(self):
-        p = make_panel([[1.0, 2.0], [3.0, 4.0]], ("a", "b"))
-        np.testing.assert_array_equal(p.column("b"), [2.0, 4.0])
-        with pytest.raises(KeyError):
-            p.column("zzz")
-
 
 class TestStandardize:
     def test_zero_mean_unit_sd(self):

@@ -11,7 +11,6 @@ from covclust.pipeline import (
     build_model_spec,
     cluster_backward,
     cluster_forward,
-    nz_score,
     rank_by_degree,
     screen,
 )
@@ -121,38 +120,6 @@ class TestScreen:
             screen(panel, "zzz")
 
 
-class TestNzScore:
-    def test_singleton_scores_one(self):
-        reg = SymMatrix(np.eye(3), ("a", "b", "c"))
-        assert nz_score([1], reg) == 1.0
-
-    def test_disconnected_pair_scores_half(self):
-        reg = SymMatrix(np.eye(2), ("a", "b"))
-        assert nz_score([0, 1], reg) == 0.5
-
-    def test_dense_block_scores_one(self):
-        arr = np.full((3, 3), 0.4)
-        np.fill_diagonal(arr, 1.0)
-        assert nz_score([0, 1, 2], SymMatrix(arr, ("a", "b", "c"))) == 1.0
-
-    def test_matches_double_loop_on_random_supports(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            k = int(rng.integers(2, 9))
-            support = rng.random((k, k)) < 0.5
-            support = support | support.T
-            np.fill_diagonal(support, True)
-            entries = np.where(support, 0.3, 0.0)
-            np.fill_diagonal(entries, 1.0)
-            idx = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
-            got = nz_score(idx, entries)
-            assert got == count_nonzero_score(idx, entries)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            nz_score([], np.eye(2))
-
-
 class TestRankByDegree:
     def test_orders_by_nonzero_links(self):
         # v0 links to v1 and v2; v1 and v2 link only to v0.
@@ -242,7 +209,7 @@ class TestClusterForward:
         for s, log in zip(out.sets, out.admissions):
             assert tuple(v for v, _ in log) == s
             for prefix_len, (_, logged) in enumerate(log, start=1):
-                assert logged == nz_score(s[:prefix_len], res.regularized)
+                assert logged == count_nonzero_score(s[:prefix_len], res.regularized.entries)
 
     def test_scores_match_direct_recount(self):
         rng = np.random.default_rng(16)
@@ -256,7 +223,7 @@ class TestClusterForward:
         res = hand_screen(arr, k)
         out = cluster_forward(res)
         for s, score in zip(out.sets, out.scores):
-            assert score == nz_score(s, res.regularized)
+            assert score == count_nonzero_score(s, res.regularized.entries)
 
 
 class TestClusterBackward:
@@ -335,3 +302,14 @@ class TestBuildModelSpec:
             ModelSpec(response=5, response_label="y", groups=((1, 2),), sign_constraints={1: 7})
         spec = ModelSpec(response=5, response_label="y", groups=((1, 2), (3,)))
         assert spec.n_groups == 2
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(response=5.0, groups=((1, 2),)), "response"),
+        (dict(response=5, groups=((1.7, 2),)), "group member"),
+        (dict(response=5, groups=((1, True),)), "group member"),
+        (dict(response=5, groups=((1, 2),), sign_constraints={2.9: -1}), "sign constraint column"),
+        (dict(response=5, groups=((1, 2),), sign_constraints={1: 0.6}), "sign constraint"),
+    ], ids=["response", "member_float", "member_bool", "constraint_key", "constraint_value"])
+    def test_model_spec_refuses_non_integers_by_name(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ModelSpec(response_label="y", **kwargs)

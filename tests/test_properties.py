@@ -8,8 +8,8 @@ from covclust.crossval import _grid_losses
 from covclust import groupfit
 from covclust.groupfit import _sign_constrained_solve
 from covclust.matrices import SymMatrix, hard_threshold
-from covclust.pipeline import ScreenResult, cluster_backward, cluster_forward, nz_score
-from oracles import direct_threshold_loss
+from covclust.pipeline import ScreenResult, cluster_backward, cluster_forward
+from oracles import count_nonzero_score, direct_threshold_loss
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -127,7 +127,7 @@ class TestGreedyAdmissions:
             prefix, previous = [], 0.0
             for v, score in log:
                 prefix.append(position[v])
-                assert score == nz_score(prefix, screen_result.regularized)
+                assert score == count_nonzero_score(prefix, screen_result.regularized.entries)
                 assert score >= previous
                 previous = score
             assert final == previous

@@ -11,28 +11,21 @@ import pytest
 import covclust
 from covclust import simulate
 from covclust.cli import main
-from covclust.crossval import _SEED_MASK, CvConfig
-from covclust.errors import InfeasibleDependenceError, NotApplicableError
+from covclust.crossval import _SEED_MASK
+from covclust.errors import InfeasibleDependenceError
 from covclust.ingest import read_csv_matrix
-from covclust.matrices import (
-    SymMatrix,
-    UniformityParams,
-    min_eigenvalue,
-    uniformity_diagnostics,
-)
+from covclust.matrices import SymMatrix, UniformityParams, uniformity_diagnostics
 from covclust.panel import sample_covariance
 from covclust.simulate import (
     DependenceSpec,
     SparseCovModel,
     Structure,
-    fractional_cover_size,
     gen_panel,
     make_sparse_cov,
     random_var1,
-    rate_experiment,
-    rate_report_to_json_obj,
 )
 from oracles import loop_banded_base, loop_block_base
+from rates import min_eigenvalue
 
 
 class TestStructure:
@@ -136,10 +129,7 @@ def _model():
     lambda: DependenceSpec(kind="m_dependent", m=1.5),
     lambda: make_sparse_cov(3.0, Structure.diagonal()),
     lambda: gen_panel(_model(), DependenceSpec.iid(), 10.0),
-    lambda: rate_experiment(_model(), DependenceSpec.iid(), [10.9], 1),
-    lambda: rate_experiment(_model(), DependenceSpec.iid(), [10], 1.0),
-], ids=["float_block", "bool_block", "bandwidth", "m_classmethod", "m_direct", "j", "t",
-        "t_list", "n_reps"])
+], ids=["float_block", "bool_block", "bandwidth", "m_classmethod", "m_direct", "j", "t"])
 def test_counts_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -154,9 +144,6 @@ _SEEDED = {
         _model(), DependenceSpec.m_dependent(1), 12, seed=seed
     ).values.tobytes(),
     "random_var1": lambda seed: random_var1(_model(), 0.5, seed=seed).coeff.tobytes(),
-    "rate_experiment": lambda seed: repr(rate_experiment(
-        _model(), DependenceSpec.iid(), [12], 2, CvConfig(n_splits=2), seed=seed
-    ).rows).encode(),
 }
 
 
@@ -234,7 +221,7 @@ class TestMakeSparseCov:
     def test_unit_diagonal_and_definiteness(self, structure):
         model = make_sparse_cov(10, structure, seed=7)
         np.testing.assert_array_equal(np.diag(model.sigma.entries), np.ones(10))
-        assert min_eigenvalue(model.sigma) >= 0.1 - 1e-9
+        assert min_eigenvalue(model.sigma.entries) >= 0.1 - 1e-9
 
     def test_measured_params_cover_the_matrix(self):
         model = make_sparse_cov(9, Structure.random_sparse(0.4), seed=8)
@@ -266,16 +253,7 @@ class TestDependenceSpec:
             DependenceSpec("iid", m=2)
 
     def test_iid_is_m_dependent_of_order_zero(self):
-        for t in (1, 2, 100):
-            assert fractional_cover_size(DependenceSpec.iid(), t) == fractional_cover_size(
-                DependenceSpec.m_dependent(0), t
-            )
-        model = make_sparse_cov(5, Structure.diagonal(), seed=35)
-        iid, m0 = (
-            rate_experiment(model, dep, [60], n_reps=2, seed=9)
-            for dep in (DependenceSpec.iid(), DependenceSpec.m_dependent(0))
-        )
-        assert [row[1] for row in iid.rows] == [row[1] for row in m0.rows] == [0.0, 0.0]
+        assert DependenceSpec.iid().m == DependenceSpec.m_dependent(0).m == 0
 
     def test_var1_radius_found_once_at_validation(self, monkeypatch):
         calls = []
@@ -445,62 +423,3 @@ class TestRandomVar1:
         capsys.readouterr()
         labels, block, _ = read_csv_matrix(out / "panel.csv")
         assert len(labels) == 40 and block.shape == (300, 40)
-
-
-class TestFractionalCoverSize:
-    def test_iid_is_one(self):
-        assert fractional_cover_size(DependenceSpec.iid(), 100) == 1
-
-    def test_m_dependent_is_m_plus_one(self):
-        assert fractional_cover_size(DependenceSpec.m_dependent(0), 100) == 1
-        assert fractional_cover_size(DependenceSpec.m_dependent(2), 100) == 3
-        assert fractional_cover_size(DependenceSpec.m_dependent(8), 100) == 9
-
-    def test_capped_by_sample_length(self):
-        assert fractional_cover_size(DependenceSpec.m_dependent(99), 50) == 50
-
-    def test_var1_is_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            fractional_cover_size(DependenceSpec.var1(0.4 * np.eye(2)), 100)
-
-
-class TestRateExperiment:
-    def test_smoke_report_shape(self):
-        model = make_sparse_cov(8, Structure.banded(1, 0.4), seed=31)
-        report = rate_experiment(
-            model, DependenceSpec.iid(), [60, 120], n_reps=3, seed=5
-        )
-        assert len(report.rows) == 6
-        assert set(report.medians) == {60, 120}
-        assert set(report.theory) == {60, 120}
-        assert report.theory[120] < report.theory[60]
-        assert report.j == 8
-
-    def test_errors_are_positive_and_finite(self):
-        model = make_sparse_cov(6, Structure.block((3, 3)), seed=32)
-        report = rate_experiment(
-            model, DependenceSpec.m_dependent(1), [80], n_reps=3, seed=6
-        )
-        for _, level, _, op, frob in report.rows:
-            assert level == 1.0
-            assert 0 <= op < 10 and 0 <= frob < 10
-
-    def test_deterministic(self):
-        model = make_sparse_cov(5, Structure.diagonal(), seed=33)
-        a = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=7)
-        b = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=7)
-        assert a.rows == b.rows
-
-    def test_var1_at_forty_series_reports_its_radius(self):
-        model = make_sparse_cov(40, Structure.random_sparse(0.1), seed=5)
-        report = rate_experiment(model, random_var1(model, 0.5, 5), [80], 1)
-        (t, level, rep, op, frob), = report.rows
-        assert (t, rep) == (80, 0) and abs(level - 0.5) <= 1e-12
-        assert np.isfinite(op) and np.isfinite(frob)
-
-    def test_json_output(self):
-        model = make_sparse_cov(5, Structure.diagonal(), seed=34)
-        report = rate_experiment(model, DependenceSpec.iid(), [60], n_reps=2, seed=8)
-        obj = rate_report_to_json_obj(report)
-        assert set(obj) == {"j", "q", "c0", "medians", "theory"}
-        assert obj["medians"]["60"]["op_error"] == report.medians[60][0]
