@@ -10,7 +10,9 @@ nonnegative multipliers so that every constrained coefficient keeps the sign
 of its screening correlation (a coefficient that would cross zero is pinned
 exactly to zero instead).  Group coefficient vectors are renormalized after
 every update: multi-variable groups to unit Euclidean norm, single-variable
-groups to exactly 1 (their link absorbs scale and direction).
+groups to exactly 1 (their link absorbs scale and direction).  That
+iteration is a fixed-point map, and it converges linearly, so it is driven
+with squared extrapolation (SQUAREM, :func:`_squarem`).
 
 Every per-anchor kernel sum is taken in moment form.  For T×T weights ``W``
 and columns ``X``,
@@ -94,10 +96,13 @@ _KERNEL_MAX_WORKERS = 8
 class FitConfig:
     """Convergence controls of the coefficient iteration.
 
-    The iteration stops once the largest coefficient change falls below
-    ``tolerance``, or after ``max_iter`` iterations.  Bandwidths follow the
-    rule of thumb (1.06 times the index standard deviation times
-    ``T**(-1/(4+S))``, recomputed every iteration).
+    The iteration drives the coefficient map with squared extrapolation
+    (:func:`_squarem`).  It stops as soon as one map evaluation moves its
+    input by less than ``tolerance`` in every coefficient, or after
+    ``max_iter`` map evaluations; ``GroupwiseFit.iterations`` counts map
+    evaluations too.  Bandwidths follow the rule of thumb (1.06 times the
+    index standard deviation times ``T**(-1/(4+S))``, recomputed at every
+    evaluation).
     """
 
     tolerance: float = 1e-6
@@ -115,15 +120,22 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer iteration: solutions, multipliers, and the step's objective.
+    """One evaluation of the coefficient map: solutions, multipliers, objective.
 
     ``zeta`` is the unconstrained pooled solution, ``beta_raw`` the
-    sign-constrained one, ``beta`` the renormalized state carried to the next
-    iteration.  ``lam`` holds the nonnegative multipliers (zero wherever the
-    unconstrained solution already had the right sign).  ``objective`` is
-    the pooled kernel-weighted mean squared residual at ``beta_raw``,
+    sign-constrained one, ``beta`` the renormalized map value.  ``lam``
+    holds the nonnegative multipliers (zero wherever the unconstrained
+    solution already had the right sign).  ``objective`` is the pooled
+    kernel-weighted mean squared residual at ``beta_raw``,
     ``(b'Gb - 2c'b + e0) / sum(w)`` from the step's normal equations ``G``,
     ``c`` and weighted sum of squared targets ``e0``.
+
+    ``kind`` says where the map's input came from: ``"plain"`` for the
+    previous map value, ``"extrapolated"`` for a SQUAREM point, and
+    ``"rejected"`` for a SQUAREM point whose objective rose, so that the
+    iteration went on from the previous plain value instead.
+    ``objective_increased`` compares ``objective`` with that of the previous
+    accepted (not rejected) evaluation, 1e-10 relative.
     """
 
     beta: np.ndarray
@@ -131,8 +143,9 @@ class IterationRecord:
     zeta: np.ndarray
     lam: np.ndarray
     objective: float
-    objective_increased: bool
     ridge_used: bool
+    objective_increased: bool = False
+    kind: str = "plain"
 
 
 @dataclass(frozen=True)
@@ -143,8 +156,13 @@ class GroupwiseFit:
     groups carry exactly 1.0); ``links`` one ``(grid, values)`` tabulation
     per group on 100 points spanning that group's observed index range.
     ``lam`` is the final signed multiplier diagonal (multiplier times
-    constraint sign).  ``final_g``/``final_c`` are the last pooled
+    constraint sign).  ``final_g``/``final_c`` are the final pooled
     normal-equation pieces, kept so the constrained step can be audited.
+    ``beta``, ``lam``, ``final_g``, ``final_c`` and ``converged`` all come
+    from the one map evaluation that produced ``beta``: the last accepted
+    record of ``trace``.  That is ``trace[-1]`` unless ``max_iter`` ended
+    the iteration right after a rejected extrapolation.  ``iterations``
+    counts map evaluations, ``len(trace)``.
     ``backfit_converged`` is false when the link backfit stopped at its sweep
     cap; ``link_fallback_rows`` counts, per group, the training and grid
     points where a link smoother fell back to local-constant weights;
@@ -455,13 +473,75 @@ def _normalize_groups(beta_cat: np.ndarray, slices, d: np.ndarray, mask: np.ndar
     return out
 
 
+def _squarem(coefficient_map, project, beta, tolerance, max_iter):
+    """Fixed point of ``coefficient_map`` by squared extrapolation (SQUAREM).
+
+    ``coefficient_map(b)`` returns ``(F(b), record, state)``, ``record`` an
+    :class:`IterationRecord`.  Each cycle from ``b0`` evaluates ``b1 =
+    F(b0)`` and ``b2 = F(b1)``, sets ``r = b1 - b0``, ``v = b2 - 2 b1 + b0``
+    and ``alpha = min(-|r|/|v|, -1)``, and evaluates ``b3 =
+    F(project(b0 - 2 alpha r + alpha^2 v))`` (Varadhan & Roland, Scand. J.
+    Statist. 35, 2008).  The next cycle starts from ``b3``, or from ``b2``
+    when ``b3``'s objective is more than 1e-10 relative above ``b2``'s (the
+    extrapolation is rejected); with ``v = 0`` it starts from ``b2`` with
+    no extrapolation.  The iteration stops as soon as an evaluation moves its
+    input by less than ``tolerance`` in every coordinate, before any
+    objective is compared, or after ``max_iter`` evaluations.
+
+    Returns ``(record, state, trace, converged)``: the record, state and
+    convergence of the last accepted evaluation, whose ``record.beta`` is
+    the fixed point, and every evaluation's record with its ``kind`` and
+    ``objective_increased`` set.
+    """
+    trace, accepted = [], None
+
+    def evaluate(b, kind):
+        nonlocal accepted
+        b_next, record, state = coefficient_map(b)
+        prev = accepted[0].objective if accepted else None
+        increased = prev is not None and record.objective > prev + 1e-10 * max(1.0, abs(prev))
+        converged = float(np.max(np.abs(b_next - b))) < tolerance
+        rejected = kind == "extrapolated" and increased and not converged
+        record = replace(
+            record, kind="rejected" if rejected else kind, objective_increased=bool(increased)
+        )
+        trace.append(record)
+        if not rejected:
+            accepted = (record, state, converged)
+        return b_next, rejected, converged or len(trace) == max_iter
+
+    b0 = beta
+    while True:
+        b1, _, stop = evaluate(b0, "plain")
+        if stop:
+            break
+        b2, _, stop = evaluate(b1, "plain")
+        if stop:
+            break
+        r, v = b1 - b0, b2 - 2.0 * b1 + b0
+        v_norm = float(np.linalg.norm(v))
+        if v_norm == 0.0:
+            b0 = b2
+            continue
+        alpha = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
+        b3, rejected, stop = evaluate(
+            project(b0 - 2.0 * alpha * r + alpha * alpha * v), "extrapolated"
+        )
+        if stop:
+            break
+        b0 = b2 if rejected else b3
+    record, state, converged = accepted
+    return record, state, tuple(trace), converged
+
+
 def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -> GroupwiseFit:
     """Estimate the groupwise index model described by ``spec`` on ``panel``.
 
-    Iterates local-linear surface fitting and the sign-constrained pooled
-    coefficient update until the largest coefficient change falls below
-    ``cfg.tolerance`` or ``cfg.max_iter`` is reached; convergence status and
-    the full per-iteration trace are part of the result.  After the
+    The coefficient map, local-linear surface fitting followed by the
+    sign-constrained pooled coefficient update, is driven by :func:`_squarem`
+    until one evaluation moves the coefficients by less than
+    ``cfg.tolerance`` or ``cfg.max_iter`` evaluations are spent; convergence
+    status and the record of every evaluation are part of the result.  After the
     coefficient iteration, per-group links are tabulated by backfitting
     one-dimensional local-linear smoothers on the final indices, and
     ``r_squared`` is computed from the tabulated model's predictions on the
@@ -505,55 +585,53 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     beta_cat = np.empty(k_total)
     for sl in slices:
         beta_cat[sl] = 1.0 if sl.stop - sl.start == 1 else _initial_direction(xc[:, sl], yc, d[sl])
-    trace = []
     solver_capped = False
 
-    for _ in range(cfg.max_iter):
-        b = np.where(in_group, beta_cat[:, None], 0.0)
+    def coefficient_map(beta):
+        """The normalized sign-constrained pooled solution at ``beta``'s indices."""
+        nonlocal solver_capped
+        b = np.where(in_group, beta[:, None], 0.0)
         vc = np.einsum("tk,ks->ts", xc, b)
         *_, g_mat, c_vec, e0, weight_sum = _iteration_step(
             vc, _bandwidths(vc), rows, xc, b, group_of
         )
-
         beta_raw, lam, zeta, used_ridge, capped = _sign_constrained_solve(
             g_mat, c_vec, d, mask, _RIDGE_SCALE * float(np.trace(g_mat))
         )
         solver_capped = solver_capped or capped
-
         quad = np.einsum("k,kl,l->", beta_raw, g_mat, beta_raw)
         objective = float(quad - 2.0 * np.einsum("k,k->", c_vec, beta_raw) + e0) / weight_sum
-        prev = trace[-1].objective if trace else None
-        increased = prev is not None and objective > prev + 1e-10 * max(1.0, abs(prev))
-
         beta_new = _normalize_groups(beta_raw, slices, d, mask)
-        delta = float(np.max(np.abs(beta_new - beta_cat)))
-        trace.append(
-            IterationRecord(
-                beta=beta_new.copy(),
-                beta_raw=beta_raw.copy(),
-                zeta=zeta.copy(),
-                lam=lam.copy(),
-                objective=objective,
-                objective_increased=bool(increased),
-                ridge_used=bool(used_ridge),
-            )
+        record = IterationRecord(
+            beta=beta_new.copy(),
+            beta_raw=beta_raw.copy(),
+            zeta=zeta.copy(),
+            lam=lam.copy(),
+            objective=objective,
+            ridge_used=bool(used_ridge),
         )
-        beta_cat = beta_new
-        if delta < cfg.tolerance:
-            break
+        return beta_new, record, (g_mat, c_vec)
 
-    v = np.column_stack([_group_index(x, g, beta_cat[sl]) for g, sl in zip(groups, slices)])
+    final, (g_mat, c_vec), trace, converged = _squarem(
+        coefficient_map,
+        lambda beta: _normalize_groups(beta, slices, d, mask),
+        beta_cat,
+        cfg.tolerance,
+        cfg.max_iter,
+    )
+
+    v = np.column_stack([_group_index(x, g, final.beta[sl]) for g, sl in zip(groups, slices)])
     h = _bandwidths(v)
     links, backfit_converged, fallback_rows = _backfit_links(v, y, h, _LINK_GRID_SIZE)
 
     provisional = GroupwiseFit(
-        beta=tuple(beta_cat[sl].copy() for sl in slices),
+        beta=tuple(final.beta[sl].copy() for sl in slices),
         links=links,
-        lam=trace[-1].lam * d,
+        lam=final.lam * d,
         iterations=len(trace),
-        converged=delta < cfg.tolerance,
+        converged=converged,
         r_squared=float("nan"),
-        trace=tuple(trace),
+        trace=trace,
         ridge_flagged=any(rec.ridge_used for rec in trace),
         bandwidths=tuple(float(b) for b in h),
         final_g=g_mat,

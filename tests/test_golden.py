@@ -10,9 +10,12 @@ vectorised loops by CPU at import, and a loop for another target can round
 a sum differently.  The committed files come from numpy 2.4.6 dispatching
 to AVX-512 (``X86_V4``, ``AVX512_ICL``, ``AVX512_SPR``); without those
 targets ``run``'s ``fit.json`` and ``links.csv`` differ in the last digits.
-A failure names the numpy version and dispatch targets it ran with.
+A failure names the numpy version, the dispatch targets and the OpenBLAS
+core it ran with: numpy's ``show_config`` gives OpenBLAS's build target,
+not the core it picked at load, so the core is read from the library.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -41,6 +44,17 @@ COMMANDS = {
 }
 
 
+def openblas_core():
+    """The core numpy's bundled OpenBLAS runs, or "unknown" without that library."""
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def assert_reports_match_golden(name, argv, out):
     """Run ``covclust *argv`` into ``out`` and compare every report with ``golden/name``."""
     src = str(Path(covclust.__file__).resolve().parent.parent)
@@ -61,7 +75,7 @@ def assert_reports_match_golden(name, argv, out):
     for report in golden:
         assert (out / report).read_bytes() == (GOLDEN / name / report).read_bytes(), (
             f"{report} differs from its golden copy under numpy {numpy.__version__}, "
-            f"SIMD extensions {simd}"
+            f"SIMD extensions {simd}, OpenBLAS core {openblas_core()}"
         )
 
 
@@ -81,3 +95,9 @@ def test_file_with_byte_order_mark_gives_golden_run(flag, fixture, tmp_path):
     argv = list(COMMANDS["run"])
     argv[argv.index(flag) + 1] = str(marked)
     assert_reports_match_golden("run", argv, tmp_path / "run")
+
+
+def test_openblas_core_is_named():
+    # the name a golden failure reports
+    core = openblas_core()
+    assert isinstance(core, str) and core and core.isprintable()

@@ -252,6 +252,16 @@ class TestConstrainedSolveCount:
         assert len(calls) == solves
 
 
+def duplicated_column_fixture():
+    """Two identical columns in one group: every pooled system is singular."""
+    rng = np.random.default_rng(3)
+    t = 300
+    a, b, c = rng.normal(size=(3, t))
+    y = np.sin(0.8 * a + 0.6 * b) + 0.5 * c + 0.05 * rng.normal(size=t)
+    panel = panel_from([y, a, a, b, c], ["y", "a", "a2", "b", "c"])
+    return panel, ModelSpec(response=0, response_label="y", groups=((1, 2, 3), (4,)))
+
+
 class TestRidgeFallback:
     # A singular pooled system is solved with the ridge added to its diagonal.
 
@@ -262,12 +272,7 @@ class TestRidgeFallback:
         assert used_ridge and np.all(np.isfinite(x))
 
     def test_duplicated_column_flags_the_fit(self):
-        rng = np.random.default_rng(3)
-        t = 300
-        a, b, c = rng.normal(size=(3, t))
-        y = np.sin(0.8 * a + 0.6 * b) + 0.5 * c + 0.05 * rng.normal(size=t)
-        panel = panel_from([y, a, a, b, c], ["y", "a", "a2", "b", "c"])
-        spec = ModelSpec(response=0, response_label="y", groups=((1, 2, 3), (4,)))
+        panel, spec = duplicated_column_fixture()
         res = fit(panel, spec)
         assert res.ridge_flagged
         assert res.trace and all(rec.ridge_used for rec in res.trace)
@@ -473,3 +478,133 @@ class TestSerialization:
         assert lines[0] == "group,v,g_hat"
         assert len(lines) == 1 + 100
         assert lines[1].startswith("1,")
+
+
+def plain_iteration(coefficient_map, project, beta, tolerance, max_iter):
+    """``_squarem``'s contract, met by repeating the map: the unaccelerated iteration."""
+    trace = []
+    while True:
+        beta_next, record, state = coefficient_map(beta)
+        trace.append(record)
+        converged = float(np.max(np.abs(beta_next - beta))) < tolerance
+        beta = beta_next
+        if converged or len(trace) == max_iter:
+            return record, state, tuple(trace), converged
+
+
+def synthetic_record(beta, objective):
+    """An ``IterationRecord`` for a map value ``beta`` with no constraint or ridge."""
+    return groupfit.IterationRecord(
+        beta=beta, beta_raw=beta, zeta=beta, lam=np.zeros(len(beta)), objective=objective,
+        ridge_used=False,
+    )
+
+
+class TestSquarem:
+    """``_squarem`` on a linear contraction with a known fixed point."""
+
+    LIMIT = np.array([1.0, -2.0, 0.5])
+    # eigenvalues 0.55, 0.3 and -0.2 in a rotated basis
+    Q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
+    A = Q @ np.diag([0.55, 0.3, -0.2]) @ Q.T
+
+    def contraction(self, objective=None):
+        """The map ``b -> LIMIT + A (b - LIMIT)`` and the inputs it was called with.
+
+        The objective of the ``n``-th evaluation is ``objective(n)``, by
+        default the squared distance of the map value from ``LIMIT``.
+        """
+        inputs = []
+
+        def coefficient_map(b):
+            inputs.append(b.copy())
+            nxt = self.LIMIT + self.A @ (b - self.LIMIT)
+            value = objective(len(inputs)) if objective else float(np.sum((nxt - self.LIMIT) ** 2))
+            return nxt, synthetic_record(nxt, value), len(inputs)
+
+        return coefficient_map, inputs
+
+    def squarem(self, coefficient_map, tolerance=1e-10, max_iter=200):
+        return groupfit._squarem(coefficient_map, lambda b: b, np.zeros(3), tolerance, max_iter)
+
+    def test_needs_fewer_evaluations_than_the_plain_map(self):
+        record, _, trace, converged = self.squarem(self.contraction()[0])
+        *_, plain_trace, plain_converged = plain_iteration(
+            self.contraction()[0], None, np.zeros(3), 1e-10, 200
+        )
+        assert converged and plain_converged
+        assert len(trace) < len(plain_trace)
+        np.testing.assert_allclose(record.beta, self.LIMIT, rtol=0.0, atol=1e-10)
+        kinds = [rec.kind for rec in trace]
+        assert kinds[:3] == ["plain", "plain", "extrapolated"] and "rejected" not in kinds
+        assert not any(rec.objective_increased for rec in trace)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+    def test_max_iter_caps_map_evaluations_exactly(self, max_iter):
+        coefficient_map, inputs = self.contraction()
+        record, state, trace, converged = self.squarem(coefficient_map, 1e-300, max_iter)
+        assert len(trace) == len(inputs) == max_iter and not converged
+        assert record is trace[-1] and state == max_iter
+
+    def test_rising_objective_restarts_from_the_second_plain_value(self):
+        # the third evaluation, at the extrapolated point, scores worst
+        def rising_at_third(n):
+            return 10.0 if n == 3 else 1.0 / n
+
+        coefficient_map, inputs = self.contraction(rising_at_third)
+        record, state, trace, converged = self.squarem(coefficient_map, max_iter=3)
+        assert [rec.kind for rec in trace] == ["plain", "plain", "rejected"]
+        assert [rec.objective_increased for rec in trace] == [False, False, True]
+        # the returned value is the second plain step's, with its state
+        assert record is trace[1] and state == 2 and not converged
+
+        coefficient_map, inputs = self.contraction(rising_at_third)
+        _, _, trace, _ = self.squarem(coefficient_map, max_iter=4)
+        np.testing.assert_array_equal(inputs[3], trace[1].beta)
+        # the restart is compared with the last accepted evaluation, not the rejected one
+        assert trace[3].kind == "plain" and not trace[3].objective_increased
+
+    def test_convergence_is_tested_before_the_objective(self):
+        # the plain steps move the input by 1.33 and 0.46, the extrapolated
+        # evaluation by 0.15: it converges, so it is kept although it scores worst
+        coefficient_map, _ = self.contraction(lambda n: 10.0 if n == 3 else 1.0 / n)
+        record, state, trace, converged = self.squarem(coefficient_map, tolerance=0.2)
+        assert [rec.kind for rec in trace] == ["plain", "plain", "extrapolated"]
+        assert trace[2].objective_increased
+        assert record is trace[2] and state == 3 and converged
+
+    def test_no_curvature_takes_plain_steps(self):
+        # a translation has v = 0: no extrapolation, and the cycle restarts from b2
+        def translation(b):
+            return b + 1.0, synthetic_record(b + 1.0, 0.0), None
+
+        record, _, trace, converged = groupfit._squarem(
+            translation, lambda b: b, np.zeros(3), 1e-6, 5
+        )
+        assert [rec.kind for rec in trace] == ["plain"] * 5 and not converged
+        np.testing.assert_array_equal(record.beta, np.full(3, 5.0))
+
+
+class TestAcceleratedLimit:
+    """The accelerated fit lands within ``tolerance`` of the plain map's limit."""
+
+    def test_sign_constrained_fit(self, sign_fitted, monkeypatch):
+        panel, spec, accelerated = sign_fitted
+        assert accelerated.trace[-1].lam[1] > 0.0  # the constraint binds
+        monkeypatch.setattr(groupfit, "_squarem", plain_iteration)
+        limit = fit(panel, spec, FitConfig(tolerance=1e-12, max_iter=1000))
+        assert limit.converged
+        for got, want in zip(accelerated.beta, limit.beta):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=FitConfig().tolerance)
+
+    def test_ridge_fit(self, monkeypatch):
+        panel, spec = duplicated_column_fixture()
+        accelerated = fit(panel, spec)
+        assert accelerated.ridge_flagged and accelerated.converged
+        monkeypatch.setattr(groupfit, "_squarem", plain_iteration)
+        # the ridge solves leave the plain map a rounding floor of about 1e-9,
+        # so it never meets 1e-12 and stops at the cap, at that floor
+        limit = fit(panel, spec, FitConfig(tolerance=1e-12, max_iter=200))
+        assert float(np.max(np.abs(limit.trace[-1].beta - limit.trace[-2].beta))) < 1e-8
+        for got, want in zip(accelerated.beta, limit.beta):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=FitConfig().tolerance)
