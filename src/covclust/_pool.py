@@ -10,12 +10,33 @@ An item's output must not depend on the thread that computes it or on the
 items computed before it, so a pass gives the same bytes at any worker
 count.  Only ``threading`` is used: ``concurrent.futures`` would add to the
 command line's import time.
+
+:func:`one_blas_thread` pins numpy's OpenBLAS to one thread for as long as
+a block of work runs.  OpenBLAS splits a product among its threads, and
+how it splits sets the order of the sums, so a product's bytes depend on
+its thread count; on one thread they do not.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
+from pathlib import Path
+
+import numpy as np
+
+# numpy's wheel ships OpenBLAS as numpy.libs/libscipy_openblas64_-<hash>.so,
+# whose thread-count calls carry these names
+_OPENBLAS_LIBRARY = "libscipy_openblas64_*.so"
+_GET_THREADS = "scipy_openblas_get_num_threads64_"
+_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+# how many blocks hold the pin, and the thread count to restore when the last ends
+_pin_lock = threading.Lock()
+_pin = {"holders": 0, "restore": 1}
 
 
 def _available_cores() -> int:
@@ -74,3 +95,59 @@ def each_block(n_items: int, make_worker, max_workers: int) -> None:
         worker.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count calls, or None where numpy
+    does not ship that library (another platform or a build from source).
+
+    Loaded on first use: ``ctypes`` opens the file numpy already loaded, so
+    the calls act on the BLAS that numpy's products run on.
+    """
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBRARY))
+    if len(found) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+        get, set_ = getattr(lib, _GET_THREADS), getattr(lib, _SET_THREADS)
+    except (OSError, AttributeError):  # the file or a symbol is absent
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def can_pin_blas() -> bool:
+    """Whether :func:`one_blas_thread` can pin numpy's BLAS on this platform."""
+    return _openblas_thread_calls() is not None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; yields whether it is pinned.
+
+    The thread count is process-wide, so every BLAS call in the process,
+    from any thread, runs on one thread while a block holds the pin.  Blocks
+    may overlap, from one thread or several: the first to enter sets one
+    thread and the last to leave restores the count the first one found.
+    Where :func:`can_pin_blas` is false nothing changes and the block gets
+    False.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    with _pin_lock:
+        if not _pin["holders"]:
+            _pin["restore"] = get()
+            set_(1)
+        _pin["holders"] += 1
+    try:
+        yield True
+    finally:
+        with _pin_lock:
+            _pin["holders"] -= 1
+            if not _pin["holders"]:
+                set_(_pin["restore"])

@@ -36,7 +36,7 @@ from typing import Callable, get_args
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _pool
 from .crossval import CvConfig, MatrixKind, cv_result_to_json_obj, select_threshold
 from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
@@ -309,13 +309,15 @@ def _dependence(opts: dict, model) -> DependenceSpec:
 
 def _cmd_simulate(opts: dict, outdir: Path) -> tuple[str, dict]:
     t, seed = opts["t"], opts["seed"]
-    model = make_sparse_cov(opts["j"], _structure(opts), seed=seed)
-    dep = _dependence(opts, model)
-    reports = {
-        "panel.csv": (write_panel_csv, gen_panel(model, dep, t, seed=seed)),
-        "truth_sigma.csv": (sym_to_csv, model.sigma),
-        "model.json": (_write_json, model_to_json_obj(model, dep, t, seed)),
-    }
+    # the draws' eigensolves, factorizations and products on one BLAS thread
+    with _pool.one_blas_thread():
+        model = make_sparse_cov(opts["j"], _structure(opts), seed=seed)
+        dep = _dependence(opts, model)
+        reports = {
+            "panel.csv": (write_panel_csv, gen_panel(model, dep, t, seed=seed)),
+            "truth_sigma.csv": (sym_to_csv, model.sigma),
+            "model.json": (_write_json, model_to_json_obj(model, dep, t, seed)),
+        }
     return f"simulation written to {outdir}", reports
 
 

@@ -31,19 +31,22 @@ pooled step both read that one moment pass: the centred indices are ``X b``
 for the K×S block-diagonal coefficients ``b``, so their moments are ``M1 b``
 and ``b' M2 b``.  No T×T×K tensor is built; memory in the iteration is
 O(workers·block·T + T·K²) for K coefficients, and the link backfit keeps
-one T×T smoother matrix per group, O(S·T²) for S groups.
+one T×T smoother matrix per group, O(S·T²) for S groups, each built a
+block of rows at a time straight into its place.
 The same moments give the pooled step's weighted sum of squared targets, so
 each iteration's objective is read off the normal equations as
-``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.  Inside
-the iteration no sum over observations goes to BLAS, whose blocking and
-summation order depend on its thread count: such sums are ``np.einsum``
-calls without ``optimize``, which run numpy's own loops, so results are the
-same bytes at any BLAS thread count.  The one exception is the starting
-direction: :func:`_initial_direction` sums over observations with the BLAS
-products ``xc.T @ yc`` and ``(xc * yc[:, None]).T @ xc``, and swapping them
-for ``einsum`` would move the reports (ROADMAP item 6 lists this call).
+``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.
+
+The kernel-weighted sums over observations, each block's moments and each
+backfit sweep's smoothing, are BLAS products (:func:`_weighted_sums`).
+How OpenBLAS splits a product among its threads sets the product's
+summation order, so :func:`fit` holds :func:`covclust._pool.one_blas_thread`
+from the starting direction to the tabulated links: every BLAS and LAPACK
+call of the fit then runs on one thread, and the results are the same bytes
+at any BLAS thread count.  Where numpy's BLAS cannot be pinned, the sums run
+in numpy's own ``einsum`` loops instead, whose bytes never depend on it.
 Every block of kernel rows gets the same operations on whichever thread
-sums it, so they are the same bytes at any number of cores too.
+sums it, so the results are the same bytes at any number of cores too.
 """
 
 from __future__ import annotations
@@ -233,7 +236,16 @@ def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
 
 
 def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``out[i, k] = sum_j w[i, j] rows[k, j]`` in numpy's own loop, not BLAS."""
+    """``out[i, k] = sum_j w[i, j] rows[k, j]``: a BLAS product, run under
+    :func:`covclust._pool.one_blas_thread` so that its bytes do not depend on
+    the BLAS thread count.
+
+    Where no pin is available (:func:`covclust._pool.can_pin_blas` is false),
+    the sums run in numpy's own ``einsum`` loop, whose bytes never depend on
+    the thread count, at about a fifth of the speed.
+    """
+    if _pool.can_pin_blas():
+        return w @ rows.T
     return np.einsum("ij,kj->ik", w, rows)
 
 
@@ -246,10 +258,11 @@ def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarra
     in its own two preallocated block×T buffers, so a worker holds
     2·block·T doubles whatever T is.
 
-    Each weight is computed elementwise and each output row sums over ``j``
-    on its own, with the same operations whichever worker takes the block,
-    so the result is the same bytes as the full-matrix form at any worker
-    count.
+    Each weight is computed elementwise and each block is summed by one
+    :func:`_weighted_sums` call of the same shape whichever worker takes it,
+    so the result is the same bytes at any worker count.  A BLAS product's
+    bytes can depend on its row count, so they are those of the same blocks
+    summed one by one, not always those of one product over the whole matrix.
     """
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
@@ -582,9 +595,6 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
     rows = _moment_rows(np.column_stack([xc, yc]))
     in_group = group_of[:, None] == np.arange(n_groups)
 
-    beta_cat = np.empty(k_total)
-    for sl in slices:
-        beta_cat[sl] = 1.0 if sl.stop - sl.start == 1 else _initial_direction(xc[:, sl], yc, d[sl])
     solver_capped = False
 
     def coefficient_map(beta):
@@ -612,17 +622,22 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         )
         return beta_new, record, (g_mat, c_vec)
 
-    final, (g_mat, c_vec), trace, converged = _squarem(
-        coefficient_map,
-        lambda beta: _normalize_groups(beta, slices, d, mask),
-        beta_cat,
-        cfg.tolerance,
-        cfg.max_iter,
-    )
-
-    v = np.column_stack([_group_index(x, g, final.beta[sl]) for g, sl in zip(groups, slices)])
-    h = _bandwidths(v)
-    links, backfit_converged, fallback_rows = _backfit_links(v, y, h, _LINK_GRID_SIZE)
+    # every BLAS and LAPACK call from the start to the links runs on one thread
+    with _pool.one_blas_thread():
+        beta_cat = np.empty(k_total)
+        for sl in slices:
+            single = sl.stop - sl.start == 1
+            beta_cat[sl] = 1.0 if single else _initial_direction(xc[:, sl], yc, d[sl])
+        final, (g_mat, c_vec), trace, converged = _squarem(
+            coefficient_map,
+            lambda beta: _normalize_groups(beta, slices, d, mask),
+            beta_cat,
+            cfg.tolerance,
+            cfg.max_iter,
+        )
+        v = np.column_stack([_group_index(x, g, final.beta[sl]) for g, sl in zip(groups, slices)])
+        h = _bandwidths(v)
+        links, backfit_converged, fallback_rows = _backfit_links(v, y, h, _LINK_GRID_SIZE)
 
     provisional = GroupwiseFit(
         beta=tuple(final.beta[sl].copy() for sl in slices),
@@ -653,21 +668,43 @@ def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray):
     with ``d_im = v_train[m] - v_eval[i]``, or the local-constant weights
     ``w_im / s0`` where the local-linear system is near-singular.  The weights
     are the iterations' un-normalized :func:`_kernel_matrix`: the norm cancels.
+
+    The rows are built ``_KERNEL_BLOCK_ROWS`` at a time, straight into the
+    output, and :func:`covclust._pool.each_block` shares the blocks among up
+    to ``_KERNEL_MAX_WORKERS`` threads, each with one block×T buffer for the
+    displacements.  Every row gets the same elementwise operations and
+    row-wise sums in any block, so the matrix is the same bytes at any block
+    size and worker count.
     """
-    dcol = v_train[None, :] - v_eval[:, None]
-    sq, z = np.empty(dcol.shape), np.empty(dcol.shape)
-    w = _kernel_matrix(v_eval[:, None], v_train[:, None], np.array([h]), sq, z)
-    s0 = w.sum(axis=1)
-    s1 = np.einsum("ij,ij->i", w, dcol)
-    s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
-    det = s0 * s2 - s1 * s1
-    safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
-    dcol *= -s1[:, None]
-    dcol += s2[:, None]
-    dcol /= np.where(safe, det, 1.0)[:, None]
-    dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
-    w *= dcol
-    return w, int(np.count_nonzero(~safe))
+    n, t = len(v_eval), len(v_train)
+    out = np.empty((n, t))
+    size = _KERNEL_BLOCK_ROWS
+    h_arr = np.array([h])
+    fallbacks = [0] * -(-n // size)
+
+    def make_worker():
+        buf = np.empty((min(size, n), t))
+
+        def block(i):
+            part, m = slice(i * size, (i + 1) * size), min(size, n - i * size)
+            w = _kernel_matrix(v_eval[part, None], v_train[:, None], h_arr, out[part], buf[:m])
+            dcol = np.subtract(v_train[None, :], v_eval[part, None], out=buf[:m])
+            s0 = w.sum(axis=1)
+            s1 = np.einsum("ij,ij->i", w, dcol)
+            s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
+            det = s0 * s2 - s1 * s1
+            safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
+            dcol *= -s1[:, None]
+            dcol += s2[:, None]
+            dcol /= np.where(safe, det, 1.0)[:, None]
+            dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
+            w *= dcol
+            fallbacks[i] = int(np.count_nonzero(~safe))
+
+        return block
+
+    _pool.each_block(len(fallbacks), make_worker, _KERNEL_MAX_WORKERS)
+    return out, sum(fallbacks)
 
 
 def _smooth(smoother: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -252,6 +252,24 @@ def direct_local_constant_rows(v_train, h, v_eval):
     return int(np.sum(s0 * s2 - s1 * s1 <= 1e-12 * (s0 * s0 * h * h + 1e-300)))
 
 
+def whole_smoother_matrix(v_train, h, v_eval):
+    """The local-linear smoother matrix built whole, in the same elementwise
+    operations as ``groupfit._smoother_matrix``, and its local-constant rows."""
+    dcol = v_train[None, :] - v_eval[:, None]
+    w = np.exp((dcol / h) ** 2 * -0.5)
+    s0 = w.sum(axis=1)
+    s1 = np.einsum("ij,ij->i", w, dcol)
+    s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
+    det = s0 * s2 - s1 * s1
+    safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
+    dcol *= -s1[:, None]
+    dcol += s2[:, None]
+    dcol /= np.where(safe, det, 1.0)[:, None]
+    dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
+    w *= dcol
+    return w, int(np.count_nonzero(~safe))
+
+
 def direct_backfit_links(v, y, h, grid_size):
     """Backfitted links, every sweep re-smoothing with ``direct_smooth1d``, and
     each group's local-constant rows over training and grid points."""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import covclust
-from covclust import groupfit
+from covclust import _pool, groupfit
 from covclust.cli import main
 from covclust.groupfit import (
     FitConfig,
@@ -37,6 +37,7 @@ from oracles import (
     tensor_local_linear_surface,
     tensor_pooled_normal_equations,
     tensor_pooled_objective,
+    whole_smoother_matrix,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -139,20 +140,84 @@ def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
     np.testing.assert_array_equal(got, want[7:20])
 
 
+@pytest.fixture
+def hidden_blas_pin(monkeypatch):
+    """numpy's OpenBLAS without its thread-count call, as on a build that lacks it."""
+    _pool._openblas_thread_calls.cache_clear()
+    monkeypatch.setattr(_pool, "_SET_THREADS", "no_such_symbol")
+    yield
+    # loaded again, with the real name, on the next call after monkeypatch undoes
+    _pool._openblas_thread_calls.cache_clear()
+
+
+def moment_case(t, s):
+    """Indices, bandwidths and moment rows for one kernel-moment pass."""
+    rng = np.random.default_rng(t * 10 + s)
+    v = rng.normal(size=(t, s)) * rng.uniform(0.1, 10.0)
+    h = rng.uniform(0.2, 2.0, size=s)
+    return v, h, groupfit._moment_rows(rng.normal(size=(t, 3)))
+
+
+def block_sums(w, rows, size):
+    """``_weighted_sums`` of ``w``'s blocks of ``size`` rows, one by one, stacked."""
+    return np.vstack([groupfit._weighted_sums(w[i : i + size], rows)
+                      for i in range(0, len(w), size)])
+
+
 @pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 @pytest.mark.parametrize("t", [2, 63, 64, 65, 130, 1200])
 def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch, use_workers):
     if block is not None:
         monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", block)
-    rng = np.random.default_rng(t * 10 + s)
-    v = rng.normal(size=(t, s)) * rng.uniform(0.1, 10.0)
-    h = rng.uniform(0.2, 2.0, size=s)
-    rows = groupfit._moment_rows(rng.normal(size=(t, 3)))
-    want = groupfit._weighted_sums(full_kernel(v, h), rows)
+    v, h, rows = moment_case(t, s)
+    w = full_kernel(v, h)
+    with _pool.one_blas_thread():
+        # a BLAS product's bytes may depend on its row count: the reference is
+        # the whole matrix's rows summed in the pass's blocks, one at a time
+        want = block_sums(w, rows, groupfit._KERNEL_BLOCK_ROWS)
+        for workers in WORKER_COUNTS:
+            use_workers(workers)
+            np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
+    # and within rounding of one summation order over the whole matrix: each
+    # sum within 1e-13 of the sum of its terms' magnitudes
+    exact = np.einsum("ij,kj->ik", w, rows)
+    assert np.all(np.abs(want - exact) <= 1e-13 * np.einsum("ij,kj->ik", w, np.abs(rows)))
+
+
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("t", [2, 65, 1200])
+def test_without_a_blas_pin_the_pass_sums_in_numpy_loops(t, s, hidden_blas_pin, use_workers):
+    assert not _pool.can_pin_blas()
+    with _pool.one_blas_thread() as pinned:
+        assert pinned is False
+    v, h, rows = moment_case(t, s)
+    # numpy's own loop sums each row on its own: the bytes of the whole matrix
+    want = np.einsum("ij,kj->ik", full_kernel(v, h), rows)
     for workers in WORKER_COUNTS:
         use_workers(workers)
         np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
+
+
+@pytest.mark.skipif(not _pool.can_pin_blas(), reason="numpy ships no OpenBLAS thread-count call")
+def test_blas_pin_restores_the_thread_count_it_found():
+    get, set_ = _pool._openblas_thread_calls()
+    before = get()
+    try:
+        set_(2)
+        with _pool.one_blas_thread() as pinned:
+            assert pinned and get() == 1
+            # an overlapping block keeps the pin and leaves the count to the first
+            with _pool.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        # a failing block restores the count too
+        with pytest.raises(RuntimeError), _pool.one_blas_thread():
+            raise RuntimeError
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -179,6 +244,47 @@ def test_smoother_counts_its_local_constant_rows():
     )
     assert fallback_rows == 1
     np.testing.assert_array_equal(smoother, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("n_eval", [1, 63, 64, 65, 130])
+def test_blocked_smoother_is_the_whole_matrix_bit_for_bit(n_eval, use_workers):
+    rng = np.random.default_rng(n_eval)
+    v = rng.normal(size=150) * 3.0
+    # the first point lies far beyond the others, alone in its window at
+    # h = 0.02, as are many more there: their rows fall back
+    v_eval = np.concatenate([[v.max() + 1.0], v, np.linspace(v.min(), v.max(), 130)])[:n_eval]
+    for h in (0.02, 0.4, 5.0):
+        want, want_fallbacks = whole_smoother_matrix(v, h, v_eval)
+        for workers in (1, 2, 3, 8):
+            use_workers(workers)
+            got, fallbacks = groupfit._smoother_matrix(v, h, v_eval)
+            np.testing.assert_array_equal(got, want)
+            assert fallbacks == want_fallbacks
+        assert want_fallbacks > 0 or h > 0.02
+
+
+def test_backfit_peak_memory_is_its_smoothers(use_workers):
+    # T = 2000, S = 2: the two kept T×T smoothers take 64 MB and the two
+    # 100-point grid smoothers 3.2 MB; a build adds one block×T buffer per
+    # worker (1 MB each), not T×T temporaries as the whole-matrix build did
+    # (97 MB in all)
+    rng = np.random.default_rng(12)
+    t = 2000
+    v = rng.normal(size=(t, 2))
+    y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t)
+    buffer = groupfit._KERNEL_BLOCK_ROWS * t * 8
+    # at this machine's worker count, then at the cap
+    for workers in (None, groupfit._KERNEL_MAX_WORKERS):
+        if workers is not None:
+            use_workers(workers)
+        threads = min(_pool._available_cores(), groupfit._KERNEL_MAX_WORKERS)
+        tracemalloc.start()
+        try:
+            groupfit._backfit_links(v, y, groupfit._bandwidths(v), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * t * t * 8 + 2 * 100 * t * 8 + threads * buffer + 2**20
 
 
 def test_backfit_sums_training_and_grid_fallback_rows():
@@ -372,10 +478,11 @@ def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch, use_
     t = 300
     v, h = rng.normal(size=(t, 2)), np.array([0.5, 0.7])
     rows = groupfit._moment_rows(rng.normal(size=(t, 2)))
-    use_workers(1)
-    want = groupfit._kernel_moments(v, h, rows)
     # one-row blocks, more workers than cores, a thread switch every microsecond
     monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", 1)
+    use_workers(1)
+    with _pool.one_blas_thread():
+        want = groupfit._kernel_moments(v, h, rows)
     use_workers(groupfit._KERNEL_MAX_WORKERS)
     weighted_sums, summed = groupfit._weighted_sums, []
 
@@ -387,7 +494,8 @@ def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch, use_
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = groupfit._kernel_moments(v, h, rows)
+        with _pool.one_blas_thread():
+            got = groupfit._kernel_moments(v, h, rows)
     finally:
         sys.setswitchinterval(interval)
     assert len(summed) == t
