@@ -98,20 +98,30 @@ def each_block(n_items: int, make_worker, max_workers: int) -> None:
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """numpy's OpenBLAS ``(get, set)`` thread-count calls, or None where numpy
+def openblas_library():
+    """numpy's bundled OpenBLAS, opened with ``ctypes``, or None where numpy
     does not ship that library (another platform or a build from source).
 
-    Loaded on first use: ``ctypes`` opens the file numpy already loaded, so
-    the calls act on the BLAS that numpy's products run on.
+    Opened on first use: ``ctypes`` opens the file numpy already loaded, so
+    its calls act on the BLAS that numpy's products run on.
     """
     found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(_OPENBLAS_LIBRARY))
     if len(found) != 1:
         return None
     try:
-        lib = ctypes.CDLL(str(found[0]))
+        return ctypes.CDLL(str(found[0]))
+    except OSError:  # the file cannot be loaded
+        return None
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count calls, or None where
+    :func:`openblas_library` finds none or the library lacks them."""
+    lib = openblas_library()
+    try:
         get, set_ = getattr(lib, _GET_THREADS), getattr(lib, _SET_THREADS)
-    except (OSError, AttributeError):  # the file or a symbol is absent
+    except AttributeError:  # no library, or a symbol is absent
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None

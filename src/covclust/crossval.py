@@ -36,10 +36,11 @@ a panel of at least ``_CV_MIN_SERIES`` series, :func:`covclust._pool.each_block`
 shares the splits among up to ``_CV_MAX_WORKERS`` threads; on a narrower
 panel one estimate is too short to pay for a thread, and every split runs
 in the calling thread.  So memory holds two workers' split estimates and
-scoring temporaries at most, whatever the number of splits.  Each split
-writes its own row of the per-split losses and the mean is taken after
-every worker has finished, so the result is the same bytes at any worker
-count, and a failure names the lowest split that fails.
+scoring temporaries at most, whatever the number of splits.  A split that
+repeats an earlier one is not estimated again: each distinct split writes
+its own row of the per-split losses, the repeats copy it once every worker
+has finished, and then the mean is taken, so the result is the same bytes
+at any worker count, and a failure names the lowest split that fails.
 """
 
 from __future__ import annotations
@@ -225,11 +226,22 @@ def _loss_curve(estimate, grid, splits, n_series):
     scored and dropped before its worker takes another; a degenerate
     column or a non-finite entry names the lowest split that has one, and
     that split's row ranges.
+
+    Offsets are drawn with replacement, so splits repeat (27 of the bundled
+    fixture's 100).  Each distinct split is scored once, at its first
+    index, and its row is copied to the repeats after the pass: a split's
+    losses depend on its row ranges alone, so the rows are the same bytes
+    as scoring every split.  A repeat's first index is lower, so the lowest
+    failing split is still the one named.
     """
     splits = list(splits)
     per_split = np.empty((len(splits), len(grid)))
+    first = {}
+    source = np.array([first.setdefault(split, i) for i, split in enumerate(splits)])
+    distinct = list(first.values())
 
-    def score(i):
+    def score(n):
+        i = distinct[n]
         r1, r2 = splits[i]
         try:
             per_split[i] = _grid_losses(estimate(*r1), estimate(*r2), grid)
@@ -243,7 +255,8 @@ def _loss_curve(estimate, grid, splits, n_series):
             ) from None
 
     workers = _CV_MAX_WORKERS if n_series >= _CV_MIN_SERIES else 1
-    _pool.each_block(len(splits), lambda: score, workers)
+    _pool.each_block(len(distinct), lambda: score, workers)
+    per_split = per_split[source]
     per_split.setflags(write=False)
     losses = per_split.mean(axis=0)
     best = np.flatnonzero(losses == losses.min())[-1]

@@ -26,19 +26,28 @@ while the moment form's rounding error grows with the square of a column's
 offset), and each iteration applies its T×T weight matrix to their product
 rows once.  That matrix is built and summed a block of anchor rows at a
 time, so it never exists whole, and the blocks are shared among a few
-threads, each with its own block buffers.  The local-linear surface and the
-pooled step both read that one moment pass: the centred indices are ``X b``
-for the K×S block-diagonal coefficients ``b``, so their moments are ``M1 b``
-and ``b' M2 b``.  No T×T×K tensor is built; memory in the iteration is
-O(workers·block·T + T·K²) for K coefficients, and the link backfit keeps
-one T×T smoother matrix per group, O(S·T²) for S groups, each built a
-block of rows at a time straight into its place.
+threads, each with its own block buffer.  A block's Gaussian weights are
+one small product and one ``exp``: with ``u = (v - mean v) / h``, the
+exponent ``-|u_j - u_i|^2 / 2`` minus the log of the kernel's norm expands
+into ``u_i·u_j - |u_i|^2/2 - |u_j|^2/2 - log norm``, a dot product of rows
+of two T×(S+2) tables built once per iteration (:func:`_kernel_moments`).
+The local-linear surface and the pooled step both read that one moment
+pass: the centred indices are ``X b`` for the K×S block-diagonal
+coefficients ``b``, so their moments are ``M1 b`` and ``b' M2 b``.  No
+T×T×K tensor is built; memory in the iteration is O(workers·block·T +
+T·K²) for K coefficients, one block×T buffer per worker, and the link
+backfit keeps one T×T smoother matrix per group, O(S·T²) for S groups,
+each built a block of rows at a time straight into its place.  The
+smoothers take their weights elementwise (:func:`_kernel_matrix`), free of
+the expansion's cancellation, because a smoother row's local-linear
+determinant may be as small as 1e-12 of its scale.
 The same moments give the pooled step's weighted sum of squared targets, so
 each iteration's objective is read off the normal equations as
 ``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.
 
-The kernel-weighted sums over observations, each block's moments and each
-backfit sweep's smoothing, are BLAS products (:func:`_weighted_sums`).
+The kernel-weighted sums over observations, each block's exponents and
+moments, the surface's projection of the moments and each backfit sweep's
+smoothing, are BLAS products (:func:`_weighted_sums`).
 How OpenBLAS splits a product among its threads sets the product's
 summation order, so :func:`fit` holds :func:`covclust._pool.one_blas_thread`
 from the starting direction to the tabulated links: every BLAS and LAPACK
@@ -90,8 +99,8 @@ _LINK_GRID_SIZE = 100
 _RIDGE_SCALE = 1e-8
 # anchor rows of the kernel matrix built and summed at a time in each iteration
 _KERNEL_BLOCK_ROWS = 64
-# threads that share one iteration's anchor blocks, at most; each holds two
-# block×T buffers, 2 MB at T=2000
+# threads that share one iteration's anchor blocks, at most; each holds one
+# block×T buffer, 1 MB at T=2000
 _KERNEL_MAX_WORKERS = 8
 
 
@@ -218,6 +227,11 @@ def _kernel_norm(h: np.ndarray) -> float:
 def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
     """``kernel_weight(v[j] - anchors[i], h) * _kernel_norm(h)``, one row per anchor.
 
+    The elementwise kernel of :func:`kernel_weight` and the link smoothers
+    (:func:`_smoother_matrix`): each weight carries only its own pair's
+    rounding.  The iterations' moment pass expands the exponent instead
+    (:func:`_kernel_moments`).
+
     ``sq`` and ``z`` are ``len(anchors)×len(v)`` buffers: the weights are
     written into ``sq`` and ``z`` is scratch (unwritten for one dimension).  The
     squared scaled displacements are added in order of index dimension, in
@@ -235,48 +249,64 @@ def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
     return sq
 
 
-def _weighted_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _weighted_sums(w: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
     """``out[i, k] = sum_j w[i, j] rows[k, j]``: a BLAS product, run under
     :func:`covclust._pool.one_blas_thread` so that its bytes do not depend on
-    the BLAS thread count.
+    the BLAS thread count.  Written into ``out`` when it is given.
 
     Where no pin is available (:func:`covclust._pool.can_pin_blas` is false),
     the sums run in numpy's own ``einsum`` loop, whose bytes never depend on
     the thread count, at about a fifth of the speed.
     """
     if _pool.can_pin_blas():
-        return w @ rows.T
-    return np.einsum("ij,kj->ik", w, rows)
+        return np.matmul(w, rows.T, out=out)
+    return np.einsum("ij,kj->ik", w, rows, out=out)
 
 
 def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_weighted_sums(W, rows)`` for ``W = _kernel_matrix(v, v, h) / _kernel_norm(h)``.
+    """``_weighted_sums(W, rows)`` for the weights ``W[i, j] = kernel_weight(v[j] - v[i], h)``.
+
+    The exponent is expanded as a dot product.  With ``u = (v - mean v) / h``
+    per index dimension,
+
+        -1/2 |u_j - u_i|^2 - log norm = u_i·u_j - |u_i|^2/2 - |u_j|^2/2 - log norm,
+
+    which is row ``i`` of ``A = [u, -|u|^2/2, 1]`` dotted with row ``j`` of
+    ``B = [u, 1, -|u|^2/2 - log norm]``.  So a block of ``W``'s rows is
+    ``exp(A[block] B')``: one :func:`_weighted_sums` product of S + 2 terms
+    per weight and one ``exp``.  The cancellation leaves each weight within
+    about ``5 eps (1 + max|u|^2)`` of the elementwise :func:`kernel_weight`,
+    relative; centring keeps ``|u|`` to a few bandwidths' worth.
 
     ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time,
     and :func:`covclust._pool.each_block` shares the blocks among up to
     ``_KERNEL_MAX_WORKERS`` threads.  Each worker builds a block's weights
-    in its own two preallocated block×T buffers, so a worker holds
-    2·block·T doubles whatever T is.
+    in its own preallocated block×T buffer, so a worker holds block·T
+    doubles whatever T is.
 
-    Each weight is computed elementwise and each block is summed by one
-    :func:`_weighted_sums` call of the same shape whichever worker takes it,
-    so the result is the same bytes at any worker count.  A BLAS product's
-    bytes can depend on its row count, so they are those of the same blocks
-    summed one by one, not always those of one product over the whole matrix.
+    Each block is built and summed by :func:`_weighted_sums` calls of the
+    same shapes whichever worker takes it, so the result is the same bytes
+    at any worker count.  A BLAS product's bytes can depend on its row count,
+    so they are those of the same blocks built and summed one by one, not
+    always those of one product over the whole matrix.
     """
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
     size = _KERNEL_BLOCK_ROWS
-    norm = _kernel_norm(h)
+    u = (v - v.mean(axis=0)) / h
+    half_sq = -0.5 * np.einsum("ts,ts->t", u, u)
+    ones = np.ones(t)
+    a = np.column_stack([u, half_sq, ones])
+    b = np.column_stack([u, ones, half_sq - np.log(_kernel_norm(h))])
 
     def make_worker():
-        sq, z = np.empty((min(size, t), t)), np.empty((min(size, t), t))
+        buf = np.empty((min(size, t), t))
 
         def block(i):
             part, n = slice(i * size, (i + 1) * size), min(size, t - i * size)
-            w = _kernel_matrix(v[part], v, h, sq[:n], z[:n])
-            w /= norm
-            out[part] = _weighted_sums(w, rows)
+            w = _weighted_sums(a[part], b, out=buf[:n])
+            np.exp(w, out=w)
+            _weighted_sums(w, rows, out=out[part])
 
         return block
 
@@ -422,7 +452,11 @@ def _local_linear_surface(m0, m1, m2, vc, b):
     t, s = vc.shape
     k = b.shape[0]
     m1v = np.einsum("ik,ks->is", m1[:, :k], b)
-    m2v = np.einsum("ks,ikl,lt->ist", b, m2[:, :k, :k], b)
+    # b' M2_i b at every anchor i, as two products over the stacked anchor rows;
+    # the second gives it transposed, which the symmetrisation undoes
+    m2b = _weighted_sums(m2[:, :k, :k].reshape(t * k, k), b.T)
+    m2v = _weighted_sums(m2b.reshape(t, k, s).transpose(0, 2, 1).reshape(t * s, k), b.T)
+    m2v = m2v.reshape(t, s, s)
     m2v = (m2v + m2v.transpose(0, 2, 1)) / 2.0
     wy = m1[:, k]
     a = np.empty((t, s + 1, s + 1))

@@ -71,8 +71,30 @@ def test_every_split_is_scored_once_under_rapid_thread_switches(monkeypatch, use
         got = select_threshold(p, cfg, "spearman").per_split_losses
     finally:
         sys.setswitchinterval(interval)
-    assert len(scored) == cfg.n_splits
+    # offsets are drawn with replacement: each distinct split is scored once
+    distinct = {crossval.draw_split(p.n_periods, cfg, i) for i in range(cfg.n_splits)}
+    assert len(distinct) < cfg.n_splits
+    assert len(scored) == len(distinct)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_splits_share_their_rows_bit_for_bit(workers, use_workers):
+    p = wide_panel(9, t=60)
+    # repeats of splits 0 and 1, and a split that only starts where another does
+    splits = [((0, 10), (10, 30)), ((5, 15), (15, 35)), ((0, 10), (10, 30)),
+              ((0, 10), (10, 31)), ((5, 15), (15, 35)), ((0, 10), (10, 30))]
+    estimate = _window_estimator(p, "spearman")
+    grid = (0.0, 0.1, 0.3, 0.9)
+    use_workers(workers)
+    got, _, _ = _loss_curve(estimate, grid, splits, p.n_series)
+    for i, j in ((0, 2), (0, 5), (1, 4)):
+        assert got[i].tobytes() == got[j].tobytes()
+    assert got[0].tobytes() != got[3].tobytes()
+    # every row is the bytes of its split scored on its own
+    for i, split in enumerate(splits):
+        alone, _, _ = _loss_curve(estimate, grid, [split], p.n_series)
+        assert got[i].tobytes() == alone[0].tobytes()
 
 
 def test_two_workers_name_the_lower_of_two_failing_splits(use_workers):

@@ -25,6 +25,7 @@ import numpy
 import pytest
 
 import covclust
+from covclust import _pool
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -46,13 +47,11 @@ COMMANDS = {
 
 def openblas_core():
     """The core numpy's bundled OpenBLAS runs, or "unknown" without that library."""
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+    corename = getattr(_pool.openblas_library(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def assert_reports_match_golden(name, argv, out):

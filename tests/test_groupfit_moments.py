@@ -164,6 +164,39 @@ def block_sums(w, rows, size):
                       for i in range(0, len(w), size)])
 
 
+def scaled_indices(v, h):
+    """``u = (v - mean v) / h``, the indices the expanded exponent is written in."""
+    return (v - v.mean(axis=0)) / h
+
+
+def exponent_tables(v, h):
+    """``A = [u, -|u|²/2, 1]`` and ``B = [u, 1, -|u|²/2 - log norm]``: ``A_i · B_j``
+    is the exponent of the kernel weight between indices ``i`` and ``j``."""
+    u = scaled_indices(v, h)
+    half_sq = -0.5 * np.einsum("ts,ts->t", u, u)
+    ones = np.ones(len(v))
+    log_norm = np.log(groupfit._kernel_norm(h))
+    return np.column_stack([u, half_sq, ones]), np.column_stack([u, ones, half_sq - log_norm])
+
+
+def expanded_kernel(v, h, size):
+    """The T×T weights of the expanded exponent, ``exp(A B')``, built ``size`` rows
+    at a time by ``_weighted_sums``, as the kernel-moment pass builds its blocks."""
+    a, b = exponent_tables(v, h)
+    return np.exp(block_sums(a, b, size))
+
+
+def assert_within_expansion_bound(w, v, h):
+    """Every weight finite, non-negative and within ``8 eps (1 + max|u|²)`` of the
+    elementwise ``kernel_weight``, relative, plus one subnormal step for the
+    rounding of a weight that underflows."""
+    u = scaled_indices(v, h)
+    tol = 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.sum(u * u, axis=1))))
+    want = full_kernel(v, h)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert np.all(np.abs(w - want) <= tol * want + np.finfo(float).smallest_subnormal)
+
+
 @pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 @pytest.mark.parametrize("t", [2, 63, 64, 65, 130, 1200])
@@ -171,18 +204,41 @@ def test_kernel_moments_match_full_matrix_bit_for_bit(t, s, block, monkeypatch, 
     if block is not None:
         monkeypatch.setattr(groupfit, "_KERNEL_BLOCK_ROWS", block)
     v, h, rows = moment_case(t, s)
-    w = full_kernel(v, h)
+    size = groupfit._KERNEL_BLOCK_ROWS
     with _pool.one_blas_thread():
         # a BLAS product's bytes may depend on its row count: the reference is
-        # the whole matrix's rows summed in the pass's blocks, one at a time
-        want = block_sums(w, rows, groupfit._KERNEL_BLOCK_ROWS)
+        # the expanded weights built and summed in the pass's blocks, one at a time
+        w = expanded_kernel(v, h, size)
+        want = block_sums(w, rows, size)
         for workers in WORKER_COUNTS:
             use_workers(workers)
             np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
-    # and within rounding of one summation order over the whole matrix: each
-    # sum within 1e-13 of the sum of its terms' magnitudes
+    # the expansion's weights are the elementwise kernel's within its rounding
+    assert_within_expansion_bound(w, v, h)
+    # and the sums are within rounding of one summation order over the whole
+    # matrix: each within 1e-13 of the sum of its terms' magnitudes
     exact = np.einsum("ij,kj->ik", w, rows)
     assert np.all(np.abs(want - exact) <= 1e-13 * np.einsum("ij,kj->ik", w, np.abs(rows)))
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_an_index_far_from_the_rest_keeps_finite_weights_within_the_bound(s, use_workers):
+    # index 0 lies 40 bandwidths from the others in every dimension: its
+    # |u|² is near 1600 S, so the expansion cancels terms that large down to
+    # its own weight, and its weights with the rest are tiny or underflow
+    rng = np.random.default_rng(40 + s)
+    t = 130
+    h = rng.uniform(0.2, 2.0, size=s)
+    v = rng.normal(size=(t, s)) * h
+    v[0] = v[1:].mean(axis=0) + 40.0 * h
+    rows = groupfit._moment_rows(rng.normal(size=(t, 3)))
+    use_workers(2)
+    with _pool.one_blas_thread():
+        w = expanded_kernel(v, h, groupfit._KERNEL_BLOCK_ROWS)
+        want = block_sums(w, rows, groupfit._KERNEL_BLOCK_ROWS)
+        np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
+    assert_within_expansion_bound(w, v, h)
+    assert w[0, 0] > 0.0 and np.max(w[0, 1:]) < 1e-250
 
 
 @pytest.mark.parametrize("s", [1, 3])
@@ -192,8 +248,10 @@ def test_without_a_blas_pin_the_pass_sums_in_numpy_loops(t, s, hidden_blas_pin, 
     with _pool.one_blas_thread() as pinned:
         assert pinned is False
     v, h, rows = moment_case(t, s)
-    # numpy's own loop sums each row on its own: the bytes of the whole matrix
-    want = np.einsum("ij,kj->ik", full_kernel(v, h), rows)
+    # numpy's own loop forms each exponent and each sum on its own: the bytes
+    # of the whole matrix, built and summed in one piece
+    a, b = exponent_tables(v, h)
+    want = np.einsum("ij,kj->ik", np.exp(np.einsum("ij,kj->ik", a, b)), rows)
     for workers in WORKER_COUNTS:
         use_workers(workers)
         np.testing.assert_array_equal(groupfit._kernel_moments(v, h, rows), want)
@@ -412,11 +470,14 @@ def test_one_moment_pass_over_each_kernel_matrix(monkeypatch, use_workers):
     moment_rows = groupfit._moment_rows
 
     def moments_spy(v, h, rows):
-        iterations.append((full_kernel(v, h), []))
+        # fit holds the BLAS pin, so these are the bytes of the pass's blocks
+        iterations.append((expanded_kernel(v, h, groupfit._KERNEL_BLOCK_ROWS), []))
         return kernel_moments(v, h, rows)
 
-    def sums_spy(w, rows):
-        if any(rows is built for built in row_builds):  # not a backfit smoother
+    def sums_spy(w, rows, out=None):
+        # the moment sums, not an exponent product, a surface projection or a
+        # backfit smoother
+        if any(rows is built for built in row_builds):
             full, blocks = iterations[-1]
             # blocks arrive in any order: find each one's rows of the full
             # kernel by content; it must equal exactly one run of them
@@ -424,7 +485,7 @@ def test_one_moment_pass_over_each_kernel_matrix(monkeypatch, use_workers):
                       if np.array_equal(full[i : i + len(w)], w)]
             assert len(starts) == 1
             blocks.append((starts[0], len(w)))
-        return weighted_sums(w, rows)
+        return weighted_sums(w, rows, out=out)
 
     def rows_spy(cols):
         row_builds.append(moment_rows(cols))
@@ -457,10 +518,10 @@ def test_kernel_moment_workers_are_capped_and_include_the_caller(monkeypatch, us
     for cores, most in ((1, 1), (3, 3), (64, groupfit._KERNEL_MAX_WORKERS)):
         seen, live = set(), []
 
-        def sums_spy(w, rows):
+        def sums_spy(w, rows, out=None):
             seen.add(threading.get_ident())
             live.append(threading.active_count())
-            return weighted_sums(w, rows)
+            return weighted_sums(w, rows, out=out)
 
         use_workers(cores)
         monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
@@ -486,9 +547,10 @@ def test_each_block_is_summed_once_under_rapid_thread_switches(monkeypatch, use_
     use_workers(groupfit._KERNEL_MAX_WORKERS)
     weighted_sums, summed = groupfit._weighted_sums, []
 
-    def sums_spy(w, rows):
-        summed.append(len(w))
-        return weighted_sums(w, rows)
+    def sums_spy(w, moment_rows, out=None):
+        if moment_rows is rows:  # a block's moment sums, not its exponent product
+            summed.append(len(w))
+        return weighted_sums(w, moment_rows, out=out)
 
     monkeypatch.setattr(groupfit, "_weighted_sums", sums_spy)
     interval = sys.getswitchinterval()
@@ -512,7 +574,7 @@ def test_iteration_step_peak_memory_is_below_one_kernel_matrix(monkeypatch, use_
     v = np.column_stack([x[:, sl] @ beta[sl] for sl in slices])
     y = np.sin(v).sum(axis=1) + 0.3 * rng.normal(size=t)
     args = step_inputs(x, slices, y, beta, groupfit._bandwidths(v))
-    # at this machine's worker count, then at the cap (2 MB of buffers each)
+    # at this machine's worker count, then at the cap (one 1 MB buffer each)
     for workers in (None, groupfit._KERNEL_MAX_WORKERS):
         if workers is not None:
             use_workers(workers)
@@ -577,15 +639,23 @@ class TestWorkerFailure:
 
     @staticmethod
     def fail_on_third_block(monkeypatch):
-        """Make the third block summed raise; returns the list of blocks summed."""
+        """Make the moment sums of the third block summed raise; returns the
+        list of blocks summed."""
         weighted_sums, calls, order = groupfit._weighted_sums, [], itertools.count()
+        moment_rows, built = groupfit._moment_rows, []
 
-        def failing(w, rows):
-            calls.append(len(w))
-            if next(order) == 2:  # one atomic step, so exactly one call raises
-                raise MemoryError("Unable to allocate")
-            return weighted_sums(w, rows)
+        def rows_spy(cols):
+            built.append(moment_rows(cols))
+            return built[-1]
 
+        def failing(w, rows, out=None):
+            if any(rows is mine for mine in built):  # not an exponent product
+                calls.append(len(w))
+                if next(order) == 2:  # one atomic step, so exactly one call raises
+                    raise MemoryError("Unable to allocate")
+            return weighted_sums(w, rows, out=out)
+
+        monkeypatch.setattr(groupfit, "_moment_rows", rows_spy)
         monkeypatch.setattr(groupfit, "_weighted_sums", failing)
         return calls
 

@@ -144,9 +144,14 @@ def test_every_private_definition_is_used_in_the_package():
     assert sorted(private - used) == []
 
 
-def test_the_fit_kernel_is_the_one_exp_call():
-    # The iterations and the link smoothers take their Gaussian weights from
-    # one routine, so a change to how the kernel is computed lands everywhere.
+def test_the_fit_kernel_is_the_two_exp_calls():
+    # Gaussian weights come from two routines.  The iterations' moment pass
+    # expands the exponent into one product per block, within a few
+    # eps (1 + max|u|²) of the elementwise weight, which the pooled step
+    # tolerates.  The link smoothers and kernel_weight keep the elementwise
+    # _kernel_matrix: a smoother accepts local-linear rows down to a
+    # determinant of 1e-12 s0² h², so its weights carry only their own
+    # pair's rounding.
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -159,7 +164,7 @@ def test_the_fit_kernel_is_the_one_exp_call():
                     and node.func.value.id == "np"
                 ):
                     sites.append((path.stem, getattr(top, "name", None)))
-    assert sites == [("groupfit", "_kernel_matrix")]
+    assert sites == [("groupfit", "_kernel_matrix"), ("groupfit", "_kernel_moments")]
 
 
 def test_every_draw_comes_from_the_one_stream():
