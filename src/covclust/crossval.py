@@ -14,13 +14,19 @@ broken toward the larger (sparser) value.  This is the split-sample scheme of
 Bickel & Levina, "Covariance regularization by thresholding", Ann. Statist.
 36 (2008).
 
-One sort scores a split on the whole grid.  With the entries ordered by
-``|e1|``, the loss at ``s`` is ``sum e2**2`` over the entries below ``s``
-plus ``sum (e1 - e2)**2`` over the rest.  The grid points cut the sorted
-entries into buckets, each bucket is summed once, and cumulative sums of the
-bucket totals give every grid point's loss.  Grid points that keep the same
-entries are separated only by empty buckets, which add exact zeros, so they
-get the same float and an exact tie still goes to the larger threshold.
+A split is scored on the whole grid without a sort.  The estimates are
+exactly symmetric, so only their upper triangle is read: the diagonal
+counts once and every other entry twice.  An entry's bucket is the number
+of grid points at or below ``|e1|``; the loss at grid point ``i`` is ``sum
+e2**2`` over the buckets up to ``i`` plus ``sum (e1 - e2)**2`` over the
+rest.  On the evenly spaced grid :func:`default_grid` spans, the bucket is
+read off ``|e1| / step`` and corrected by one comparison on each side;
+``np.bincount`` sums each bucket in entry order, and cumulative sums of the
+bucket totals give every grid point's loss.  Grid points that keep the
+same entries are separated only by empty buckets, which add exact zeros,
+so they get the same float and an exact tie still goes to the larger
+threshold.  Every step is exact elementwise arithmetic or a sum in a fixed
+order, so the losses do not depend on the SIMD loops numpy dispatches to.
 
 One window estimator (:func:`_window_estimator`) serves a run: it maps a
 row range to the entries of that window, and the full-sample matrix is the
@@ -45,6 +51,7 @@ at any worker count, and a failure names the lowest split that fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -93,15 +100,18 @@ def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
 
     A window is a row view of the panel's validated block.  The Spearman
     estimator ranks each column of the panel once, and every window ranks
-    its window of those codes.  Kernels are looked up per call, so a wrapper
-    installed on a module-level name sees every estimate.
+    its window of those codes; when no column of the panel has ties (its
+    largest code is ``T - 1``), no window has any, and the windows skip the
+    tie pass.  Kernels are looked up per call, so a wrapper installed on a
+    module-level name sees every estimate.
     """
     values, labels = panel.values, panel.labels
     if matrix_kind == "covariance":
         return lambda start, stop: _covariance(values[start:stop], labels)
     if matrix_kind == "spearman":
         codes = _rank_codes(values)
-        return lambda start, stop: _spearman(codes[:, start:stop], labels)
+        tied = bool(np.any(codes.max(axis=1) < len(values) - 1))
+        return lambda start, stop: _spearman(codes[:, start:stop], labels, tied)
     raise ValueError(f"unknown matrix_kind {matrix_kind!r}")
 
 
@@ -184,36 +194,88 @@ def draw_split(t: int, cfg: CvConfig, split_index: int) -> tuple[tuple[int, int]
     return (offset, offset + t1), (offset + t1, offset + t1 + t2)
 
 
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(j: int) -> np.ndarray:
+    """Read-only flat indices of a ``j x j`` matrix's upper triangle: the
+    ``j`` diagonal entries first, then the rest row by row."""
+    rows, cols = np.triu_indices(j, 1)
+    upper = np.concatenate((np.arange(0, j * j, j + 1), rows * j + cols))
+    upper.setflags(write=False)
+    return upper
+
+
+@functools.lru_cache(maxsize=1)
+def _even_grid(grid: tuple) -> tuple[np.ndarray, float] | None:
+    """``(grid + (inf,), step)`` for a grid of two or more points ``i * step``
+    up to rounding, as :func:`default_grid` spans; ``None`` for any other grid.
+
+    A point within ``step / 4`` of ``i * step`` is close enough for
+    :func:`_grid_buckets`' correction.
+    """
+    points = np.array(grid, dtype=float)
+    if len(points) < 2 or not points[-1] > 0.0:
+        return None
+    step = float(points[-1]) / (len(points) - 1)
+    if np.any(np.abs(points - step * np.arange(len(points))) > step / 4):
+        return None
+    points = np.append(points, np.inf)
+    points.setflags(write=False)
+    return points, step
+
+
+def _grid_buckets(mag: np.ndarray, grid) -> np.ndarray:
+    """``np.searchsorted(grid, mag, "right")``: the number of points of the
+    ascending ``grid`` at or below each magnitude in ``mag``.
+
+    On an evenly spaced grid from 0 (:func:`_even_grid`) no search is made:
+    ``k = floor(min(mag, top) / step)`` is at most one point off, and one
+    comparison on each side corrects it.  Clipping at the top first keeps a
+    diagonal far above the grid from overflowing the quotient or the cast.
+    """
+    even = _even_grid(tuple(grid))
+    if even is None:
+        return np.searchsorted(np.asarray(grid, dtype=float), mag, "right")
+    points, step = even
+    k = np.minimum(mag, points[-2])
+    k /= step
+    k = k.astype(np.intp)
+    k -= points[k] > mag
+    k += 1
+    k += points[k] <= mag
+    return k
+
+
 def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     """Squared Frobenius loss of every threshold in the ascending ``grid``.
 
-    Entry ``i`` is ``sum((where(|e1| >= grid[i], e1, 0) - e2) ** 2)``, read
-    off one sort of ``|e1|``: bucket ``k`` holds the sorted entries in
-    ``[grid[k - 1], grid[k])``, grid point ``i`` zeroes buckets ``0..i`` and
-    keeps the rest.  Each bucket is one contiguous reduction; the running
-    totals over buckets are sequential, so an empty bucket adds an exact
-    zero and grid points with the same kept set get the same float.
+    Entry ``i`` is ``sum((where(|e1| >= grid[i], e1, 0) - e2) ** 2)``.  The
+    estimates must be exactly symmetric: only their upper triangle is read,
+    its off-diagonal terms doubled (exactly).  Bucket ``b`` of
+    :func:`_grid_buckets` holds the entries with ``|e1|`` in ``[grid[b - 1],
+    grid[b])``; grid point ``i`` zeroes buckets ``0..i`` and keeps the rest.
+    The grid should be evenly spaced from 0, as :func:`default_grid` spans
+    it; any other ascending grid is bucketed by a binary search.  Each
+    bucket is summed in entry order and the running totals over buckets are
+    sequential, so an empty bucket adds an exact zero and grid points with
+    the same kept set get the same float.
     """
-    mag = np.abs(e1).ravel()
-    order = np.argsort(mag)
-    cuts = np.searchsorted(mag, grid, "left", sorter=order)
-    edges = np.concatenate(([0], cuts, [mag.size]))
-    del mag
-    full = edges[:-1] < edges[1:]
-    starts = edges[:-1][full]
+    j = len(e1)
+    upper = _upper_triangle(j)
     # the caller holds no reference to the estimates, so each is freed once
-    # gathered into sorted order
-    zeroed = e2.ravel()[order]
+    # its triangle is gathered
+    kept = e1.ravel()[upper]
+    del e1
+    zeroed = e2.ravel()[upper]
     del e2
-    kept = e1.ravel()[order]
-    del e1, order
+    bucket = _grid_buckets(np.abs(kept), grid)
     kept -= zeroed
     kept *= kept
     zeroed *= zeroed
-    zeroed_sums = np.zeros(len(edges) - 1)
-    kept_sums = np.zeros(len(edges) - 1)
-    zeroed_sums[full] = np.add.reduceat(zeroed, starts)
-    kept_sums[full] = np.add.reduceat(kept, starts)
+    kept[j:] *= 2.0
+    zeroed[j:] *= 2.0
+    n = len(grid) + 1
+    zeroed_sums = np.bincount(bucket, zeroed, n)
+    kept_sums = np.bincount(bucket, kept, n)
     return np.cumsum(zeroed_sums)[:-1] + np.cumsum(kept_sums[::-1])[::-1][1:]
 
 
@@ -233,8 +295,12 @@ def _loss_curve(estimate, grid, splits, n_series):
     losses depend on its row ranges alone, so the rows are the same bytes
     as scoring every split.  A repeat's first index is lower, so the lowest
     failing split is still the one named.
+
+    The upper triangle's flat indices (:func:`_upper_triangle`) are built
+    once, before the pass, and every split's scoring reads them.
     """
     splits = list(splits)
+    _upper_triangle(n_series)
     per_split = np.empty((len(splits), len(grid)))
     first = {}
     source = np.array([first.setdefault(split, i) for i, split in enumerate(splits)])

@@ -127,7 +127,14 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
     faulty row: its wrong width, else its first cell that is non-numeric
     (all these are a :class:`ParseError`) or ``nan``, ``inf`` or
     overflowing (a :class:`DataError`).
+
+    A plain file is parsed in C (:func:`_read_plain`); any other file, and
+    every faulty one, is read by ``csv.reader`` and its cells by ``float()``.
     """
+    with _open_utf8(path) as fh:
+        plain = _read_plain(path, fh.read())
+    if plain is not None:
+        return plain
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         rows, lines = [], []
@@ -137,21 +144,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
                 lines.append(reader.line_num)
     if not rows:
         raise ParseError(f"{path}: file is empty")
-    labels = tuple(cell.strip() for cell in rows[0])
-    first_seen = {}
-    for j, label in enumerate(labels, start=1):
-        if not label:
-            raise ParseError(
-                f"{path}: blank column label in header", row=lines[0], column=j
-            )
-        if label in first_seen:
-            raise ParseError(
-                f"{path}: column {j} repeats the label {label!r} of column "
-                f"{first_seen[label]}",
-                row=lines[0],
-                column=j,
-            )
-        first_seen[label] = j
+    labels = _header_labels(path, rows[0], lines[0])
     body, lines = rows[1:], lines[1:]
     try:
         data = np.array(body, dtype=float).reshape(len(body), len(labels))
@@ -160,6 +153,57 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
     if data is None or not np.isfinite(data).all():
         data = _parse_rows(path, labels, body, lines)
     return labels, data, tuple(lines)
+
+
+def _read_plain(path, text: str):
+    """:func:`read_csv_matrix` of a file read as ``text`` in universal newline
+    mode, or ``None`` if the file is not plain or its body not clean.
+
+    Plain: the text has no NUL, the header no quote, and the body is at
+    least one line, none of them blank, so the header is line 1 and the rows
+    are lines ``2 ... T + 1``.  Clean: ``np.loadtxt`` parses the body into
+    finite cells, one row per line and one column per label.  It and
+    ``float()`` both strip a cell's whitespace and call
+    ``PyOS_string_to_double``; ``float()`` first maps non-ASCII digits to
+    ASCII and drops underscores, and ``loadtxt`` refuses a cell with either.
+    So a cell it parses is the double ``float()`` gives, and a file with a
+    cell it cannot parse is left to the ``csv.reader`` path.
+    """
+    if "\0" in text:
+        return None
+    lines = text.split("\n")
+    del text  # the lines hold a copy
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or '"' in lines[0] or "" in lines:
+        return None
+    labels = _header_labels(path, lines[0].split(","), 1)
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(lines) - 1, len(labels)) or not np.isfinite(data).all():
+        return None
+    return labels, data, tuple(range(2, len(lines) + 1))
+
+
+def _header_labels(path, cells, line) -> tuple[str, ...]:
+    """The stripped labels of the header ``cells`` on file ``line``; a blank or
+    repeated one is a :class:`ParseError` at its column."""
+    labels = tuple(cell.strip() for cell in cells)
+    first_seen = {}
+    for j, label in enumerate(labels, start=1):
+        if not label:
+            raise ParseError(f"{path}: blank column label in header", row=line, column=j)
+        if label in first_seen:
+            raise ParseError(
+                f"{path}: column {j} repeats the label {label!r} of column "
+                f"{first_seen[label]}",
+                row=line,
+                column=j,
+            )
+        first_seen[label] = j
+    return labels
 
 
 def _parse_rows(path, labels, body, lines) -> np.ndarray:

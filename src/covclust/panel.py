@@ -22,7 +22,8 @@ values.  A window of rows is ranked by its window of codes alone
 (:func:`_sort_window`): one integer sort of the unique keys
 ``(code << bits) | position`` orders every column, and the order and the
 sorted codes are read back out of the keys.  Since the keys are unique, the
-ranks do not depend on how a sort breaks ties.
+ranks do not depend on how a sort breaks ties.  When no column of the panel
+has ties, no window has any, and its windows skip the tie pass.
 
 The array kernels return ``J x J`` entries, and the public estimators wrap
 them in a :class:`SymMatrix`.  :func:`_covariance` takes a ``T x J`` block
@@ -173,7 +174,7 @@ def _rank_codes(values: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sort_window(codes: np.ndarray, tied: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Flat sort order and sorted codes of a ``J x t`` window of codes.
 
     One sort of the keys ``(code << bits) | position`` orders every column,
@@ -182,7 +183,9 @@ def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     They are int32 when ``T << bits < 2**31``, with ``T`` one more than the
     largest code (at most the length of the panel the codes came from), and
     int64 otherwise.  The returned order indexes the flattened ``J x t``
-    block: row ``j``'s entries are offset by ``j * t``.
+    block: row ``j``'s entries are offset by ``j * t``.  With ``tied``
+    false the caller knows no column repeats a code, and the sorted codes
+    are not read back (``None``).
     """
     n, t = codes.shape
     bits = (t - 1).bit_length()
@@ -193,12 +196,15 @@ def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys |= np.arange(t, dtype=dtype)
     keys.sort(axis=1)
     order = (keys & ((1 << bits) - 1)) + np.arange(0, n * t, t)[:, None]
+    if not tied:
+        return order, None
     keys >>= bits
     return order, keys
 
 
-def _midranks(codes: np.ndarray) -> np.ndarray:
-    """Per-column ranks from 1 to ``t``, ties given the mean of the ranks they span.
+def _midranks(codes: np.ndarray, centre: float = 0.0, tied: bool = True) -> np.ndarray:
+    """Per-column ranks from 1 to ``t`` less ``centre``, ties given the mean
+    of the ranks they span.
 
     ``codes`` are the ``J x T`` :func:`_rank_codes` of a ``T x J`` block, or a
     window ``codes[:, a:b]`` of them, which ranks the rows ``a:b``.  In sorted order
@@ -210,18 +216,26 @@ def _midranks(codes: np.ndarray) -> np.ndarray:
     off the flattened sorted codes (each row opens a group, so none crosses
     rows) and repeats each group's exact midrank ``size`` times.  One flat
     scatter fills in every rank of the ``J x t`` block, returned as a ``t x J`` view.
+
+    ``tied=False`` promises that no column of the codes repeats a code (a
+    column of ``T`` codes has none exactly when its largest is ``T - 1``);
+    the tie pass is then skipped.  Midranks and a ``centre`` that is a
+    multiple of 1/2 differ exactly, so the centred ranks are the same bytes
+    either way.
     """
     n, t = codes.shape
-    order, srt = _sort_window(codes)
-    new = np.ones(srt.shape, dtype=bool)
-    new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    order, srt = _sort_window(codes, tied)
     ranks = np.empty(n * t)
-    if new.all():
-        ranks[order] = np.arange(1.0, t + 1.0)
-    else:
+    if tied:
+        new = np.ones(srt.shape, dtype=bool)
+        new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        tied = not new.all()
+    if tied:
         first = np.flatnonzero(new)
         size = np.diff(first, append=n * t)
-        ranks[order] = np.repeat(first % t + (size + 1) / 2.0, size).reshape(n, t)
+        ranks[order] = np.repeat(first % t + (size + 1) / 2.0 - centre, size).reshape(n, t)
+    else:
+        ranks[order] = np.arange(1.0, t + 1.0) - centre
     return ranks.reshape(n, t).T
 
 
@@ -254,14 +268,14 @@ def _covariance(values: np.ndarray, labels) -> np.ndarray:
     return entries
 
 
-def _spearman(codes: np.ndarray, labels) -> np.ndarray:
+def _spearman(codes: np.ndarray, labels, tied: bool = True) -> np.ndarray:
     """Entries of :func:`spearman_matrix` for the block a ``J x t`` window of
-    codes stands for (as in :func:`_midranks`), its columns labeled ``labels``."""
-    ranks = _midranks(codes)
+    codes stands for (as in :func:`_midranks`, which ``tied`` is passed to),
+    its columns labeled ``labels``."""
     # Midranks of every column sum to t(t+1)/2, ties or not.  The centered
     # ranks are exact multiples of 1/2, so a column's Gram diagonal is exactly
     # zero when, and only when, the column is constant in the block.
-    ranks -= (codes.shape[1] + 1) / 2.0
+    ranks = _midranks(codes, (codes.shape[1] + 1) / 2.0, tied)
     gram = _rank_gram(ranks)
     diag = np.diag(gram)
     bad = [labels[k] for k in np.flatnonzero(diag == 0.0)]

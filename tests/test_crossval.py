@@ -255,20 +255,22 @@ class TestSelectThreshold:
             np.testing.assert_array_equal(res.per_split_losses[v], want)
 
     def test_tied_spearman_losses_match_from_scratch_segments_bitwise(self):
-        # Few distinct levels tie most of every segment; each segment is
-        # ranked from the panel's codes, the reference from its own values.
+        # Few distinct levels tie most of every segment, or one column has
+        # ties and the others none; each segment is ranked from the panel's
+        # codes, the reference from its own values.
         rng = np.random.default_rng(28)
-        vals = rng.integers(0, 4, size=(120, 6)).astype(float)
-        vals[:, 2] = np.tile([0.0, 1.0], 60)  # two levels, half tied each
-        p = TimeSeriesPanel(vals, tuple(f"x{i + 1}" for i in range(6)))
-        cfg = CvConfig(t1=20, t2=40, grid_size=11, n_splits=15, seed=6)
-        res = select_threshold(p, cfg, "spearman")
-        for v in range(cfg.n_splits):
-            r1, r2 = draw_split(120, cfg, v)
-            e1 = spearman_matrix(TimeSeriesPanel(vals[r1[0]:r1[1]], p.labels)).entries
-            e2 = spearman_matrix(TimeSeriesPanel(vals[r2[0]:r2[1]], p.labels)).entries
-            want = _grid_losses(e1, e2, res.grid)
-            np.testing.assert_array_equal(res.per_split_losses[v], want)
+        levels = rng.integers(0, 4, size=(120, 6)).astype(float)
+        for vals in (levels, rng.normal(size=(120, 6))):
+            vals[:, 2] = np.tile([0.0, 1.0], 60)  # two levels, half tied each
+            p = TimeSeriesPanel(vals, tuple(f"x{i + 1}" for i in range(6)))
+            cfg = CvConfig(t1=20, t2=40, grid_size=11, n_splits=15, seed=6)
+            res = select_threshold(p, cfg, "spearman")
+            for v in range(cfg.n_splits):
+                r1, r2 = draw_split(120, cfg, v)
+                e1 = spearman_matrix(TimeSeriesPanel(vals[r1[0]:r1[1]], p.labels)).entries
+                e2 = spearman_matrix(TimeSeriesPanel(vals[r2[0]:r2[1]], p.labels)).entries
+                want = _grid_losses(e1, e2, res.grid)
+                np.testing.assert_array_equal(res.per_split_losses[v], want)
 
     def test_column_constant_in_one_segment_names_split_and_rows(self):
         # "flat2" and "flat" are constant on rows 17..29 only, so the

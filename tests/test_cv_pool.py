@@ -4,25 +4,20 @@ The pool itself is :func:`covclust._pool.each_block`; the fit's kernel-moment
 pass, its other caller, is tested in ``test_groupfit_moments.py``.
 """
 
-import os
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import covclust
 from covclust import _pool, crossval
 from covclust.crossval import CvConfig, _loss_curve, _window_estimator, select_threshold
 from covclust.errors import DegenerateColumnError
-from covclust.ingest import write_panel_csv
 from covclust.panel import TimeSeriesPanel
+from test_golden import WIDE_COMMANDS, assert_reports_match_golden, write_wide_panel
 
 J = crossval._CV_MIN_SERIES + 5
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def wide_panel(seed, t=80, j=J, tied=False):
@@ -159,29 +154,10 @@ def test_wide_cluster_screen_is_the_same_bytes_at_one_and_two_blas_threads(tmp_p
     # two CV workers each call the exact rank Gram's BLAS product at once; the
     # Spearman screen and a covariance threshold on the pooled CV path match
     # the committed reports (tests/test_golden.py says which numpy they hold for)
-    rng = np.random.default_rng(11)
-    t = 200
-    y = rng.normal(size=t)
-    signal = 0.7 * y[:, None] + 0.7 * rng.normal(size=(t, 6))
-    values = np.column_stack([y, signal, rng.normal(size=(t, J - 7))])
-    labels = ("y", *(f"s{i}" for i in range(6)), *(f"n{i}" for i in range(J - 7)))
-    panel = tmp_path / "panel.csv"
-    write_panel_csv(TimeSeriesPanel(values, labels), panel)
-    src = str(Path(covclust.__file__).resolve().parent.parent)
-    commands = {
-        ("cluster_wide", "screen.json"): ("cluster", "--response", "y"),
-        ("threshold_wide", "cv.json"): ("threshold", "--matrix-kind", "covariance"),
-    }
+    panel = write_wide_panel(tmp_path / "panel.csv")
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for (golden, report), argv in commands.items():
-            out = tmp_path / f"threads{threads}" / golden
-            proc = subprocess.run(
-                [sys.executable, "-m", "covclust", *argv, "--input", str(panel),
-                 "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=300,
+        for name, (argv, reports) in WIDE_COMMANDS.items():
+            out = tmp_path / f"threads{threads}" / name
+            assert_reports_match_golden(
+                name, (*argv, "--input", str(panel)), out, {"OPENBLAS_NUM_THREADS": threads}, reports
             )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            want = (GOLDEN / golden / report).read_bytes()
-            assert (out / report).read_bytes() == want, (threads, golden)

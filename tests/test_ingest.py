@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from covclust.ingest import (
 )
 from covclust.panel import TimeSeriesPanel
 from oracles import spreadsheet_transform
+
+# the package's ``ingest`` is the function, so the module is looked up by name
+ingest_mod = importlib.import_module("covclust.ingest")
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -234,6 +239,78 @@ class TestReadCsvMatrix:
         with pytest.raises(ParseError) as err:
             read_csv_matrix(path)
         assert err.value.row == 20002
+
+
+def outcome(path):
+    """``read_csv_matrix(path)`` as comparable bytes: its result, or its error."""
+    try:
+        labels, data, lines = read_csv_matrix(path)
+    except (ParseError, DataError) as exc:
+        return type(exc), str(exc), exc.row, exc.column
+    return labels, data.shape, data.dtype, data.tobytes(), lines
+
+
+class TestPlainFilesParsedInC:
+    """A plain file gives the same bytes through ``np.loadtxt`` as through
+    ``csv.reader``; any other file takes the ``csv.reader`` path."""
+
+    def csv_reader_outcome(self, path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(ingest_mod, "_read_plain", lambda path, text: None)
+            return outcome(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    def test_plain_file_gives_the_csv_reader_bytes(self, tmp_path, monkeypatch, newline):
+        rng = np.random.default_rng(12)
+        panel = TimeSeriesPanel(
+            rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-300, 300, size=(30, 4)),
+            ("a", " b", "c ", "d"),
+        )
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert b"\r\n" in path.read_bytes()  # the writer ends lines with CRLF
+        text = path.read_bytes().decode().replace("\r\n", newline)
+        path.write_bytes(text.encode())
+        assert ingest_mod._read_plain(path, text.replace(newline, "\n")) is not None
+        got = outcome(path)
+        assert got == self.csv_reader_outcome(path, monkeypatch)
+        assert got[0] == ("a", "b", "c", "d")
+        assert got[3] == panel.values.tobytes()
+        assert got[4] == tuple(range(2, 32))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1_000,2\n3,4\n",
+            '"a",b\n1,2\n',
+            'a,b\n"1",2\n3,"4"\n',
+            "a,b\n1,2\n\n3,4\n",
+            "a\n1\n \n2\n",
+            "a,b\n1,nan\n3,4\n",
+            "a,b\n1,2\n-inf,4\n",
+            "a,b\n",
+            "a,b",
+        ],
+        ids=["underscore", "quoted-header", "quoted-cells", "blank-line",
+             "whitespace-line", "nan", "inf", "header-only", "header-without-newline"],
+    )
+    def test_other_files_take_the_csv_reader_path(self, tmp_path, monkeypatch, text):
+        path = write(tmp_path, text)
+        assert ingest_mod._read_plain(path, text) is None
+        assert outcome(path) == self.csv_reader_outcome(path, monkeypatch)
+
+    def test_fallbacks_keep_their_results(self, tmp_path):
+        # what the csv.reader path gives for a few of the files above
+        _, data, lines = read_csv_matrix(write(tmp_path, "a,b\n1_000,2\n3,4\n"))
+        np.testing.assert_array_equal(data, [[1000.0, 2.0], [3.0, 4.0]])
+        _, _, lines = read_csv_matrix(write(tmp_path, "a,b\n1,2\n\n3,4\n"))
+        assert lines == (2, 4)
+        with pytest.raises(ParseError) as exc:
+            read_csv_matrix(write(tmp_path, "a\n1\n \n2\n"))
+        assert (exc.value.row, exc.value.column) == (3, 1)
+        with pytest.raises(DataError) as exc:
+            read_csv_matrix(write(tmp_path, "a,b\n1,2\n-inf,4\n"))
+        assert (exc.value.row, exc.value.column) == (3, 1)
 
 
 class TestIngest:

@@ -229,27 +229,36 @@ class TestWholeMatrixSpearman:
         want = np.column_stack([midranks(vals[:, a]) for a in range(6)])
         np.testing.assert_array_equal(panel_mod._midranks(panel_mod._rank_codes(vals)), want)
 
-    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("tied", [False, True, "one-column"])
     def test_midranks_of_every_window_match_oracle_bitwise(self, tied):
         # T = 18 gives every window length from 2 to 18, so both sides of
         # the packing width's steps (t = 2, 3, 4, 5, 8, 9, 16, 17).
-        rng = np.random.default_rng(37 + tied)
+        rng = np.random.default_rng(38 if tied is True else 37)
         t = 18
-        if tied:
+        if tied is True:
             vals = rng.integers(0, 3, size=(t, 5)).astype(float)
             vals[:, 0] = 4.0  # one column entirely tied
             vals[:9, 3] = -0.0
             vals[9:, 3] = 0.0  # signed zeros compare equal, so tie
         else:
             vals = rng.normal(size=(t, 5))
+            if tied:
+                vals[::4, 2] = vals[1, 2]  # six equal values in column 2 only
+        tied = bool(tied)
         codes = panel_mod._rank_codes(vals)
         assert codes.shape == (5, t) and codes.dtype == np.int32
+        # a column has no ties exactly when its largest code is T - 1
+        assert np.any(codes.max(axis=1) < t - 1) == tied
         for a in range(t - 1):
             for b in range(a + 2, t + 1):
                 window = vals[a:b]
                 want = np.column_stack([midranks(window[:, k]) for k in range(5)])
                 np.testing.assert_array_equal(panel_mod._midranks(codes[:, a:b]), want)
                 np.testing.assert_array_equal(panel_mod._midranks(panel_mod._rank_codes(window)), want)
+                # centred as _spearman asks, with the tie pass skipped on an untied panel
+                centre = (b - a + 1) / 2.0
+                centred = panel_mod._midranks(codes[:, a:b], centre, tied)
+                np.testing.assert_array_equal(centred, want - centre)
 
     def test_rank_codes_are_dense_and_ordered(self):
         vals = np.array([[3.0, 1.0], [-2.0, 1.0], [3.0, 1.0], [0.5, 1.0]])

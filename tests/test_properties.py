@@ -1,10 +1,12 @@
 """Property tests of the threshold scorer, thresholding, grouping and the sign-constrained step."""
 
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covclust.crossval import _grid_losses
+from covclust.crossval import _even_grid, _grid_buckets, _grid_losses, default_grid
 from covclust import groupfit
 from covclust.groupfit import _sign_constrained_solve
 from covclust.matrices import SymMatrix, hard_threshold
@@ -31,15 +33,44 @@ def symmetric_pairs_and_grids(draw):
     e2 = _symmetric(rng, j, ties)
     if draw(st.booleans()):
         e2 = e1.copy()
-    mags = np.abs(e1).ravel()
+    mags = np.unique(np.abs(e1))
     n_grid = draw(st.integers(1, 10))
-    # Grid points on entry magnitudes, between them and past the largest one.
-    picks = rng.choice(mags, size=n_grid)
-    free = rng.uniform(0.0, 1.2 * mags.max() + 1e-12, size=n_grid)
-    grid = np.sort(np.where(rng.random(n_grid) < 0.5, picks, free))
     if draw(st.booleans()):
-        grid[0] = 0.0
+        # shaped like default_grid's: evenly spaced from 0 to a top that is
+        # an entry magnitude or lies between two
+        k = rng.integers(len(mags))
+        top = mags[k] if k == 0 or rng.random() < 0.5 else (mags[k - 1] + mags[k]) / 2
+        grid = np.linspace(0.0, top, n_grid)
+    else:
+        # any ascending grid: points on entry magnitudes, between them and
+        # past the largest one
+        picks = rng.choice(mags, size=n_grid)
+        free = rng.uniform(0.0, 1.2 * mags.max() + 1e-12, size=n_grid)
+        grid = np.sort(np.where(rng.random(n_grid) < 0.5, picks, free))
+        if draw(st.booleans()):
+            grid[0] = 0.0
     return e1, e2, tuple(float(g) for g in grid)
+
+
+@st.composite
+def magnitudes_and_grids(draw):
+    """An evenly spaced grid from 0, as default_grid spans, or any ascending
+    one, and magnitudes on its points, one step either side of them, between
+    them and far above the top."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_grid = draw(st.integers(1, 200))
+    top = 10.0 ** rng.uniform(-3, 3)
+    even = draw(st.booleans())
+    grid = np.linspace(0.0, top, n_grid) if even else np.sort(rng.uniform(0.0, top, n_grid))
+    mags = np.concatenate([
+        grid,
+        np.nextafter(grid, np.inf),
+        np.abs(np.nextafter(grid, -np.inf)),
+        rng.uniform(0.0, 1.1 * top, 50),
+        top * np.array([1.5, 1e10, 1e300]),
+        [0.0, np.finfo(float).max],
+    ])
+    return mags, tuple(float(g) for g in grid), even
 
 
 class TestGridScorer:
@@ -61,6 +92,36 @@ class TestGridScorer:
             for b in range(a + 1, len(grid)):
                 if np.array_equal(kept[a], kept[b]):
                     assert got[a] == got[b]
+
+    @SETTINGS
+    @given(magnitudes_and_grids())
+    def test_bucket_counts_the_grid_points_at_or_below(self, case):
+        mags, grid, even = case
+        if even and len(grid) > 1:
+            assert _even_grid(grid) is not None  # no search is made
+        got = _grid_buckets(mags, grid)
+        np.testing.assert_array_equal(got, np.searchsorted(grid, mags, "right"))
+
+    def test_one_point_grid(self):
+        mags = np.array([0.0, 5e-324, 0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(_grid_buckets(mags, (0.0,)), [1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(_grid_buckets(mags, (1.0,)), [0, 0, 0, 1, 1])
+
+    def test_diagonal_far_above_the_grid_runs_without_warning(self):
+        # off-diagonal covariances near 1e-300 put the unit diagonal about
+        # 1e300 steps above the grid's top
+        rng = np.random.default_rng(4)
+        j = 6
+        e1, e2 = (_symmetric(rng, j, False) * 1e-300 for _ in range(2))
+        np.fill_diagonal(e1, 1.0)
+        np.fill_diagonal(e2, 1.5)
+        grid = default_grid(SymMatrix(e1, tuple(f"v{i}" for i in range(j))), 50)
+        assert 1.0 / (grid[1] - grid[0]) > 1e299
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _grid_losses(e1, e2, grid)
+        want = np.array([direct_threshold_loss(e1, e2, s) for s in grid])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 @st.composite
