@@ -204,40 +204,22 @@ def _upper_triangle(j: int) -> np.ndarray:
     return upper
 
 
-@functools.lru_cache(maxsize=1)
-def _even_grid(grid: tuple) -> tuple[np.ndarray, float] | None:
-    """``(grid + (inf,), step)`` for a grid of two or more points ``i * step``
-    up to rounding, as :func:`default_grid` spans; ``None`` for any other grid.
-
-    A point within ``step / 4`` of ``i * step`` is close enough for
-    :func:`_grid_buckets`' correction.
-    """
-    points = np.array(grid, dtype=float)
-    if len(points) < 2 or not points[-1] > 0.0:
-        return None
-    step = float(points[-1]) / (len(points) - 1)
-    if np.any(np.abs(points - step * np.arange(len(points))) > step / 4):
-        return None
-    points = np.append(points, np.inf)
-    points.setflags(write=False)
-    return points, step
-
-
 def _grid_buckets(mag: np.ndarray, grid) -> np.ndarray:
-    """``np.searchsorted(grid, mag, "right")``: the number of points of the
-    ascending ``grid`` at or below each magnitude in ``mag``.
+    """``np.searchsorted(grid, mag, "right")``: the number of points of
+    ``grid`` at or below each magnitude in ``mag``.
 
-    On an evenly spaced grid from 0 (:func:`_even_grid`) no search is made:
+    ``grid`` is a :func:`default_grid`: one point, or points ``i * step``
+    from 0 as ``np.linspace`` spans them.  No search is made:
     ``k = floor(min(mag, top) / step)`` is at most one point off, and one
     comparison on each side corrects it.  Clipping at the top first keeps a
     diagonal far above the grid from overflowing the quotient or the cast.
     """
-    even = _even_grid(tuple(grid))
-    if even is None:
-        return np.searchsorted(np.asarray(grid, dtype=float), mag, "right")
-    points, step = even
-    k = np.minimum(mag, points[-2])
-    k /= step
+    if len(grid) == 1:
+        return (mag >= grid[0]).astype(np.intp)
+    points = np.append(grid, np.inf)
+    top = points[-2]
+    k = np.minimum(mag, top)
+    k /= top / (len(grid) - 1)
     k = k.astype(np.intp)
     k -= points[k] > mag
     k += 1
@@ -253,11 +235,10 @@ def _grid_losses(e1: np.ndarray, e2: np.ndarray, grid) -> np.ndarray:
     its off-diagonal terms doubled (exactly).  Bucket ``b`` of
     :func:`_grid_buckets` holds the entries with ``|e1|`` in ``[grid[b - 1],
     grid[b])``; grid point ``i`` zeroes buckets ``0..i`` and keeps the rest.
-    The grid should be evenly spaced from 0, as :func:`default_grid` spans
-    it; any other ascending grid is bucketed by a binary search.  Each
-    bucket is summed in entry order and the running totals over buckets are
-    sequential, so an empty bucket adds an exact zero and grid points with
-    the same kept set get the same float.
+    The grid must be a :func:`default_grid`: one point, or evenly spaced
+    from 0.  Each bucket is summed in entry order and the running totals
+    over buckets are sequential, so an empty bucket adds an exact zero and
+    grid points with the same kept set get the same float.
     """
     j = len(e1)
     upper = _upper_triangle(j)

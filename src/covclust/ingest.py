@@ -146,13 +146,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
         raise ParseError(f"{path}: file is empty")
     labels = _header_labels(path, rows[0], lines[0])
     body, lines = rows[1:], lines[1:]
-    try:
-        data = np.array(body, dtype=float).reshape(len(body), len(labels))
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        data = _parse_rows(path, labels, body, lines)
-    return labels, data, tuple(lines)
+    return labels, _parse_rows(path, labels, body, lines), tuple(lines)
 
 
 def _read_plain(path, text: str):

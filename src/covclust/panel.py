@@ -174,7 +174,7 @@ def _rank_codes(values: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _sort_window(codes: np.ndarray, tied: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _sort_window(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat sort order and sorted codes of a ``J x t`` window of codes.
 
     One sort of the keys ``(code << bits) | position`` orders every column,
@@ -183,9 +183,7 @@ def _sort_window(codes: np.ndarray, tied: bool = True) -> tuple[np.ndarray, np.n
     They are int32 when ``T << bits < 2**31``, with ``T`` one more than the
     largest code (at most the length of the panel the codes came from), and
     int64 otherwise.  The returned order indexes the flattened ``J x t``
-    block: row ``j``'s entries are offset by ``j * t``.  With ``tied``
-    false the caller knows no column repeats a code, and the sorted codes
-    are not read back (``None``).
+    block: row ``j``'s entries are offset by ``j * t``.
     """
     n, t = codes.shape
     bits = (t - 1).bit_length()
@@ -196,8 +194,6 @@ def _sort_window(codes: np.ndarray, tied: bool = True) -> tuple[np.ndarray, np.n
     keys |= np.arange(t, dtype=dtype)
     keys.sort(axis=1)
     order = (keys & ((1 << bits) - 1)) + np.arange(0, n * t, t)[:, None]
-    if not tied:
-        return order, None
     keys >>= bits
     return order, keys
 
@@ -224,7 +220,7 @@ def _midranks(codes: np.ndarray, centre: float = 0.0, tied: bool = True) -> np.n
     either way.
     """
     n, t = codes.shape
-    order, srt = _sort_window(codes, tied)
+    order, srt = _sort_window(codes)
     ranks = np.empty(n * t)
     if tied:
         new = np.ones(srt.shape, dtype=bool)

@@ -206,14 +206,17 @@ class TestSelectThreshold:
     def test_ties_resolve_to_larger_threshold(self):
         # All entries of every segment estimate sit far below the two top
         # grid points, so those thresholds zero everything and tie exactly.
+        # The second segments are far quieter than the first, so zeroing
+        # everything beats keeping it, and the tie is the minimum.
         p = gaussian_panel(22, 80, 3)
-        scale = 1e-6
-        tiny = TimeSeriesPanel(p.values * scale, p.labels)
-        cfg = CvConfig(t1=20, t2=40, n_splits=4, seed=0)
+        values = p.values * 1e-6
+        values[20:] *= 1e-6
+        quiet = TimeSeriesPanel(values, p.labels)
+        splits = [((0, 20), (20, 60)), ((0, 20), (20, 80))]
         _, losses, selected = _loss_curve(
-            _window_estimator(tiny, "covariance"), (5.0, 9.0), splits_of(80, cfg), tiny.n_series
+            _window_estimator(quiet, "covariance"), (0.0, 4.5, 9.0), splits, quiet.n_series
         )
-        assert losses[0] == losses[1]
+        assert losses[0] > losses[1] == losses[2]
         assert selected == 9.0
 
     def test_deterministic_across_runs(self):

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covclust.crossval import _even_grid, _grid_buckets, _grid_losses, default_grid
+from covclust.crossval import _grid_buckets, _grid_losses, default_grid
 from covclust import groupfit
 from covclust.groupfit import _sign_constrained_solve
 from covclust.matrices import SymMatrix, hard_threshold
@@ -35,33 +35,23 @@ def symmetric_pairs_and_grids(draw):
         e2 = e1.copy()
     mags = np.unique(np.abs(e1))
     n_grid = draw(st.integers(1, 10))
-    if draw(st.booleans()):
-        # shaped like default_grid's: evenly spaced from 0 to a top that is
-        # an entry magnitude or lies between two
-        k = rng.integers(len(mags))
-        top = mags[k] if k == 0 or rng.random() < 0.5 else (mags[k - 1] + mags[k]) / 2
-        grid = np.linspace(0.0, top, n_grid)
-    else:
-        # any ascending grid: points on entry magnitudes, between them and
-        # past the largest one
-        picks = rng.choice(mags, size=n_grid)
-        free = rng.uniform(0.0, 1.2 * mags.max() + 1e-12, size=n_grid)
-        grid = np.sort(np.where(rng.random(n_grid) < 0.5, picks, free))
-        if draw(st.booleans()):
-            grid[0] = 0.0
+    # shaped like default_grid's: evenly spaced from 0 to a top that is an
+    # entry magnitude or lies between two, or (0.0,) when the top is 0
+    k = rng.integers(len(mags))
+    top = mags[k] if k == 0 or rng.random() < 0.5 else (mags[k - 1] + mags[k]) / 2
+    grid = np.linspace(0.0, top, n_grid) if top > 0.0 else np.zeros(1)
     return e1, e2, tuple(float(g) for g in grid)
 
 
 @st.composite
 def magnitudes_and_grids(draw):
-    """An evenly spaced grid from 0, as default_grid spans, or any ascending
-    one, and magnitudes on its points, one step either side of them, between
-    them and far above the top."""
+    """An evenly spaced grid from 0, as default_grid spans, and magnitudes on
+    its points, one step either side of them, between them and far above
+    the top."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_grid = draw(st.integers(1, 200))
     top = 10.0 ** rng.uniform(-3, 3)
-    even = draw(st.booleans())
-    grid = np.linspace(0.0, top, n_grid) if even else np.sort(rng.uniform(0.0, top, n_grid))
+    grid = np.linspace(0.0, top, n_grid)
     mags = np.concatenate([
         grid,
         np.nextafter(grid, np.inf),
@@ -70,7 +60,7 @@ def magnitudes_and_grids(draw):
         top * np.array([1.5, 1e10, 1e300]),
         [0.0, np.finfo(float).max],
     ])
-    return mags, tuple(float(g) for g in grid), even
+    return mags, tuple(float(g) for g in grid)
 
 
 class TestGridScorer:
@@ -96,9 +86,7 @@ class TestGridScorer:
     @SETTINGS
     @given(magnitudes_and_grids())
     def test_bucket_counts_the_grid_points_at_or_below(self, case):
-        mags, grid, even = case
-        if even and len(grid) > 1:
-            assert _even_grid(grid) is not None  # no search is made
+        mags, grid = case
         got = _grid_buckets(mags, grid)
         np.testing.assert_array_equal(got, np.searchsorted(grid, mags, "right"))
 
