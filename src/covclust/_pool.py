@@ -1,10 +1,10 @@
 """One thread pool for the passes whose items write disjoint outputs.
 
 :func:`each_block` shares the items ``0 .. n - 1`` of a pass among a few
-threads, the calling thread one of them.  The fit's kernel-moment pass
-shares its blocks of anchor rows this way, and cross-validation its
-splits.  numpy's loops, sorts and BLAS calls release the interpreter lock,
-so the threads run at once.
+threads, the calling thread one of them.  The fit's two kernel passes
+share their blocks of rows this way, and cross-validation its splits.
+numpy's loops, sorts and BLAS calls release the interpreter lock, so the
+threads run at once.
 
 An item's output must not depend on the thread that computes it or on the
 items computed before it, so a pass gives the same bytes at any worker

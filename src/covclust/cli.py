@@ -40,7 +40,7 @@ from . import __version__, _pool
 from .crossval import CvConfig, MatrixKind, cv_result_to_json_obj, select_threshold
 from .errors import CovclustError, ParseError
 from .groupfit import FitConfig, fit, fit_to_json_obj, links_to_csv
-from .ingest import _open_utf8, ingest, write_panel_csv
+from .ingest import _read_lines, ingest, write_panel_csv
 from .matrices import sym_to_csv
 from .pipeline import (
     build_model_spec,
@@ -144,28 +144,27 @@ def parse_config_file(path) -> dict:
     """
     options = {opt.name: opt for opt in _OPTIONS}
     out = {}
-    with _open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno} is not 'key = value'", row=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            where = f"{path}: line {lineno} sets"
-            if key not in options:
-                raise ParseError(f"{where} unknown option {key!r}", row=lineno)
-            if key in out:
-                raise ParseError(f"{where} {key!r} again", row=lineno)
-            opt = options[key]
-            try:
-                opt.cast(value)
-                if opt.choices is not None and value not in opt.choices:
-                    raise ValueError(f"not one of {opt.choices}")
-            except ValueError as exc:
-                raise ParseError(f"{where} {key!r} to {value!r}: {exc}", row=lineno) from None
-            out[key] = value
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno} is not 'key = value'", row=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        where = f"{path}: line {lineno} sets"
+        if key not in options:
+            raise ParseError(f"{where} unknown option {key!r}", row=lineno)
+        if key in out:
+            raise ParseError(f"{where} {key!r} again", row=lineno)
+        opt = options[key]
+        try:
+            opt.cast(value)
+            if opt.choices is not None and value not in opt.choices:
+                raise ValueError(f"not one of {opt.choices}")
+        except ValueError as exc:
+            raise ParseError(f"{where} {key!r} to {value!r}: {exc}", row=lineno) from None
+        out[key] = value
     return out
 
 

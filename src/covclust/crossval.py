@@ -102,8 +102,7 @@ def _window_estimator(panel: TimeSeriesPanel, matrix_kind: str):
     estimator ranks each column of the panel once, and every window ranks
     its window of those codes; when no column of the panel has ties (its
     largest code is ``T - 1``), no window has any, and the windows skip the
-    tie pass.  Kernels are looked up per call, so a wrapper installed on a
-    module-level name sees every estimate.
+    tie pass.
     """
     values, labels = panel.values, panel.labels
     if matrix_kind == "covariance":
@@ -165,13 +164,16 @@ class CvConfig:
 
 
 def default_grid(estimate: SymMatrix, size: int) -> tuple[float, ...]:
-    """Equally spaced thresholds from 0 to the largest off-diagonal magnitude of ``estimate``."""
+    """Equally spaced thresholds from 0 to the largest off-diagonal magnitude of ``estimate``.
+
+    The magnitudes are read from the upper triangle the scorer reads
+    (:func:`_upper_triangle`), so a run builds its indices once, here.
+    """
     size = _require_integer("size", size)
     if size < 1:
         raise ValueError(f"grid size must be positive, got {size}")
-    est = estimate.entries
-    off = np.abs(est - np.diag(np.diag(est)))
-    top = float(off.max())
+    j = estimate.entries.shape[0]
+    top = float(np.abs(estimate.entries.ravel()[_upper_triangle(j)[j:]]).max(initial=0.0))
     if top == 0.0 or size == 1:
         return (0.0,)
     return tuple(float(v) for v in np.linspace(0.0, top, size))
@@ -276,12 +278,8 @@ def _loss_curve(estimate, grid, splits, n_series):
     losses depend on its row ranges alone, so the rows are the same bytes
     as scoring every split.  A repeat's first index is lower, so the lowest
     failing split is still the one named.
-
-    The upper triangle's flat indices (:func:`_upper_triangle`) are built
-    once, before the pass, and every split's scoring reads them.
     """
     splits = list(splits)
-    _upper_triangle(n_series)
     per_split = np.empty((len(splits), len(grid)))
     first = {}
     source = np.array([first.setdefault(split, i) for i, split in enumerate(splits)])

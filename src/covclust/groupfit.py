@@ -97,9 +97,9 @@ _ACTIVE_SET_EXTRA_STEPS = 10
 _LINK_GRID_SIZE = 100
 # the pooled step's ridge fallback adds this times trace(G) to the diagonal
 _RIDGE_SCALE = 1e-8
-# anchor rows of the kernel matrix built and summed at a time in each iteration
+# rows of a kernel matrix built at a time by :func:`_each_row_block`
 _KERNEL_BLOCK_ROWS = 64
-# threads that share one iteration's anchor blocks, at most; each holds one
+# threads that share one pass's row blocks, at most; each holds one
 # block×T buffer, 1 MB at T=2000
 _KERNEL_MAX_WORKERS = 8
 
@@ -278,11 +278,9 @@ def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarra
     about ``5 eps (1 + max|u|^2)`` of the elementwise :func:`kernel_weight`,
     relative; centring keeps ``|u|`` to a few bandwidths' worth.
 
-    ``W`` is built and summed ``_KERNEL_BLOCK_ROWS`` anchor rows at a time,
-    and :func:`covclust._pool.each_block` shares the blocks among up to
-    ``_KERNEL_MAX_WORKERS`` threads.  Each worker builds a block's weights
-    in its own preallocated block×T buffer, so a worker holds block·T
-    doubles whatever T is.
+    ``W`` is built and summed a block of anchor rows at a time
+    (:func:`_each_row_block`), so a worker holds one block×T buffer of
+    weights whatever T is.
 
     Each block is built and summed by :func:`_weighted_sums` calls of the
     same shapes whichever worker takes it, so the result is the same bytes
@@ -292,26 +290,33 @@ def _kernel_moments(v: np.ndarray, h: np.ndarray, rows: np.ndarray) -> np.ndarra
     """
     t = v.shape[0]
     out = np.empty((t, rows.shape[0]))
-    size = _KERNEL_BLOCK_ROWS
     u = (v - v.mean(axis=0)) / h
     half_sq = -0.5 * np.einsum("ts,ts->t", u, u)
     ones = np.ones(t)
     a = np.column_stack([u, half_sq, ones])
     b = np.column_stack([u, ones, half_sq - np.log(_kernel_norm(h))])
 
-    def make_worker():
-        buf = np.empty((min(size, t), t))
+    def block(part, buf):
+        w = _weighted_sums(a[part], b, out=buf)
+        np.exp(w, out=w)
+        _weighted_sums(w, rows, out=out[part])
 
-        def block(i):
-            part, n = slice(i * size, (i + 1) * size), min(size, t - i * size)
-            w = _weighted_sums(a[part], b, out=buf[:n])
-            np.exp(w, out=w)
-            _weighted_sums(w, rows, out=out[part])
-
-        return block
-
-    _pool.each_block(-(-t // size), make_worker, _KERNEL_MAX_WORKERS)
+    _each_row_block(t, t, block)
     return out
+
+
+def _each_row_block(n: int, t: int, block) -> None:
+    """``block(part, buf)`` on each slice ``part`` of ``_KERNEL_BLOCK_ROWS`` rows
+    of ``range(n)``, shared among up to ``_KERNEL_MAX_WORKERS`` threads by
+    :func:`covclust._pool.each_block`; ``buf`` is the first ``len(part)`` rows
+    of the worker's one block×``t`` buffer."""
+    size = _KERNEL_BLOCK_ROWS
+
+    def make_worker():
+        buf = np.empty((min(size, n), t))
+        return lambda i: block(slice(i * size, (i + 1) * size), buf[: min(size, n - i * size)])
+
+    _pool.each_block(-(-n // size), make_worker, _KERNEL_MAX_WORKERS)
 
 
 def _moment_rows(cols: np.ndarray) -> np.ndarray:
@@ -703,42 +708,33 @@ def _smoother_matrix(v_train: np.ndarray, h: float, v_eval: np.ndarray):
     ``w_im / s0`` where the local-linear system is near-singular.  The weights
     are the iterations' un-normalized :func:`_kernel_matrix`: the norm cancels.
 
-    The rows are built ``_KERNEL_BLOCK_ROWS`` at a time, straight into the
-    output, and :func:`covclust._pool.each_block` shares the blocks among up
-    to ``_KERNEL_MAX_WORKERS`` threads, each with one block×T buffer for the
-    displacements.  Every row gets the same elementwise operations and
-    row-wise sums in any block, so the matrix is the same bytes at any block
-    size and worker count.
+    The rows are built a block at a time (:func:`_each_row_block`), straight
+    into the output, with the block's buffer for the displacements.  Every
+    row gets the same elementwise operations and row-wise sums in any block,
+    so the matrix is the same bytes at any block size and worker count.
     """
     n, t = len(v_eval), len(v_train)
     out = np.empty((n, t))
-    size = _KERNEL_BLOCK_ROWS
     h_arr = np.array([h])
-    fallbacks = [0] * -(-n // size)
+    fallback = np.empty(n, dtype=bool)
 
-    def make_worker():
-        buf = np.empty((min(size, n), t))
+    def block(part, buf):
+        w = _kernel_matrix(v_eval[part, None], v_train[:, None], h_arr, out[part], buf)
+        dcol = np.subtract(v_train[None, :], v_eval[part, None], out=buf)
+        s0 = w.sum(axis=1)
+        s1 = np.einsum("ij,ij->i", w, dcol)
+        s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
+        det = s0 * s2 - s1 * s1
+        safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
+        dcol *= -s1[:, None]
+        dcol += s2[:, None]
+        dcol /= np.where(safe, det, 1.0)[:, None]
+        dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
+        w *= dcol
+        fallback[part] = ~safe
 
-        def block(i):
-            part, m = slice(i * size, (i + 1) * size), min(size, n - i * size)
-            w = _kernel_matrix(v_eval[part, None], v_train[:, None], h_arr, out[part], buf[:m])
-            dcol = np.subtract(v_train[None, :], v_eval[part, None], out=buf[:m])
-            s0 = w.sum(axis=1)
-            s1 = np.einsum("ij,ij->i", w, dcol)
-            s2 = np.einsum("ij,ij,ij->i", w, dcol, dcol)
-            det = s0 * s2 - s1 * s1
-            safe = det > 1e-12 * (s0 * s0 * h * h + 1e-300)
-            dcol *= -s1[:, None]
-            dcol += s2[:, None]
-            dcol /= np.where(safe, det, 1.0)[:, None]
-            dcol[~safe] = (1.0 / np.maximum(s0, 1e-300))[~safe, None]
-            w *= dcol
-            fallbacks[i] = int(np.count_nonzero(~safe))
-
-        return block
-
-    _pool.each_block(len(fallbacks), make_worker, _KERNEL_MAX_WORKERS)
-    return out, sum(fallbacks)
+    _each_row_block(n, t, block)
+    return out, int(np.count_nonzero(fallback))
 
 
 def _smooth(smoother: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -89,73 +88,78 @@ def _cell_error(code, label, what, x, row) -> DataError:
     )
 
 
-@contextmanager
-def _open_utf8(path, newline=None):
-    """``open(path)`` for reading UTF-8 text, a leading byte-order mark skipped.
+def _read_lines(path) -> list[str]:
+    r"""The lines of the UTF-8 file at ``path``, a leading byte-order mark skipped.
 
-    A byte that is not UTF-8 is a :class:`ParseError` naming the file and,
-    as ``row``, the 1-based line the first such byte is on.  The file is
-    read again as bytes to find it, since a decoding error gives the
-    byte's offset in a read-ahead chunk, not in the file.
+    Lines end at ``\n``, ``\r`` or ``\r\n``, as in a text file's universal
+    newline mode, and carry no line end; a file that ends with one has no
+    empty last line.  The file is read once.  A byte that is not UTF-8 is a
+    :class:`ParseError` naming the file and, as ``row``, the 1-based line
+    the first such byte is on.
     """
+    raw = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError:
-        raw = Path(path).read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # lines end at \n, \r or \r\n, as for the text reader; the
-            # stand-in byte counts the line the bad byte starts
-            line = len((raw[: exc.start] + b"x").splitlines())
-            raise ParseError(
-                f"{path}: line {line} is not UTF-8: byte {raw[exc.start]:#04x}, {exc.reason}",
-                row=line,
-            ) from None
-        raise ParseError(f"{path}: file is not UTF-8") from None  # it changed since
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the stand-in byte counts the line the bad byte starts
+        line = len((raw[: exc.start] + b"x").splitlines())
+        raise ParseError(
+            f"{path}: line {line} is not UTF-8: byte {raw[exc.start]:#04x}, {exc.reason}",
+            row=line,
+        ) from None
+    del raw
+    # one copy at a time; str.replace returns the same text if nothing is replaced
+    text = text.removeprefix("\ufeff")
+    text = text.replace("\r\n", "\n")
+    text = text.replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
     """Read a labeled numeric CSV of finite values.
 
     Returns the labels, the ``T x J`` data block and the 1-based file line
-    of each data row.  Blank lines are skipped.  A failure carries the
-    1-based line of the file as ``row`` (blank lines counted) and, where one
-    cell is at fault, its 1-based ``column``.  A byte that is not UTF-8 is
-    reported first, then a blank or repeated header label, then the first
-    faulty row: its wrong width, else its first cell that is non-numeric
-    (all these are a :class:`ParseError`) or ``nan``, ``inf`` or
-    overflowing (a :class:`DataError`).
+    of each data row (for a quoted record over several lines, its first).
+    Blank lines are skipped.  A failure carries the 1-based line of the
+    file as ``row`` (blank lines counted) and, where one cell is at fault,
+    its 1-based ``column``.  A byte that is not UTF-8 is reported first,
+    then a blank or repeated header label, then the first faulty row: its
+    wrong width, else its first cell that is non-numeric (all these are a
+    :class:`ParseError`) or ``nan``, ``inf`` or overflowing (a
+    :class:`DataError`).
 
-    A plain file is parsed in C (:func:`_read_plain`); any other file, and
-    every faulty one, is read by ``csv.reader`` and its cells by ``float()``.
+    The file is read once (:func:`_read_lines`).  A plain file is parsed in
+    C (:func:`_read_plain`); for any other file, and every faulty one,
+    ``csv.reader`` walks the same lines and ``float()`` parses its cells.
     """
-    with _open_utf8(path) as fh:
-        plain = _read_plain(path, fh.read())
+    lines = _read_lines(path)
+    plain = _read_plain(path, lines)
     if plain is not None:
         return plain
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+    reader = csv.reader(line + "\n" for line in lines)
+    rows, starts, end = [], [], 0
+    for row in reader:
+        if row:
+            rows.append(row)
+            starts.append(end + 1)
+        end = reader.line_num
     if not rows:
         raise ParseError(f"{path}: file is empty")
-    labels = _header_labels(path, rows[0], lines[0])
-    body, lines = rows[1:], lines[1:]
-    return labels, _parse_rows(path, labels, body, lines), tuple(lines)
+    labels = _header_labels(path, rows[0], starts[0])
+    body, starts = rows[1:], starts[1:]
+    return labels, _parse_rows(path, labels, body, starts), tuple(starts)
 
 
-def _read_plain(path, text: str):
-    """:func:`read_csv_matrix` of a file read as ``text`` in universal newline
-    mode, or ``None`` if the file is not plain or its body not clean.
+def _read_plain(path, lines: list[str]):
+    """:func:`read_csv_matrix` of a file of :func:`_read_lines` ``lines``, or
+    ``None`` if the file is not plain or its body not clean.
 
-    Plain: the text has no NUL, the header no quote, and the body is at
-    least one line, none of them blank, so the header is line 1 and the rows
-    are lines ``2 ... T + 1``.  Clean: ``np.loadtxt`` parses the body into
+    Plain: no line has a NUL, the header no quote, and the body is at least
+    one line, none of them blank, so the header is line 1 and the rows are
+    lines ``2 ... T + 1``.  Clean: ``np.loadtxt`` parses the body into
     finite cells, one row per line and one column per label.  It and
     ``float()`` both strip a cell's whitespace and call
     ``PyOS_string_to_double``; ``float()`` first maps non-ASCII digits to
@@ -163,13 +167,7 @@ def _read_plain(path, text: str):
     So a cell it parses is the double ``float()`` gives, and a file with a
     cell it cannot parse is left to the ``csv.reader`` path.
     """
-    if "\0" in text:
-        return None
-    lines = text.split("\n")
-    del text  # the lines hold a copy
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or '"' in lines[0] or "" in lines:
+    if len(lines) < 2 or '"' in lines[0] or "" in lines or any("\0" in line for line in lines):
         return None
     labels = _header_labels(path, lines[0].split(","), 1)
     try:

@@ -1,6 +1,7 @@
 """Import-time footprint of the command-line entry point, the names each module
-and the package export, the names the benchmark needs, the one ``np.exp`` and
-the one ``np.random.default_rng``."""
+and the package export, the names the benchmark needs, the one ``np.exp``,
+the callers of the thread pool, the one file read and the one
+``np.random.default_rng``."""
 
 import ast
 import importlib
@@ -165,6 +166,37 @@ def test_the_fit_kernel_is_the_two_exp_calls():
                 ):
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("groupfit", "_kernel_matrix"), ("groupfit", "_kernel_moments")]
+
+
+def attribute_call_sites(attr):
+    """``(module, top-level definition)`` of each call ``<x>.attr(...)`` in the package."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr
+                ):
+                    sites.append((path.stem, getattr(top, "name", None)))
+    return sites
+
+
+def test_the_pool_serves_the_cv_splits_and_one_row_block_driver():
+    # The CV shares its splits, and the fit's kernel-moment pass and the
+    # link smoothers share their row blocks through one driver, so the
+    # block size, the per-worker buffer and the worker cap are stated once.
+    assert attribute_call_sites("each_block") == [
+        ("crossval", "_loss_curve"),
+        ("groupfit", "_each_row_block"),
+    ]
+
+
+def test_input_files_are_read_in_one_place():
+    # The CSV panel and the config file are each read once, as bytes, by
+    # one routine that decodes them and reports a bad byte's line.
+    assert attribute_call_sites("read_bytes") == [("ingest", "_read_lines")]
 
 
 def test_every_draw_comes_from_the_one_stream():

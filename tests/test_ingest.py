@@ -1,8 +1,11 @@
 import importlib
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from covclust.cli import parse_config_file
 from covclust.errors import (
     DataError,
     DegenerateColumnError,
@@ -240,6 +243,27 @@ class TestReadCsvMatrix:
             read_csv_matrix(path)
         assert err.value.row == 20002
 
+    def test_unclosed_quote_is_reported_at_the_line_it_opens(self, tmp_path):
+        # the quote on line 2 runs to the end of the file: one record of one cell
+        path = write(tmp_path, 'a,b\n"1,2\n3,4\n')
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(path)
+        assert (err.value.row, err.value.column) == (2, None)
+        assert str(err.value) == f"{path}: row 2 has 1 cells, expected 2"
+
+    def test_record_over_several_lines_gives_its_first_line(self, tmp_path):
+        _, data, lines = read_csv_matrix(write(tmp_path, 'a,b\n"1\n",2\n\n3,4\n'))
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+        assert lines == (2, 5)
+
+    def test_nul_byte_in_a_body_cell_is_non_numeric(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,2\0\n")
+        assert ingest_mod._read_plain(path, ingest_mod._read_lines(path)) is None
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(path)
+        assert (err.value.row, err.value.column) == (2, 2)
+        assert str(err.value) == f"{path}: non-numeric cell '2\\x00' at row 2, column 2 ('b')"
+
 
 def outcome(path):
     """``read_csv_matrix(path)`` as comparable bytes: its result, or its error."""
@@ -256,7 +280,7 @@ class TestPlainFilesParsedInC:
 
     def csv_reader_outcome(self, path, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(ingest_mod, "_read_plain", lambda path, text: None)
+            m.setattr(ingest_mod, "_read_plain", lambda path, lines: None)
             return outcome(path)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
@@ -271,7 +295,7 @@ class TestPlainFilesParsedInC:
         assert b"\r\n" in path.read_bytes()  # the writer ends lines with CRLF
         text = path.read_bytes().decode().replace("\r\n", newline)
         path.write_bytes(text.encode())
-        assert ingest_mod._read_plain(path, text.replace(newline, "\n")) is not None
+        assert ingest_mod._read_plain(path, ingest_mod._read_lines(path)) is not None
         got = outcome(path)
         assert got == self.csv_reader_outcome(path, monkeypatch)
         assert got[0] == ("a", "b", "c", "d")
@@ -296,7 +320,7 @@ class TestPlainFilesParsedInC:
     )
     def test_other_files_take_the_csv_reader_path(self, tmp_path, monkeypatch, text):
         path = write(tmp_path, text)
-        assert ingest_mod._read_plain(path, text) is None
+        assert ingest_mod._read_plain(path, ingest_mod._read_lines(path)) is None
         assert outcome(path) == self.csv_reader_outcome(path, monkeypatch)
 
     def test_fallbacks_keep_their_results(self, tmp_path):
@@ -311,6 +335,46 @@ class TestPlainFilesParsedInC:
         with pytest.raises(DataError) as exc:
             read_csv_matrix(write(tmp_path, "a,b\n1,2\n-inf,4\n"))
         assert (exc.value.row, exc.value.column) == (3, 1)
+
+
+# the paths of ``open`` audit events while a count runs.  An audit hook
+# cannot be removed, so one is installed, on first use, and records only
+# while the list is set.
+_opened = {"paths": None, "hooked": False}
+
+
+def _record_open(event, args):
+    if event == "open" and _opened["paths"] is not None:
+        _opened["paths"].append(args[0])
+
+
+def opens_of(path, call) -> int:
+    """How many times ``call()`` opens ``path``."""
+    if not _opened["hooked"]:
+        sys.addaudithook(_record_open)
+        _opened["hooked"] = True
+    _opened["paths"] = []
+    try:
+        call()
+    finally:
+        paths, _opened["paths"] = _opened["paths"], None
+    return sum(isinstance(p, (str, os.PathLike)) and os.fspath(p) == os.fspath(path) for p in paths)
+
+
+class TestEachFileIsReadOnce:
+    @pytest.mark.parametrize(
+        "content",
+        [b"a,b\n1,2\n", b'a,b\n"1",2\n', b"a,b\n1,\xff\n"],
+        ids=["plain", "quoted", "not-utf8"],
+    )
+    def test_read_csv_matrix_opens_its_file_once(self, tmp_path, content):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        assert opens_of(path, lambda: outcome(path)) == 1
+
+    def test_parse_config_file_opens_its_file_once(self, tmp_path):
+        path = write(tmp_path, "seed = 3\n# a comment\n\nresponse = y\n", name="config.txt")
+        assert opens_of(path, lambda: parse_config_file(path)) == 1
 
 
 class TestIngest:
