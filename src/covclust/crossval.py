@@ -79,10 +79,10 @@ _SEED_MASK = (1 << 63) - 1
 # Threads that share a run's splits, at most.  Each holds one split's two
 # J×J estimates and its scoring temporaries at a time.
 _CV_MAX_WORKERS = 2
-# Fewest series for which the splits are shared.  At T=600 and 100 splits
-# on 2 CPUs, 2 Spearman workers were slower than 1 up to J=64 (J=17: 57 ms
-# against 32), about even at J=80 and faster from J=96 on (J=125: 103 ms
-# against 144); covariance splits gained from J=64 on.
+# Fewest series for which the splits are shared.  Spearman, 100 splits, 2
+# CPUs, one BLAS thread, medians of 30 alternating runs, 1 worker against 2:
+# 11.3 ms against 11.6 at J=17, T=540, 21.2 against 21.9 at J=17, T=1200,
+# even at T=600 from J=64 to 96; covariance splits gained from J=64 on.
 _CV_MIN_SERIES = 96
 
 

@@ -31,22 +31,21 @@ one small product and one ``exp``: with ``u = (v - mean v) / h``, the
 exponent ``-|u_j - u_i|^2 / 2`` minus the log of the kernel's norm expands
 into ``u_i·u_j - |u_i|^2/2 - |u_j|^2/2 - log norm``, a dot product of rows
 of two T×(S+2) tables built once per iteration (:func:`_kernel_moments`).
-The local-linear surface and the pooled step both read that one moment
-pass: the centred indices are ``X b`` for the K×S block-diagonal
-coefficients ``b``, so their moments are ``M1 b`` and ``b' M2 b``.  No
+Each iteration applies the identity once, to the coefficient columns, and
+the local-linear surface and the pooled step both read its sums: the centred
+indices are ``X b`` for the K×S block-diagonal coefficients ``b``, so their
+spread about anchor ``i`` is ``b' C_i b`` for the columns' ``C_i``.  No
 T×T×K tensor is built; memory in the iteration is O(workers·block·T +
 T·K²) for K coefficients, one block×T buffer per worker, and the link
-backfit keeps one T×T smoother matrix per group, O(S·T²) for S groups,
-each built a block of rows at a time straight into its place.  The
+backfit keeps one (T + grid)×T smoother matrix per group, O(S·T²) for S
+groups, each built a block of rows at a time straight into its place.  The
 smoothers take their weights elementwise (:func:`_kernel_matrix`), free of
 the expansion's cancellation, because a smoother row's local-linear
-determinant may be as small as 1e-12 of its scale.
-The same moments give the pooled step's weighted sum of squared targets, so
-each iteration's objective is read off the normal equations as
-``(b'Gb - 2c'b + e0) / sum(w)`` without forming a T×T residual.
+determinant may be as small as 1e-12 of its scale.  The same sums give
+each iteration's objective without a T×T residual (:func:`_iteration_step`).
 
 The kernel-weighted sums over observations, each block's exponents and
-moments, the surface's projection of the moments and each backfit sweep's
+moments, the surface's projection of the spreads and each backfit sweep's
 smoothing, are BLAS products (:func:`_weighted_sums`).
 How OpenBLAS splits a product among its threads sets the product's
 summation order, so :func:`fit` holds :func:`covclust._pool.one_blas_thread`
@@ -446,29 +445,27 @@ def _bandwidths(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _local_linear_surface(m0, m1, m2, vc, b):
-    """Fitted level and per-group slope at every anchor, from the moments of ``[X, y]``.
+def _local_linear_surface(m0, wy, first, spread, wxy, b):
+    """Fitted level and per-group slope at every anchor, from :func:`_iteration_step`'s sums.
 
     At each anchor ``i`` this solves the kernel-weighted least-squares fit of
     ``y_j`` on ``(1, v_j - v_i)`` with weights ``w[i, j]``, returning the
     intercepts (fitted values, centred like ``y``) and the slope matrix.  The
-    indices ``vc = X b`` take their moments from ``X``'s, projected by ``b``.
+    indices ``v = X b`` take their sums about each anchor from ``X``'s,
+    projected by ``b``: ``first b``, ``b' spread b`` and ``wxy b``.
     """
-    t, s = vc.shape
-    k = b.shape[0]
-    m1v = np.einsum("ik,ks->is", m1[:, :k], b)
-    # b' M2_i b at every anchor i, as two products over the stacked anchor rows;
-    # the second gives it transposed, which the symmetrisation undoes
-    m2b = _weighted_sums(m2[:, :k, :k].reshape(t * k, k), b.T)
-    m2v = _weighted_sums(m2b.reshape(t, k, s).transpose(0, 2, 1).reshape(t * s, k), b.T)
-    m2v = m2v.reshape(t, s, s)
-    m2v = (m2v + m2v.transpose(0, 2, 1)) / 2.0
-    wy = m1[:, k]
+    t, k = first.shape
+    s = b.shape[1]
+    # b' spread_i b at every anchor i, as two products over the stacked anchor
+    # rows; the second gives it transposed, which the symmetrisation undoes
+    sb = _weighted_sums(spread.reshape(t * k, k), b.T)
+    vv = _weighted_sums(sb.reshape(t, k, s).transpose(0, 2, 1).reshape(t * s, k), b.T)
+    vv = vv.reshape(t, s, s)
     a = np.empty((t, s + 1, s + 1))
     a[:, 0, 0] = m0
-    a[:, 0, 1:] = a[:, 1:, 0] = m1v - m0[:, None] * vc
-    a[:, 1:, 1:] = _spread_about_anchors(m0, m1v, m2v, vc)
-    rhs = np.column_stack([wy, np.einsum("ik,ks->is", m2[:, :k, k], b) - vc * wy[:, None]])
+    a[:, 0, 1:] = a[:, 1:, 0] = np.einsum("ik,ks->is", first, b)
+    a[:, 1:, 1:] = (vv + vv.transpose(0, 2, 1)) / 2.0
+    rhs = np.column_stack([wy, np.einsum("ik,ks->is", wxy, b)])
     jitter = 1e-12 * np.einsum("ikk->i", a)
     a = a + jitter[:, None, None] * np.eye(s + 1)[None, :, :]
     coef = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
@@ -481,13 +478,14 @@ def _iteration_step(vc, h, rows, xc, b, group_of):
     One pass of the kernel weights ``w`` (bandwidths ``h``) over ``rows``,
     the ``_moment_rows`` of the centred ``[xc, y]``, gives ``M0``, ``M1`` and
     ``M2`` (each product pair summed once and mirrored, so ``M2`` is exactly
-    symmetric).  The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``,
+    symmetric), and from them the sums about each anchor ``i`` of ``x_j -
+    x_i``, ``(x_j - x_i)(x_j - x_i)'`` (the spread ``C_i``) and ``(x_j -
+    x_i) y_j``.  The pooled regressors are ``r_ijk = a_ik (x_jk - x_ik)``,
     where ``a_ik`` is anchor ``i``'s slope for the group holding coefficient
     ``k``, with weights ``w_ij`` and targets ``y_j - level_i``.  ``G = sum_i
-    (a_i a_i') ∘ C_i`` with ``C_i`` the spread about anchor ``i``, and ``c``
-    and the weighted sum of squared targets ``e0`` follow from the same
-    moments, so the pooled criterion at any ``b`` is
-    ``(b'Gb - 2c'b + e0) / sum(w)``.
+    (a_i a_i') ∘ C_i``, and ``c`` and the weighted sum of squared targets
+    ``e0`` follow from the same sums, so the pooled criterion at any ``b``
+    is ``(b'Gb - 2c'b + e0) / sum(w)``.
     """
     t, k = xc.shape
     d = k + 1
@@ -495,13 +493,13 @@ def _iteration_step(vc, h, rows, xc, b, group_of):
     m = _kernel_moments(vc, h, rows)
     m0, m1, m2 = m[:, 0], m[:, 1 : d + 1], np.empty((t, d, d))
     m2[:, upper[0], upper[1]] = m2[:, upper[1], upper[0]] = m[:, d + 1 :]
-    level, slope = _local_linear_surface(m0, m1, m2, vc, b)
-    a = slope[:, group_of]
+    first = m1[:, :k] - m0[:, None] * xc
     spread = _spread_about_anchors(m0, m1[:, :k], m2[:, :k, :k], xc)
+    wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
+    level, slope = _local_linear_surface(m0, m1[:, k], first, spread, wxy, b)
+    a = slope[:, group_of]
     # (k, l) and (l, k) sum the same products in order: G is exactly symmetric
     g = np.einsum("ik,il,ikl->kl", a, a, spread)
-    first = m1[:, :k] - m0[:, None] * xc
-    wxy = m2[:, :k, k] - xc * m1[:, k : k + 1]
     c = np.einsum("ik,ik->k", a, wxy - level[:, None] * first)
     e0 = float(np.sum(m2[:, k, k] - 2.0 * level * m1[:, k] + level * level * m0))
     return level, slope, g, c, e0, float(np.sum(m0))
@@ -747,24 +745,26 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
 
     Component functions are centered over the training sample; the response
     mean is spread evenly across groups so the tabulated links sum to the
-    fitted value without a separate intercept.  Each group's smoother matrix
-    is built once, so a sweep is one matrix-vector product per group.
-    Returns the links, whether the sweeps converged before the cap, and each
-    group's local-constant fallback rows over training and grid points.
+    fitted value without a separate intercept.  Each group's smoother is
+    built once, on the training points and then the grid points, so a sweep
+    is one matrix-vector product per group.  Returns the links, whether the
+    sweeps converged, and each group's local-constant fallback rows.
     """
     t, s = v.shape
     ybar = float(y.mean())
     resid = y - ybar
     m = np.zeros((t, s))
-    built = [_smoother_matrix(v[:, j], float(h[j]), v[:, j]) for j in range(s)]
-    smoothers = [smoother for smoother, _ in built]
-    fallback_rows = [n for _, n in built]
+    grids = [np.linspace(float(col.min()), float(col.max()), grid_size) for col in v.T]
+    smoothers, fallback_rows = zip(
+        *(_smoother_matrix(col, float(hj), np.append(col, grid))
+          for col, hj, grid in zip(v.T, h, grids))
+    )
     converged = False
     for _ in range(_BACKFIT_MAX_SWEEPS):
         delta = 0.0
         for j in range(s):
             partial = resid - m.sum(axis=1) + m[:, j]
-            new = _smooth(smoothers[j], partial)
+            new = _smooth(smoothers[j][:t], partial)
             new = new - new.mean()
             delta = max(delta, float(np.max(np.abs(new - m[:, j]))))
             m[:, j] = new
@@ -772,17 +772,14 @@ def _backfit_links(v: np.ndarray, y: np.ndarray, h: np.ndarray, grid_size: int):
             converged = True
             break
     links = []
-    for j in range(s):
+    for j, grid in enumerate(grids):
         partial = resid - m.sum(axis=1) + m[:, j]
-        mu = float(_smooth(smoothers[j], partial).mean())
-        grid = np.linspace(float(v[:, j].min()), float(v[:, j].max()), grid_size)
-        on_grid, grid_fallback_rows = _smoother_matrix(v[:, j], float(h[j]), grid)
-        fallback_rows[j] += grid_fallback_rows
-        vals = _smooth(on_grid, partial) - mu + ybar / s
+        mu = float(_smooth(smoothers[j][:t], partial).mean())
+        vals = _smooth(smoothers[j][t:], partial) - mu + ybar / s
         grid.setflags(write=False)
         vals.setflags(write=False)
         links.append((grid, vals))
-    return tuple(links), converged, tuple(fallback_rows)
+    return tuple(links), converged, fallback_rows
 
 
 def _group_index(rows: np.ndarray, cols, beta: np.ndarray) -> np.ndarray:

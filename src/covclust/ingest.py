@@ -126,10 +126,10 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
     Blank lines are skipped.  A failure carries the 1-based line of the
     file as ``row`` (blank lines counted) and, where one cell is at fault,
     its 1-based ``column``.  A byte that is not UTF-8 is reported first,
-    then a blank or repeated header label, then the first faulty row: its
-    wrong width, else its first cell that is non-numeric (all these are a
-    :class:`ParseError`) or ``nan``, ``inf`` or overflowing (a
-    :class:`DataError`).
+    then a quote left open past ``csv``'s field limit, then a blank or
+    repeated header label, then the first faulty row: its wrong width, else
+    its first cell that is non-numeric (all these are a :class:`ParseError`)
+    or ``nan``, ``inf`` or overflowing (a :class:`DataError`).
 
     The file is read once (:func:`_read_lines`).  A plain file is parsed in
     C (:func:`_read_plain`); for any other file, and every faulty one,
@@ -141,11 +141,14 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]
         return plain
     reader = csv.reader(line + "\n" for line in lines)
     rows, starts, end = [], [], 0
-    for row in reader:
-        if row:
-            rows.append(row)
-            starts.append(end + 1)
-        end = reader.line_num
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                starts.append(end + 1)
+            end = reader.line_num
+    except csv.Error as exc:  # a quote left open past the field size limit
+        raise ParseError(f"{path}: record at row {end + 1}: {exc}", row=end + 1) from None
     if not rows:
         raise ParseError(f"{path}: file is empty")
     labels = _header_labels(path, rows[0], starts[0])

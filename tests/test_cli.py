@@ -565,3 +565,14 @@ class TestQuietStderr:
                           "--input", overflow_panel(tmp_path), "--out", tmp_path / "o")
         assert proc.returncode == 0, proc.stdout
         assert proc.stderr == ""
+
+    def test_quote_open_past_the_field_limit_is_a_parse_error(self, tmp_path):
+        # the quote on line 2 swallows the rest of the file, more than
+        # csv.reader's 131072-character field limit
+        panel = tmp_path / "panel.csv"
+        panel.write_text("y,b\n\"1,2\n" + "".join(f"{i},{i}\n" for i in range(30000)))
+        proc = run_module("cluster", "--response", "y", "--input", panel, "--out", tmp_path / "o")
+        assert proc.returncode == 1, proc.stdout
+        payload = json.loads(proc.stdout)
+        assert (payload["error"], payload["row"]) == ("parse-error", 2)
+        assert proc.stderr == ""

@@ -105,3 +105,33 @@ def test_cluster_on_the_wide_panel_permutes_with_its_columns(name, tmp_path):
     moved = run([*argv, str(write_permuted(panel, tmp_path / "panel.csv", perm))], tmp_path / name)
     assert_screen_permutes(base, moved, perm)
     assert_clusters_permute(base, moved, perm)
+
+
+def test_series_with_equal_correlation_swap_with_their_columns(tmp_path):
+    # The screen orders the kept series by |ρ|, then by column, so an exact
+    # copy of s1 and s1 itself trade places when the columns are reversed,
+    # and so do their coefficients.  Every other result keeps its label.
+    rows = [line.split(",") for line in (FIXTURES / "fixture_panel.csv").read_text().splitlines()]
+    s1 = rows[0].index("s1")
+    rows = [row + [row[s1] if n else "s1dup"] for n, row in enumerate(rows)]
+    panel = tmp_path / "panel.csv"
+    panel.write_text("".join(",".join(row) + "\n" for row in rows))
+    argv = list(ON_FIXTURE)
+    argv[argv.index("--input") + 1] = str(panel)
+    base = run(["run", *argv], tmp_path / "base")
+    perm = permutations(len(rows[0]))["reversed"]
+    argv[argv.index("--input") + 1] = str(write_permuted(panel, tmp_path / "rev.csv", perm))
+    moved = run(["run", *argv], tmp_path / "reversed")
+
+    want, got = report(base, "screen.json"), report(moved, "screen.json")
+    assert want["kept_labels"][:2] == ["s1", "s1dup"]
+    assert got["kept_labels"] == ["s1dup", "s1", *want["kept_labels"][2:]]
+    assert got["threshold"] == want["threshold"]
+    _, want_beta, _, want_fit = fit_by_label(base)
+    _, got_beta, _, got_fit = fit_by_label(moved)
+    assert {frozenset(g) for g in got_beta} == {frozenset(g) for g in want_beta}
+    tied = ("s1", "s1dup", "s3", "s2")
+    assert got_beta[("s1dup", "s1", "s3", "s2")] == want_beta[tied]
+    assert want_beta[tied][0] != want_beta[tied][1]
+    assert got_beta[("w2", "w1")] == want_beta[("w2", "w1")]
+    assert got_fit == want_fit

@@ -1,7 +1,7 @@
 """Import-time footprint of the command-line entry point, the names each module
 and the package export, the names the benchmark needs, the one ``np.exp``,
-the callers of the thread pool, the one file read and the one
-``np.random.default_rng``."""
+the one spread about the anchors and the one smoother build, the callers of
+the thread pool, the one file read and the one ``np.random.default_rng``."""
 
 import ast
 import importlib
@@ -168,26 +168,39 @@ def test_the_fit_kernel_is_the_two_exp_calls():
     assert sites == [("groupfit", "_kernel_matrix"), ("groupfit", "_kernel_moments")]
 
 
-def attribute_call_sites(attr):
-    """``(module, top-level definition)`` of each call ``<x>.attr(...)`` in the package."""
+def call_sites(name):
+    """``(module, top-level definition)`` of each call ``name(...)`` or
+    ``<x>.name(...)`` in the package."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == attr
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None),
                 ):
                     sites.append((path.stem, getattr(top, "name", None)))
     return sites
+
+
+def test_each_iteration_applies_the_moment_identity_once():
+    # The spread about each anchor is formed once, for the coefficients;
+    # the local-linear surface projects it onto the indices, so the
+    # identity is not applied a second time in index space.
+    assert call_sites("_spread_about_anchors") == [("groupfit", "_iteration_step")]
+
+
+def test_each_link_smoother_is_built_once():
+    # One smoother per group holds the training rows, which the sweeps read,
+    # and the grid rows, which the tabulation reads.
+    assert call_sites("_smoother_matrix") == [("groupfit", "_backfit_links")]
 
 
 def test_the_pool_serves_the_cv_splits_and_one_row_block_driver():
     # The CV shares its splits, and the fit's kernel-moment pass and the
     # link smoothers share their row blocks through one driver, so the
     # block size, the per-worker buffer and the worker cap are stated once.
-    assert attribute_call_sites("each_block") == [
+    assert call_sites("each_block") == [
         ("crossval", "_loss_curve"),
         ("groupfit", "_each_row_block"),
     ]
@@ -196,7 +209,7 @@ def test_the_pool_serves_the_cv_splits_and_one_row_block_driver():
 def test_input_files_are_read_in_one_place():
     # The CSV panel and the config file are each read once, as bytes, by
     # one routine that decodes them and reports a bad byte's line.
-    assert attribute_call_sites("read_bytes") == [("ingest", "_read_lines")]
+    assert call_sites("read_bytes") == [("ingest", "_read_lines")]
 
 
 def test_every_draw_comes_from_the_one_stream():

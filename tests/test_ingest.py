@@ -264,6 +264,18 @@ class TestReadCsvMatrix:
         assert (err.value.row, err.value.column) == (2, 2)
         assert str(err.value) == f"{path}: non-numeric cell '2\\x00' at row 2, column 2 ('b')"
 
+    @pytest.mark.parametrize("text", ["a\0,b\n1,2\n", "a,b\n1,2\0\n", "a,b\n1\0,2\n", "a,b\n\0\n"])
+    def test_a_line_with_a_nul_byte_is_not_plain(self, tmp_path, monkeypatch, text):
+        # np.loadtxt may stop a cell at a NUL (numpy 2.4.6 refuses the cell,
+        # but the package allows older numpy); this one drops the byte, so
+        # only the guard keeps these lines off the C path
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            np, "loadtxt", lambda lines, **kw: loadtxt([l.replace("\0", "") for l in lines], **kw)
+        )
+        path = write(tmp_path, text)
+        assert ingest_mod._read_plain(path, ingest_mod._read_lines(path)) is None
+
 
 def outcome(path):
     """``read_csv_matrix(path)`` as comparable bytes: its result, or its error."""
