@@ -11,10 +11,10 @@ items computed before it, so a pass gives the same bytes at any worker
 count.  Only ``threading`` is used: ``concurrent.futures`` would add to the
 command line's import time.
 
-:func:`one_blas_thread` pins numpy's OpenBLAS to one thread for as long as
-a block of work runs.  OpenBLAS splits a product among its threads, and
-how it splits sets the order of the sums, so a product's bytes depend on
-its thread count; on one thread they do not.
+The pool owns the cores, so a pass runs numpy's OpenBLAS on one thread
+(:func:`one_blas_thread`).  How OpenBLAS splits a product among its threads
+sets the order of the sums, so a product's bytes depend on its thread
+count; on one thread they do not.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def each_block(n_items: int, make_worker, max_workers: int) -> None:
     thread included, so with one worker no thread starts.  Each thread
     calls ``make_worker()`` once, to set up what it alone uses (say, its
     buffers), and then calls the returned function on the next item from
-    one locked iterator until none is left.
+    one locked iterator until none is left.  The pass, at any worker count,
+    holds :func:`one_blas_thread` from before the first start to the last join.
 
     Once an item or a set-up fails, no thread takes a new item.  Every
     thread is joined before anything is raised, so none outlives the call.
@@ -82,17 +83,18 @@ def each_block(n_items: int, make_worker, max_workers: int) -> None:
                 failures.append((item, exc))
 
     workers = []
-    try:
-        for _ in range(min(_available_cores(), n_items, max_workers) - 1):
-            worker = threading.Thread(target=work)
-            worker.start()
-            workers.append(worker)
-    except BaseException as exc:  # a thread that could not start stops the others
-        with lock:
-            failures.append((-1, exc))
-    work()
-    for worker in workers:
-        worker.join()
+    with one_blas_thread():
+        try:
+            for _ in range(min(_available_cores(), n_items, max_workers) - 1):
+                worker = threading.Thread(target=work)
+                worker.start()
+                workers.append(worker)
+        except BaseException as exc:  # a thread that could not start stops the others
+            with lock:
+                failures.append((-1, exc))
+        work()
+        for worker in workers:
+            worker.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 

@@ -79,10 +79,10 @@ _SEED_MASK = (1 << 63) - 1
 # Threads that share a run's splits, at most.  Each holds one split's two
 # J×J estimates and its scoring temporaries at a time.
 _CV_MAX_WORKERS = 2
-# Fewest series for which the splits are shared.  Spearman, 100 splits, 2
-# CPUs, one BLAS thread, medians of 30 alternating runs, 1 worker against 2:
-# 11.3 ms against 11.6 at J=17, T=540, 21.2 against 21.9 at J=17, T=1200,
-# even at T=600 from J=64 to 96; covariance splits gained from J=64 on.
+# Fewest series for which the splits are shared.  select_threshold, 100
+# splits, 2 CPUs, medians of 30 alternating runs, ms at 1 against 2 workers:
+# Spearman 12.6/23.3 at J=17 T=540, 23.6/39.9 at J=17 T=1200, and at T=600
+# 37.5/44.6 at J=64, 59.2/52.5 at J=96; covariance gained from J=64 (42/30).
 _CV_MIN_SERIES = 96
 
 

@@ -249,13 +249,12 @@ def _kernel_matrix(anchors: np.ndarray, v: np.ndarray, h: np.ndarray, sq, z):
 
 
 def _weighted_sums(w: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """``out[i, k] = sum_j w[i, j] rows[k, j]``: a BLAS product, run under
-    :func:`covclust._pool.one_blas_thread` so that its bytes do not depend on
-    the BLAS thread count.  Written into ``out`` when it is given.
-
+    """``out[i, k] = sum_j w[i, j] rows[k, j]``, into ``out`` when it is given:
+    a BLAS product, run on one thread under the pin that :func:`fit` and every
+    pooled pass hold, so its bytes do not depend on the BLAS thread count.
     Where no pin is available (:func:`covclust._pool.can_pin_blas` is false),
     the sums run in numpy's own ``einsum`` loop, whose bytes never depend on
-    the thread count, at about a fifth of the speed.
+    it, at about a fifth of the speed.
     """
     if _pool.can_pin_blas():
         return np.matmul(w, rows.T, out=out)
@@ -659,7 +658,7 @@ def fit(panel: TimeSeriesPanel, spec: ModelSpec, cfg: FitConfig = FitConfig()) -
         )
         return beta_new, record, (g_mat, c_vec)
 
-    # every BLAS and LAPACK call from the start to the links runs on one thread
+    # the pooled passes pin BLAS themselves; this pins the calls between them
     with _pool.one_blas_thread():
         beta_cat = np.empty(k_total)
         for sl in slices:

@@ -14,6 +14,7 @@ import pytest
 from covclust import _pool, crossval
 from covclust.crossval import CvConfig, _loss_curve, _window_estimator, select_threshold
 from covclust.errors import DegenerateColumnError
+from covclust.ingest import ingest
 from covclust.panel import TimeSeriesPanel
 from test_golden import WIDE_COMMANDS, assert_reports_match_golden, write_wide_panel
 
@@ -130,6 +131,68 @@ def test_pool_raises_the_failure_of_the_lowest_item(use_workers):
     assert item_2_failed.is_set()
 
 
+@pytest.mark.skipif(not _pool.can_pin_blas(), reason="numpy ships no OpenBLAS thread-count call")
+def test_every_pooled_pass_runs_blas_on_one_thread(monkeypatch, use_workers):
+    get, set_ = _pool._openblas_thread_calls()
+    before = get()
+    both_took_one = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def note(i):
+        seen.append((threading.get_ident(), get()))
+
+    def run(i):
+        if i < 2:  # each of the two threads takes one of the first two items
+            both_took_one.wait()
+        note(i)
+
+    def fail(i):
+        raise ValueError(f"item {i}")
+
+    class Unstartable(threading.Thread):
+        def start(self):
+            seen.append((None, get()))
+            raise RuntimeError("can't start new thread")
+
+    use_workers(2)
+    try:
+        set_(2)
+        _pool.each_block(4, lambda: run, 2)
+        threads = {thread for thread, _ in seen}
+        assert len(threads) == 2 and threading.get_ident() in threads
+        _pool.each_block(2, lambda: note, 1)  # no thread starts at one worker
+        assert [count for _, count in seen] == [1] * 6
+        assert get() == 2
+        with pytest.raises(ValueError, match="item 0"):
+            _pool.each_block(3, lambda: fail, 2)
+        assert get() == 2
+        monkeypatch.setattr(_pool.threading, "Thread", Unstartable)
+        with pytest.raises(RuntimeError, match="can't start"):
+            _pool.each_block(3, lambda: note, 2)
+        assert seen[-1] == (None, 1)  # pinned before the first start
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("kind", ["covariance", "spearman"])
+def test_pooled_cv_is_the_same_bytes_without_the_blas_pin(kind, tmp_path, request, use_workers):
+    panel = ingest(write_wide_panel(tmp_path / "panel.csv"))
+
+    def per_split_losses():
+        losses = []
+        for workers in (1, 2):
+            use_workers(workers)
+            losses.append(select_threshold(panel, CvConfig(), kind).per_split_losses.tobytes())
+        return losses
+
+    pinned = per_split_losses()
+    request.getfixturevalue("hidden_blas_pin")
+    assert not _pool.can_pin_blas()
+    assert per_split_losses() == pinned
+    assert pinned[0] == pinned[1]
+
+
 def test_no_thread_starts_below_the_gate(monkeypatch, use_workers):
     started = []
     thread = threading.Thread
@@ -151,8 +214,8 @@ def test_no_thread_starts_below_the_gate(monkeypatch, use_workers):
 
 
 def test_wide_cluster_screen_is_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    # two CV workers each call the exact rank Gram's BLAS product at once; the
-    # Spearman screen and a covariance threshold on the pooled CV path match
+    # the CV pass pins BLAS to one thread whatever OPENBLAS_NUM_THREADS says;
+    # the Spearman screen and a covariance threshold on the pooled CV path match
     # the committed reports (tests/test_golden.py says which numpy they hold for)
     panel = write_wide_panel(tmp_path / "panel.csv")
     for threads in ("1", "2"):

@@ -140,16 +140,6 @@ def test_kernel_matrix_is_kernel_weight_bit_for_bit(seed):
     np.testing.assert_array_equal(got, want[7:20])
 
 
-@pytest.fixture
-def hidden_blas_pin(monkeypatch):
-    """numpy's OpenBLAS without its thread-count call, as on a build that lacks it."""
-    _pool._openblas_thread_calls.cache_clear()
-    monkeypatch.setattr(_pool, "_SET_THREADS", "no_such_symbol")
-    yield
-    # loaded again, with the real name, on the next call after monkeypatch undoes
-    _pool._openblas_thread_calls.cache_clear()
-
-
 def moment_case(t, s):
     """Indices, bandwidths and moment rows for one kernel-moment pass."""
     rng = np.random.default_rng(t * 10 + s)

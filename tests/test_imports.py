@@ -206,6 +206,16 @@ def test_the_pool_serves_the_cv_splits_and_one_row_block_driver():
     ]
 
 
+def test_the_blas_pin_is_taken_by_the_pool_and_two_commands():
+    # Every pooled pass holds the pin in each_block, so no pass names it; the
+    # fit and simulate hold it only for the BLAS calls they make outside a pass.
+    assert call_sites("one_blas_thread") == [
+        ("_pool", "each_block"),
+        ("cli", "_cmd_simulate"),
+        ("groupfit", "fit"),
+    ]
+
+
 def test_input_files_are_read_in_one_place():
     # The CSV panel and the config file are each read once, as bytes, by
     # one routine that decodes them and reports a bad byte's line.
